@@ -67,7 +67,10 @@ def cmd_primitive(args) -> int:
                 "use --method whitehead"
             )
     if verdict is None and method in ("auto", "whitehead"):
-        verdict, chain = whitehead_trace(word)
+        if args.trace:
+            verdict, chain = whitehead_trace(word)
+        else:
+            verdict = is_primitive_whitehead(word)
         method = "whitehead"
 
     if args.json:

@@ -112,7 +112,8 @@ def solve_replacement_equation(params: PqParams) -> tuple[int, int]:
     q, r = params.q, params.r
     s = pow(r, -1, q)
     t_plus_1 = (s * r - 1) // q
-    assert t_plus_1 >= 1
+    if t_plus_1 < 1:
+        raise RuntimeError(f"{params}: s = {s} gives t + 1 = {t_plus_1}, not a positive integer")
     return s, t_plus_1 - 1
 
 
@@ -163,6 +164,10 @@ def nonconnectivity_witness(params: PqParams) -> ReplacementTrace:
             disks.append(ReplacementStep(side, new, new.word(q), pair_before=pair))
             pair = (pair[0], new) if side == "R" else (new, pair[1])
     final = disks[-1].label
-    assert (final.a, final.b) == (s, t + 1)
-    assert final.e == q + 1
+    if (final.a, final.b) != (s, t + 1):
+        raise RuntimeError(
+            f"{params}: the schedule ended at {final.fraction}, not {s}/{t + 1}"
+        )
+    if final.e != q + 1:
+        raise RuntimeError(f"{params}: the final word has e = {final.e}, not q + 1 = {q + 1}")
     return ReplacementTrace(params=params, s=s, t=t, cf=cf, disks=tuple(disks))

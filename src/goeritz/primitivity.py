@@ -14,6 +14,7 @@ generator in place of x.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -152,16 +153,65 @@ WHITEHEAD_TYPE_II = _make_type_ii()
 WHITEHEAD_AUTOMORPHISMS = WHITEHEAD_TYPE_I + WHITEHEAD_TYPE_II
 
 
+def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Coefficients c(u, v) with |auto(w)| - |w| = sum of c(u, v) * #uv.
+
+    The sum runs over the cyclic two-letter subwords uv of a cyclically
+    reduced word w.  This is Whitehead's cut-vertex formula: the cyclic
+    length changes by the number of Whitehead-graph edges crossing the
+    move's set A, less the degree of its multiplier a.  The subword uv is
+    the edge {u, v^-1}.  The multiplier a is the last letter of the moved
+    generator's image, or the inverse of its first letter when the image
+    ends in that generator; A holds the letters whose images end in a.
+    """
+    table = auto._table
+    moved = _Y if auto.image_x == (_X,) else _X
+    image = table[moved]
+    a = image[-1] if image[-1] != moved else -image[0]
+    in_a = {c: table[c][-1] == a for c in table}
+    coefficients = []
+    for u in table:
+        for v in table:
+            if v == -u:
+                continue
+            c = (in_a[u] != in_a[-v]) - (abs(u) == abs(a))
+            if c:
+                coefficients.append(((u, v), c))
+    return tuple(coefficients)
+
+
+# Length-change coefficients of each type II move, in enumeration order.
+_TYPE_II_COEFFICIENTS = tuple(_length_change_coefficients(auto) for auto in WHITEHEAD_TYPE_II)
+
+
+def predicted_length_changes(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Cyclic length change of each type II move on a cyclically reduced word.
+
+    One pass counts the cyclic two-letter subwords; each move's change is
+    then a sum of a few of those counts.
+    """
+    counts = Counter(zip(codes, codes[1:] + codes[:1]))
+    return tuple(
+        sum(c * counts[pair] for pair, c in coefficients) for coefficients in _TYPE_II_COEFFICIENTS
+    )
+
+
 def _find_shortening(codes: tuple[int, ...]) -> Optional[tuple[WhiteheadAutomorphism, tuple[int, ...]]]:
     """First enumerated automorphism whose image is cyclically shorter.
 
     Type I maps permute letters and never change cyclic length, so only
-    the type II candidates can shorten.
+    the type II candidates can shorten.  Their length changes are
+    predicted from the cyclically reduced input; only the chosen move is
+    applied, and its image must have exactly the predicted length.
     """
-    n = len(codes)
-    for auto in WHITEHEAD_TYPE_II:
-        image = cyclic_reduce_codes(auto.apply_codes(codes))
-        if len(image) < n:
+    for auto, change in zip(WHITEHEAD_TYPE_II, predicted_length_changes(codes)):
+        if change < 0:
+            image = cyclic_reduce_codes(auto.apply_codes(codes))
+            if len(image) != len(codes) + change:
+                raise RuntimeError(
+                    f"Whitehead move {auto} took a cyclic word of length {len(codes)} "
+                    f"to length {len(image)}, not the predicted {len(codes) + change}"
+                )
             return auto, image
     return None
 

@@ -57,12 +57,8 @@ def make_params(p: int, q: int) -> PqParams:
     if math.gcd(p, q) != 1:
         raise InvalidParameters(f"p and q must be coprime, got gcd({p},{q}) = {math.gcd(p, q)}")
     q = min(q, p - q)
-    q_prime = None
-    for k in range(1, p // 2 + 1):
-        if (q * k) % p in (1, p - 1):
-            q_prime = k
-            break
-    assert q_prime is not None
+    inverse = pow(q, -1, p)
+    q_prime = min(inverse, p - inverse)
     r = p % q
     m = p // q
     connected = q == 1 or r in (1, q - 1)

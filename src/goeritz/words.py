@@ -18,8 +18,13 @@ from typing import Iterable, Iterator, NamedTuple, Union
 _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
 _CODE_SYMBOLS = {1: "x", 2: "y", 3: "z"}
 
+_VALID_CODES = frozenset(c for code in _CODE_SYMBOLS for c in (code, -code))
+
 # x and z sort before y; a positive letter sorts before its inverse.
 _ROTATION_RANK = {1: 0, 2: 1, 3: 0}
+
+# parse_word refuses text that would expand to more letters than this.
+MAX_WORD_LETTERS = 10_000_000
 
 
 class WordParseError(ValueError):
@@ -57,6 +62,13 @@ def _check_code(code: int) -> int:
 def _coerce_codes(letters) -> tuple[int, ...]:
     if isinstance(letters, (Word, CyclicWord)):
         return letters.codes
+    # plain int codes, checked at C level; anything else goes item by item
+    if (
+        type(letters) in (tuple, list)
+        and set(map(type, letters)) <= {int}
+        and _VALID_CODES.issuperset(letters)
+    ):
+        return tuple(letters)
     out = []
     for item in letters:
         if isinstance(item, Letter):
@@ -318,11 +330,16 @@ def substitute(w: WordLike, z_image: WordLike) -> Word:
     return Word(out)
 
 
+def _over_the_cap(text: str, offset: int) -> WordParseError:
+    return WordParseError(text, offset, f"at most {MAX_WORD_LETTERS} letters in the expanded word")
+
+
 def parse_word(text: str) -> Word:
     """Parse caret notation: atoms are a letter with an optional ^exponent.
 
     Letters x, y, z are positive, X, Y, Z their inverses; whitespace is
-    ignored, so "x y^5 x y^-2" and "xy^5xy^-2" parse identically.
+    ignored, so "x y^5 x y^-2" and "xy^5xy^-2" parse identically.  Text
+    that would expand to more than MAX_WORD_LETTERS letters is refused.
     """
     codes: list[int] = []
     i = 0
@@ -338,9 +355,10 @@ def parse_word(text: str) -> Word:
         code = _SYMBOL_CODES[low] * (1 if ch.islower() else -1)
         i += 1
         exp = 1
+        exp_at = i
         if i < n and text[i] == "^":
             i += 1
-            j = i
+            exp_at = j = i
             if j < n and text[j] in "+-":
                 j += 1
             k = j
@@ -348,9 +366,16 @@ def parse_word(text: str) -> Word:
                 k += 1
             if k == j:
                 raise WordParseError(text, i, "an integer exponent")
-            exp = int(text[i:k])
+            digits = text[j:k].lstrip("0")
+            # more digits than the cap has is over it, and int() may refuse
+            # a digit string that long
+            if len(digits) > len(str(MAX_WORD_LETTERS)):
+                raise _over_the_cap(text, exp_at)
+            exp = int(digits or "0")
+            if text[i] == "-":
+                code = -code
             i = k
-        if exp < 0:
-            code, exp = -code, -exp
+        if len(codes) + exp > MAX_WORD_LETTERS:
+            raise _over_the_cap(text, exp_at)
         codes.extend([code] * exp)
     return Word(codes)

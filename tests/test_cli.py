@@ -60,6 +60,20 @@ def test_parse_error_exit_code(capsys):
     assert "offset 2" in err
 
 
+def test_huge_exponent_fails_fast_as_invalid_input(capsys):
+    # the cap is checked before any letter is expanded
+    code, out, err = run(capsys, "primitive", "xy^10000000000")
+    assert code == 2 and out == ""
+    assert "offset 3" in err and "letters in the expanded word" in err
+
+
+def test_primitive_whitehead_verdict_without_trace(capsys):
+    code, out, _ = run(capsys, "primitive", "xy^200xy^201", "--method", "whitehead")
+    assert code == 0 and "primitive: yes" in out and "step" not in out
+    code, out, _ = run(capsys, "primitive", "xY^200xY^202", "--method", "whitehead", "--json")
+    assert code == 1 and json.loads(out)["primitive"] is False
+
+
 def test_sequence_8_3(capsys):
     code, out, _ = run(capsys, "sequence", "8", "3")
     assert code == 0

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from goeritz import farey
 from goeritz.farey import (
     ConnectedComplexError,
     FareyLabel,
@@ -111,6 +113,17 @@ def test_solve_replacement_equation():
             (k * params.r - 1) % params.q != 0 or k * params.r <= params.q
             for k in range(1, s)
         )
+
+
+def test_replacement_checks_raise_internal_errors(monkeypatch):
+    # r = 1 is a connected case; forced through, the equation has no t >= 0
+    forged = dataclasses.replace(make_params(12, 5), r=1)
+    with pytest.raises(RuntimeError, match="not a positive integer"):
+        solve_replacement_equation(forged)
+    # a schedule cut short ends at the wrong fraction
+    monkeypatch.setattr(farey, "continued_fraction", lambda a, b: (1,))
+    with pytest.raises(RuntimeError, match="ended at"):
+        nonconnectivity_witness(make_params(17, 7))
 
 
 def test_witness_trace_12_5():

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -8,10 +9,12 @@ from goeritz.primitivity import (
     WHITEHEAD_TYPE_I,
     WHITEHEAD_TYPE_II,
     FilterOutcome,
+    WhiteheadAutomorphism,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
     oz_canonical_word,
+    predicted_length_changes,
     whitehead_reduce_step,
     whitehead_trace,
 )
@@ -19,7 +22,9 @@ from goeritz.words import (
     CyclicWord,
     Word,
     abelianize,
+    cyclic_reduce_codes,
     cyclically_equal,
+    free_reduce_codes,
     invert,
     parse_word,
     swap_generators,
@@ -206,3 +211,67 @@ def test_z_words_and_x_words_agree():
     assert is_primitive_whitehead(w("z y z y y")) == is_primitive_whitehead(w("x y x y y"))
     with pytest.raises(ValueError):
         is_primitive_whitehead(w("x z"))
+
+
+def test_predicted_length_change_is_exact_up_to_length_eight():
+    for tup in cyclically_reduced_words(8):
+        real = tuple(
+            len(cyclic_reduce_codes(auto.apply_codes(tup))) - len(tup)
+            for auto in WHITEHEAD_TYPE_II
+        )
+        assert predicted_length_changes(tup) == real, tup
+
+
+def reference_trace(word):
+    """The greedy oracle by brute force: apply all twelve type II moves in
+    enumeration order and take the first whose image is cyclically shorter."""
+    codes = cyclic_reduce_codes(free_reduce_codes(word.codes))
+    chain = []
+    while len(codes) > 1:
+        for auto in WHITEHEAD_TYPE_II:
+            image = cyclic_reduce_codes(auto.apply_codes(codes))
+            if len(image) < len(codes):
+                break
+        else:
+            break
+        codes = image
+        chain.append((auto, CyclicWord(codes)))
+    return len(codes) == 1, chain
+
+
+def automorphic_image(base, length, seed):
+    """Apply random lengthening Whitehead moves to base until it is at least
+    length letters long (cyclically reduced after every move)."""
+    rng = random.Random(seed)
+    codes = cyclic_reduce_codes(free_reduce_codes(w(base).codes))
+    while len(codes) < length:
+        image = cyclic_reduce_codes(rng.choice(WHITEHEAD_AUTOMORPHISMS).apply_codes(codes))
+        if len(image) > len(codes):
+            codes = image
+    return Word(codes)
+
+
+def test_trace_matches_brute_force_scan_on_long_families():
+    for n in (1, 4, 37, 300):
+        for text in (f"xy^{n}xy^{n + 1}", f"xY^{n}xY^{n + 2}"):
+            word = w(text)
+            assert whitehead_trace(word) == reference_trace(word), text
+
+
+def test_trace_matches_brute_force_scan_on_automorphic_images():
+    for seed, (base, primitive) in enumerate(
+        (("x", True), ("x^2", False), ("x^2y^3", False), ("x^3y^4", False))
+    ):
+        word = automorphic_image(base, 400, seed)
+        verdict, chain = whitehead_trace(word)
+        assert (verdict, chain) == reference_trace(word)
+        assert verdict is primitive and is_primitive_whitehead(word) is primitive
+
+
+def test_oracle_rejects_a_move_that_misses_its_predicted_length(monkeypatch):
+    honest = WhiteheadAutomorphism.apply_codes
+    monkeypatch.setattr(
+        WhiteheadAutomorphism, "apply_codes", lambda self, codes: honest(self, codes) + (1, 1)
+    )
+    with pytest.raises(RuntimeError, match="predicted"):
+        is_primitive_whitehead(w("xy^3xy^4"))

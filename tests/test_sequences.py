@@ -67,6 +67,12 @@ def test_q_prime_definition_and_involution():
         assert make_params(p, qp).q_prime == q
 
 
+def test_q_prime_is_the_least_solution():
+    for p, q in coprime_pairs(150):
+        least = next(k for k in range(1, p // 2 + 1) if (q * k) % p in (1, p - 1))
+        assert make_params(p, q).q_prime == least
+
+
 def test_connectivity_criterion():
     for p, q in coprime_pairs(40):
         params = make_params(p, q)

@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
+from goeritz import words
 from goeritz.words import (
+    MAX_WORD_LETTERS,
     CyclicWord,
     Letter,
     Word,
@@ -133,6 +135,41 @@ def test_parse_error_offsets():
     with pytest.raises(WordParseError) as err:
         parse_word("x^- y")
     assert err.value.offset == 2
+
+
+def test_parse_caps_the_expanded_length(monkeypatch):
+    # a word of about 800 letters, the longest the benchmark feeds in, parses
+    assert len(parse_word("xy^399xy^400")) == 801 < MAX_WORD_LETTERS
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 10)
+    assert len(parse_word("x^4 y^6")) == 10
+    assert len(parse_word("xxxxxyyyyy")) == 10
+    with pytest.raises(WordParseError) as err:
+        parse_word("x^4 y^7")
+    assert err.value.offset == 6 and "at most 10 letters" in err.value.expected
+    with pytest.raises(WordParseError) as err:
+        parse_word("xxxxxyyyyyx")
+    assert err.value.offset == 11
+    with pytest.raises(WordParseError):
+        parse_word("x^-11")
+    # exponents too long for int() are refused by their digit count
+    with pytest.raises(WordParseError) as err:
+        parse_word("x^" + "9" * 5000)
+    assert err.value.offset == 2
+    assert parse_word("x^-" + "0" * 5000 + "7") == w("X^7")
+
+
+def test_plain_and_mixed_letter_inputs_coerce_alike():
+    assert Word((1, 2, -2, 3)).codes == (1, 3)
+    assert Word([1, 2, 2]).codes == Word((1, 2, 2)).codes == (1, 2, 2)
+    assert Word([Letter("x", 1), 2, Letter("y", -1)]).codes == (1,)
+    assert Word(iter((2, -1))).codes == (2, -1)
+    for bad in ([1.0], (0,), [4], [-4], ["x"], [[1]], (1, None)):
+        with pytest.raises(ValueError, match="not a letter code"):
+            Word(bad)
+    with pytest.raises(ValueError, match="bad letter"):
+        Word([Letter("w", 1)])
+    # a bool is an int and takes the item-by-item path, as it always has
+    assert Word([True, 2]).codes == (1, 2)
 
 
 def test_roundtrip_through_text():
