@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sequences import PqParams
-from .words import Word
+from .words import Word, _positive_codes
 
 
 class ConnectedComplexError(ValueError):
@@ -43,8 +43,7 @@ class FareyLabel:
         return f"{self.a}/{self.b}"
 
     def word(self, q: int) -> Word:
-        block = [1] + [2] * q
-        return Word(tuple(block * self.d) + (1,) + (2,) * self.e)
+        return Word(_positive_codes((b"x" + b"y" * q) * self.d + b"x" + b"y" * self.e))
 
     def matches_closed_form(self, params: PqParams) -> bool:
         return (

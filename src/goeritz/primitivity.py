@@ -14,16 +14,20 @@ generator in place of x.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 from typing import Optional
 
 from .words import (
     CyclicWord,
     Word,
+    _CANCELLING_PAIR,
+    _SPELLING,
     _caret,
     _coerce_codes,
+    _spell,
+    _unspell,
     cyclic_reduce_codes,
     free_reduce_codes,
 )
@@ -31,13 +35,17 @@ from .words import (
 _X, _Y = 1, 2
 
 
+_Z_AS_X = {3: _X, -3: -_X, _X: _X, -_X: -_X, _Y: _Y, -_Y: -_Y}
+
+
 def _normalize_rank2(w) -> tuple[int, ...]:
     """Codes over {1, 2}, renaming z to the first-generator slot."""
     codes = _coerce_codes(w)
-    bases = {abs(c) for c in codes}
-    if 1 in bases and 3 in bases:
-        raise ValueError("word mixes x and z; no generating pair applies")
-    return tuple(c if abs(c) != 3 else (1 if c > 0 else -1) for c in codes)
+    if 3 in codes or -3 in codes:
+        if 1 in codes or -1 in codes:
+            raise ValueError("word mixes x and z; no generating pair applies")
+        codes = tuple(map(_Z_AS_X.__getitem__, codes))
+    return codes
 
 
 @dataclass(frozen=True)
@@ -56,18 +64,21 @@ class WhiteheadAutomorphism:
     inverse_x: tuple[int, ...]
     inverse_y: tuple[int, ...]
     _table: dict = field(default=None, compare=False, repr=False)
+    _spelled_table: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         inv = lambda img: tuple(-c for c in reversed(img))
+        table = {
+            _X: self.image_x,
+            -_X: inv(self.image_x),
+            _Y: self.image_y,
+            -_Y: inv(self.image_y),
+        }
+        object.__setattr__(self, "_table", table)
         object.__setattr__(
             self,
-            "_table",
-            {
-                _X: self.image_x,
-                -_X: inv(self.image_x),
-                _Y: self.image_y,
-                -_Y: inv(self.image_y),
-            },
+            "_spelled_table",
+            str.maketrans({_SPELLING[c]: _spell(img) for c, img in table.items()}),
         )
 
     def apply_codes(self, codes: tuple[int, ...]) -> tuple[int, ...]:
@@ -76,6 +87,25 @@ class WhiteheadAutomorphism:
         for c in codes:
             out.extend(table[c])
         return free_reduce_codes(out)
+
+    def apply_spelled(self, spelled: str) -> str:
+        """The freely reduced image of a freely reduced spelled word over x, y.
+
+        One str.translate writes the image and one regex pass deletes its
+        cancelling pairs; no second pass is needed.  A type I move maps
+        letters to letters.  A type II move with multiplier a fixes a and
+        a^-1, and each other letter u may gain an a^-1 before it and an a
+        after it; u^-1 gains an a^-1 before it exactly when u gains an a
+        after it.  So each cancelling pair of the image holds an a or a^-1
+        that the move inserted.  Take an a inserted after u (an a^-1
+        inserted before u is the mirror case).  Either the next letter v
+        gained an a^-1, and the two cancel to leave u v, which was reduced;
+        or v is a^-1 itself, and the two cancel to leave u next to what
+        follows v: an inserted a^-1, which u (not a or a^-1) does not
+        cancel, or a letter other than u^-1, since u^-1 would have gained
+        an a^-1.  So no deletion brings a new cancelling pair together.
+        """
+        return _CANCELLING_PAIR.sub("", spelled.translate(self._spelled_table))
 
     def apply(self, w) -> Word:
         return Word(self.apply_codes(_normalize_rank2(w)))
@@ -153,8 +183,15 @@ WHITEHEAD_TYPE_II = _make_type_ii()
 WHITEHEAD_AUTOMORPHISMS = WHITEHEAD_TYPE_I + WHITEHEAD_TYPE_II
 
 
-def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Coefficients c(u, v) with |auto(w)| - |w| = sum of c(u, v) * #uv.
+# The cyclic two-letter subwords of a cyclically reduced word over x, y:
+# eight of distinct letters, then the four of equal letters.
+_MIXED_PAIRS = ("xy", "xY", "Xy", "XY", "yx", "yX", "Yx", "YX")
+_PAIRS = _MIXED_PAIRS + ("xx", "XX", "yy", "YY")
+
+
+def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[int, ...]:
+    """Coefficients c(uv), one per subword uv in _PAIRS, with
+    |auto(w)| - |w| = sum of c(uv) * #uv.
 
     The sum runs over the cyclic two-letter subwords uv of a cyclically
     reduced word w.  This is Whitehead's cut-vertex formula: the cyclic
@@ -169,85 +206,111 @@ def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[tuple[tupl
     image = table[moved]
     a = image[-1] if image[-1] != moved else -image[0]
     in_a = {c: table[c][-1] == a for c in table}
-    coefficients = []
-    for u in table:
-        for v in table:
-            if v == -u:
-                continue
-            c = (in_a[u] != in_a[-v]) - (abs(u) == abs(a))
-            if c:
-                coefficients.append(((u, v), c))
-    return tuple(coefficients)
+    return tuple((in_a[u] != in_a[-v]) - (abs(u) == abs(a)) for u, v in map(_unspell, _PAIRS))
 
 
 # Length-change coefficients of each type II move, in enumeration order.
 _TYPE_II_COEFFICIENTS = tuple(_length_change_coefficients(auto) for auto in WHITEHEAD_TYPE_II)
 
 
+def _pair_counts(spelled: str) -> list[int]:
+    """The counts of the cyclic two-letter subwords _PAIRS of a cyclically
+    reduced spelled word.
+
+    Twelve str.count calls.  An occurrence of a pair of distinct letters
+    cannot overlap another, so str.count is exact for those; a pair uu
+    is counted as the letters u not followed by a letter other than u
+    (u^-1 never follows u in a cyclically reduced word).
+    """
+    counts = list(map((spelled + spelled[:1]).count, _MIXED_PAIRS))
+    xy, xY, Xy, XY, yx, yX, Yx, YX = counts
+    counts += (
+        spelled.count("x") - xy - xY,
+        spelled.count("X") - Xy - XY,
+        spelled.count("y") - yx - yX,
+        spelled.count("Y") - Yx - YX,
+    )
+    return counts
+
+
 def predicted_length_changes(codes: tuple[int, ...]) -> tuple[int, ...]:
     """Cyclic length change of each type II move on a cyclically reduced word.
 
-    One pass counts the cyclic two-letter subwords; each move's change is
-    then a sum of a few of those counts.
+    One count of the cyclic two-letter subwords; each move's change is
+    then a weighted sum of those counts.
     """
-    counts = Counter(zip(codes, codes[1:] + codes[:1]))
-    return tuple(
-        sum(c * counts[pair] for pair, c in coefficients) for coefficients in _TYPE_II_COEFFICIENTS
-    )
+    counts = _pair_counts(_spell(codes))
+    return tuple(sum(map(mul, coefficients, counts)) for coefficients in _TYPE_II_COEFFICIENTS)
 
 
-def _find_shortening(codes: tuple[int, ...]) -> Optional[tuple[WhiteheadAutomorphism, tuple[int, ...]]]:
+def _cyclic_reduce_spelled(spelled: str) -> str:
+    """Strip mutually inverse first/last letters of a freely reduced spelled word."""
+    i, j = 0, len(spelled) - 1
+    while i < j and spelled[i] == spelled[j].swapcase():
+        i += 1
+        j -= 1
+    return spelled[i : j + 1]
+
+
+def _find_shortening(spelled: str) -> Optional[tuple[WhiteheadAutomorphism, str]]:
     """First enumerated automorphism whose image is cyclically shorter.
 
-    Type I maps permute letters and never change cyclic length, so only
-    the type II candidates can shorten.  Their length changes are
-    predicted from the cyclically reduced input; only the chosen move is
-    applied, and its image must have exactly the predicted length.
+    The word is cyclically reduced and spelled over x, y.  Type I maps
+    permute letters and never change cyclic length, so only the type II
+    candidates can shorten.  Their length changes are predicted from the
+    input's two-letter subword counts; only the chosen move is applied,
+    and its image must have exactly the predicted length.
     """
-    for auto, change in zip(WHITEHEAD_TYPE_II, predicted_length_changes(codes)):
+    counts = _pair_counts(spelled)
+    for auto, coefficients in zip(WHITEHEAD_TYPE_II, _TYPE_II_COEFFICIENTS):
+        change = sum(map(mul, coefficients, counts))
         if change < 0:
-            image = cyclic_reduce_codes(auto.apply_codes(codes))
-            if len(image) != len(codes) + change:
+            image = _cyclic_reduce_spelled(auto.apply_spelled(spelled))
+            if len(image) != len(spelled) + change:
                 raise RuntimeError(
-                    f"Whitehead move {auto} took a cyclic word of length {len(codes)} "
-                    f"to length {len(image)}, not the predicted {len(codes) + change}"
+                    f"Whitehead move {auto} took a cyclic word of length {len(spelled)} "
+                    f"to length {len(image)}, not the predicted {len(spelled) + change}"
                 )
             return auto, image
     return None
 
 
+def _spelled_core(w) -> str:
+    """The cyclically reduced word over x, y that the oracle starts from."""
+    return _spell(cyclic_reduce_codes(free_reduce_codes(_normalize_rank2(w))))
+
+
 def whitehead_reduce_step(w) -> Optional[tuple[WhiteheadAutomorphism, CyclicWord]]:
     """One strictly shortening Whitehead move, or None at a local minimum."""
-    codes = cyclic_reduce_codes(free_reduce_codes(_normalize_rank2(w)))
-    found = _find_shortening(codes)
+    found = _find_shortening(_spelled_core(w))
     if found is None:
         return None
     auto, image = found
-    return auto, CyclicWord(image)
+    return auto, CyclicWord(_unspell(image))
 
 
 def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWord]]]:
     """Run the greedy reduction, returning the verdict and the move chain."""
-    codes = cyclic_reduce_codes(free_reduce_codes(_normalize_rank2(w)))
+    spelled = _spelled_core(w)
     chain: list[tuple[WhiteheadAutomorphism, CyclicWord]] = []
-    while len(codes) > 1:
-        found = _find_shortening(codes)
+    while len(spelled) > 1:
+        found = _find_shortening(spelled)
         if found is None:
             break
-        auto, codes = found
-        chain.append((auto, CyclicWord(codes)))
-    return len(codes) == 1, chain
+        auto, spelled = found
+        chain.append((auto, CyclicWord(_unspell(spelled))))
+    return len(spelled) == 1, chain
 
 
 def is_primitive_whitehead(w) -> bool:
     """Whitehead-algorithm primitivity oracle."""
-    codes = cyclic_reduce_codes(free_reduce_codes(_normalize_rank2(w)))
-    while len(codes) > 1:
-        found = _find_shortening(codes)
+    spelled = _spelled_core(w)
+    while len(spelled) > 1:
+        found = _find_shortening(spelled)
         if found is None:
             return False
-        codes = found[1]
-    return len(codes) == 1
+        spelled = found[1]
+    return len(spelled) == 1
 
 
 def oz_canonical_word(m: int, n: int) -> CyclicWord:

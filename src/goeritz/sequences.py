@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .words import Word, cyclically_equal, reverse, swap_generators
+from .words import Word, _positive_codes, cyclically_equal, reverse, swap_generators
 
 
 class InvalidParameters(ValueError):
@@ -73,6 +74,19 @@ def sequence_word(p: int, qbar: int, j: int) -> Word:
     return Word([3 if (i % p) in z_residues else 2 for i in range(1, p + 1)])
 
 
+def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
+    """The spellings of w_0, ..., w_p of the (p, qbar)-sequence, as bytes.
+
+    Each word is made from the one before: w_{j+1} is w_j with the
+    letter at 0-based position (j * qbar) mod p turned from y to z.
+    """
+    letters = bytearray(b"y" * p)
+    yield bytes(letters)
+    for j in range(p):
+        letters[j * qbar % p] = ord("z")
+        yield bytes(letters)
+
+
 @dataclass(frozen=True)
 class PqSequence:
     params: PqParams
@@ -87,7 +101,7 @@ def primitive_indices(params: PqParams) -> frozenset[int]:
 
 
 def pq_sequence(params: PqParams) -> PqSequence:
-    words = tuple(sequence_word(params.p, params.q, j) for j in range(params.p + 1))
+    words = tuple(Word(_positive_codes(spelled)) for spelled in spelled_sequence(params.p, params.q))
     return PqSequence(params=params, words=words, primitive_indices=primitive_indices(params))
 
 

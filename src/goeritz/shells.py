@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .sequences import PqParams, sequence_word
-from .words import Word, parse_word, substitute
-
-_XY = parse_word("xy")
+from .sequences import PqParams, spelled_sequence
+from .words import Word, _positive_codes
 
 
 class DiskClass(Enum):
@@ -76,8 +74,8 @@ def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:
     slope = kind.slope(params)
     primitive = shell_primitive_indices(params, kind)
     entries = []
-    for j in range(params.p + 1):
-        word = substitute(sequence_word(params.p, slope, j), _XY)
+    for j, spelled in enumerate(spelled_sequence(params.p, slope)):
+        word = Word(_positive_codes(spelled.replace(b"z", b"xy")))
         if j in (0, params.p):
             cls = DiskClass.SEMIPRIMITIVE
         elif j in primitive:

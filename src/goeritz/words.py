@@ -13,6 +13,7 @@ positive letter before its inverse.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, NamedTuple, Union
 
 _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
@@ -20,8 +21,32 @@ _CODE_SYMBOLS = {1: "x", 2: "y", 3: "z"}
 
 _VALID_CODES = frozenset(c for code in _CODE_SYMBOLS for c in (code, -code))
 
-# x and z sort before y; a positive letter sorts before its inverse.
-_ROTATION_RANK = {1: 0, 2: 1, 3: 0}
+# The spelling of a word: one character per letter, x, y, z for the
+# generators and X, Y, Z for their inverses.  Hot loops work on spelled
+# words with C-level str and bytes operations.
+_SPELLING = {1: "x", -1: "X", 2: "y", -2: "Y", 3: "z", -3: "Z"}
+_CODE_OF_CHAR = {ch: code for code, ch in _SPELLING.items()}
+
+# Two adjacent mutually inverse letters of a spelled word.
+_CANCELLING_PAIR = re.compile("xX|Xx|yY|Yy|zZ|Zz")
+
+# Spelled positive words as bytes (b"xyz") to their codes (1, 2, 3).
+_POSITIVE_CODES = bytes.maketrans(b"xyz", b"\x01\x02\x03")
+
+# The rotation order as a key string: x and z rank equal and before y;
+# a positive letter sorts before its inverse.
+_ROTATION_KEYS = str.maketrans("xXzZyY", "ababcd")
+
+# Caret rendering of a spelled word: each run of two or more of one letter,
+# found by a pattern of its own (scanning for one literal letter is far
+# faster than for an alternation), becomes x^n or x^-n; then each single
+# inverse letter becomes x^-1.  The positive letters go first, because
+# x^-n brings in a lowercase x.
+_RUN_PASSES = tuple(
+    (ch * 2, re.compile(f"({ch}{ch}+)"), f"{ch}^" if ch.islower() else f"{ch.lower()}^-")
+    for ch in "xyzXYZ"
+)
+_SINGLE_INVERSES = (("X", "x^-1"), ("Y", "y^-1"), ("Z", "z^-1"))
 
 # parse_word refuses text that would expand to more letters than this.
 MAX_WORD_LETTERS = 10_000_000
@@ -82,6 +107,8 @@ def _coerce_codes(letters) -> tuple[int, ...]:
 
 def free_reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
     """Cancel adjacent mutually inverse letters until none remain."""
+    if type(codes) in (tuple, list) and (not codes or min(codes) > 0):
+        return tuple(codes)  # no inverse letters, nothing to cancel
     out: list[int] = []
     for c in codes:
         if out and out[-1] == -c:
@@ -100,52 +127,63 @@ def cyclic_reduce_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
     return codes[i:j]
 
 
-def _letter_key(code: int) -> tuple[int, int]:
-    return (_ROTATION_RANK[abs(code)], 0 if code > 0 else 1)
-
-
 def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least rotation under the fixed letter order."""
+    """The lexicographically least rotation under the fixed letter order.
+
+    Linear time, by the two-candidate scan of the doubled key string: of
+    the rotations starting at i < j, compare them letter by letter; at the
+    first difference at offset k, no rotation starting within k letters
+    after the larger one's start can be least, so that candidate moves on
+    by k + 1.  Among rotations with equal keys (x and z rank equal) it
+    returns the one starting earliest.
+    """
     n = len(codes)
     if n <= 1:
         return tuple(codes)
-    keys = [_letter_key(c) for c in codes]
-    best = 0
-    for i in range(1, n):
-        for k in range(n):
-            a = keys[(i + k) % n]
-            b = keys[(best + k) % n]
-            if a < b:
-                best = i
-                break
-            if a > b:
-                break
-    return codes[best:] + codes[:best]
-
-
-def _caret(codes: tuple[int, ...]) -> str:
-    if not codes:
-        return "1"
-    parts = []
-    i = 0
-    n = len(codes)
-    while i < n:
-        c = codes[i]
-        j = i
-        while j < n and codes[j] == c:
+    keys = _spell(codes).translate(_ROTATION_KEYS) * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
             j += 1
-        exp = (j - i) if c > 0 else -(j - i)
-        sym = _CODE_SYMBOLS[abs(c)]
-        parts.append(sym if exp == 1 else f"{sym}^{exp}")
-        i = j
-    return "".join(parts)
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return codes[i:] + codes[:i]
 
 
 def _spell(codes: tuple[int, ...]) -> str:
-    return "".join(
-        _CODE_SYMBOLS[abs(c)] if c > 0 else _CODE_SYMBOLS[abs(c)].upper()
-        for c in codes
-    )
+    return "".join(map(_SPELLING.__getitem__, codes))
+
+
+def _unspell(spelled: str) -> tuple[int, ...]:
+    """The codes of a spelled word."""
+    return tuple(map(_CODE_OF_CHAR.__getitem__, spelled))
+
+
+def _positive_codes(spelled: bytes) -> tuple[int, ...]:
+    """The codes of a spelled word of positive letters, given as bytes."""
+    return tuple(spelled.translate(_POSITIVE_CODES))
+
+
+def _caret(codes: tuple[int, ...]) -> str:
+    """Caret notation: x^3 for a run of three x, x^-1 for one X, x^-2 for two."""
+    text = _spell(codes)
+    for pair, run, prefix in _RUN_PASSES:
+        if pair in text:
+            parts = run.split(text)
+            parts[1::2] = [f"{prefix}{len(letters)}" for letters in parts[1::2]]
+            text = "".join(parts)
+    for inverse, single in _SINGLE_INVERSES:
+        text = text.replace(inverse, single)
+    return text or "1"
 
 
 class Word:
@@ -362,7 +400,9 @@ def parse_word(text: str) -> Word:
             if j < n and text[j] in "+-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            # ASCII digits only: str.isdigit() is also true for superscript
+            # digits and for the digits of other scripts
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             if k == j:
                 raise WordParseError(text, i, "an integer exponent")

@@ -60,6 +60,13 @@ def test_parse_error_exit_code(capsys):
     assert "offset 2" in err
 
 
+def test_non_ascii_exponent_digit_is_a_parse_error(capsys):
+    for text in ("x^²", "x^٣"):
+        code, out, err = run(capsys, "primitive", text)
+        assert code == 2 and out == ""
+        assert "offset 2: expected an integer exponent" in err
+
+
 def test_huge_exponent_fails_fast_as_invalid_input(capsys):
     # the cap is checked before any letter is expanded
     code, out, err = run(capsys, "primitive", "xy^10000000000")

@@ -183,3 +183,11 @@ def test_label_word_shape():
     label = FareyLabel(a=2, b=1, d=3, e=2)
     assert str(label.word(2)) == "xy^2xy^2xy^2xy^2"
     assert label.fraction == "2/1"
+
+
+def test_label_word_matches_the_letter_list():
+    for q in range(1, 6):
+        for d in range(5):
+            for e in range(7):
+                label = FareyLabel(a=1, b=1, d=d, e=e)
+                assert label.word(q).codes == ((1,) + (2,) * q) * d + (1,) + (2,) * e

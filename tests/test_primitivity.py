@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,6 +11,9 @@ from goeritz.primitivity import (
     WHITEHEAD_TYPE_II,
     FilterOutcome,
     WhiteheadAutomorphism,
+    _PAIRS,
+    _length_change_coefficients,
+    _pair_counts,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
@@ -21,6 +25,7 @@ from goeritz.primitivity import (
 from goeritz.words import (
     CyclicWord,
     Word,
+    _spell,
     abelianize,
     cyclic_reduce_codes,
     cyclically_equal,
@@ -222,6 +227,28 @@ def test_predicted_length_change_is_exact_up_to_length_eight():
         assert predicted_length_changes(tup) == real, tup
 
 
+def test_one_regex_pass_reduces_every_image_up_to_length_eight():
+    # the stack-based free reduction inside apply_codes is the reference
+    for tup in cyclically_reduced_words(8):
+        spelled = _spell(tup)
+        for auto in WHITEHEAD_AUTOMORPHISMS:
+            assert auto.apply_spelled(spelled) == _spell(auto.apply_codes(tup)), (auto, tup)
+
+
+def test_string_pair_counts_match_a_counter_of_letter_pairs():
+    """The twelve str.count calls against Counter(zip(...)) over the codes,
+    and the predicted changes against the same sums over the Counter."""
+    code = {"x": 1, "X": -1, "y": 2, "Y": -2}
+    coefficients = [_length_change_coefficients(auto) for auto in WHITEHEAD_TYPE_II]
+    for tup in cyclically_reduced_words(8):
+        pairs = Counter(zip(tup, tup[1:] + tup[:1]))
+        assert _pair_counts(_spell(tup)) == [pairs[code[u], code[v]] for u, v in _PAIRS], tup
+        assert predicted_length_changes(tup) == tuple(
+            sum(c * pairs[code[u], code[v]] for (u, v), c in zip(_PAIRS, move))
+            for move in coefficients
+        ), tup
+
+
 def reference_trace(word):
     """The greedy oracle by brute force: apply all twelve type II moves in
     enumeration order and take the first whose image is cyclically shorter."""
@@ -269,9 +296,9 @@ def test_trace_matches_brute_force_scan_on_automorphic_images():
 
 
 def test_oracle_rejects_a_move_that_misses_its_predicted_length(monkeypatch):
-    honest = WhiteheadAutomorphism.apply_codes
+    honest = WhiteheadAutomorphism.apply_spelled
     monkeypatch.setattr(
-        WhiteheadAutomorphism, "apply_codes", lambda self, codes: honest(self, codes) + (1, 1)
+        WhiteheadAutomorphism, "apply_spelled", lambda self, spelled: honest(self, spelled) + "xx"
     )
     with pytest.raises(RuntimeError, match="predicted"):
         is_primitive_whitehead(w("xy^3xy^4"))

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from goeritz.primitivity import is_primitive_whitehead
-from goeritz.sequences import make_params
+from goeritz.sequences import make_params, pq_sequence, sequence_word, spelled_sequence
 from goeritz.shells import (
     DiskClass,
     DualPairKind,
@@ -13,7 +13,7 @@ from goeritz.shells import (
     intersection_number,
     shell_primitive_indices,
 )
-from goeritz.words import abelianize, parse_word
+from goeritz.words import Word, _positive_codes, abelianize, parse_word, substitute
 
 
 def coprime_pairs(max_p):
@@ -150,3 +150,23 @@ def test_dual_shell_relation_common_dual():
 def test_dual_shell_relation_rejects_q1_without_common_dual():
     with pytest.raises(ValueError, match="common dual"):
         dual_shell_relation(make_params(7, 1), DualPairKind.NO_COMMON_DUAL)
+
+
+def test_incremental_words_match_the_residue_definition():
+    """Sequence and shell words, built one letter change at a time, against
+    sequence_word and the substitution z -> xy, for p <= 60 and all four slopes."""
+    xy = parse_word("xy")
+    references = {}  # (p, slope) -> (sequence words, shell words)
+    for p, q in coprime_pairs(60):
+        params = make_params(p, q)
+        for kind in ShellKind:
+            slope = kind.slope(params)
+            if (p, slope) not in references:
+                words = [sequence_word(p, slope, j) for j in range(p + 1)]
+                incremental = [Word(_positive_codes(word)) for word in spelled_sequence(p, slope)]
+                assert incremental == words, (p, slope)
+                references[p, slope] = words, [substitute(word, xy) for word in words]
+            words, shell_words = references[p, slope]
+            assert [e.boundary_word for e in build_shell(params, kind).entries] == shell_words
+            if kind is ShellKind.Q:
+                assert list(pq_sequence(params).words) == words

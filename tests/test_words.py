@@ -9,16 +9,23 @@ from goeritz.words import (
     Letter,
     Word,
     WordParseError,
+    _caret,
+    _spell,
     abelianize,
     cyclic_reduce,
     cyclically_equal,
+    free_reduce_codes,
     invert,
+    least_rotation,
     parse_word,
     reduce,
     reverse,
     substitute,
     swap_generators,
 )
+
+SIX_LETTERS = (1, -1, 2, -2, 3, -3)
+SYMBOLS = {1: "x", 2: "y", 3: "z"}
 
 
 def w(text):
@@ -137,6 +144,16 @@ def test_parse_error_offsets():
     assert err.value.offset == 2
 
 
+def test_parse_accepts_only_ascii_exponent_digits():
+    # str.isdigit() is true for both, and int() reads the second as 3
+    for text in ("x^²", "x^٣", "y x^-٣"):
+        with pytest.raises(WordParseError) as err:
+            parse_word(text)
+        assert err.value.offset == text.index("^") + 1
+        assert "integer exponent" in err.value.expected
+    assert parse_word("x^0012 y^-10").codes == (1,) * 12 + (-2,) * 10
+
+
 def test_parse_caps_the_expanded_length(monkeypatch):
     # a word of about 800 letters, the longest the benchmark feeds in, parses
     assert len(parse_word("xy^399xy^400")) == 801 < MAX_WORD_LETTERS
@@ -198,3 +215,83 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         word.codes = ()
     assert len({word, w("xy"), CyclicWord(word), CyclicWord(w("y x"))}) == 2
+
+
+def reference_least_rotation(codes):
+    """The quadratic scan that least_rotation replaced: compare each rotation
+    with the best so far, x and z ranking equal."""
+    rank = {1: 0, 2: 1, 3: 0}
+    keys = [(rank[abs(c)], 0 if c > 0 else 1) for c in codes]
+    n = len(codes)
+    best = 0
+    for i in range(1, n):
+        for k in range(n):
+            a, b = keys[(i + k) % n], keys[(best + k) % n]
+            if a < b:
+                best = i
+                break
+            if a > b:
+                break
+    return tuple(codes[best:] + codes[:best])
+
+
+def reference_spell(codes):
+    return "".join(SYMBOLS[abs(c)] if c > 0 else SYMBOLS[abs(c)].upper() for c in codes)
+
+
+def reference_caret(codes):
+    """Run-length rendering one letter at a time, as _caret used to do it."""
+    if not codes:
+        return "1"
+    parts = []
+    i, n = 0, len(codes)
+    while i < n:
+        j = i
+        while j < n and codes[j] == codes[i]:
+            j += 1
+        exp = (j - i) if codes[i] > 0 else -(j - i)
+        sym = SYMBOLS[abs(codes[i])]
+        parts.append(sym if exp == 1 else f"{sym}^{exp}")
+        i = j
+    return "".join(parts)
+
+
+def reference_free_reduce(codes):
+    out = []
+    for c in codes:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def test_least_rotation_matches_the_quadratic_scan():
+    for n in range(7):
+        for codes in product(SIX_LETTERS, repeat=n):
+            assert least_rotation(codes) == reference_least_rotation(codes), codes
+    for codes in (
+        (1,) + (2,) * 400 + (1,) + (2,) * 401,
+        (3, 2, 1, 2) * 50,
+        (1, 2, 3, 2) * 49 + (3, 2, 1, 2),
+        tuple(-c for c in (1, 2, 2, 1, 2) * 80),
+    ):
+        assert least_rotation(codes) == reference_least_rotation(codes)
+
+
+def test_spell_caret_and_free_reduction_match_the_letter_loops():
+    for n in range(6):
+        for codes in product(SIX_LETTERS, repeat=n):
+            assert _spell(codes) == reference_spell(codes)
+            assert _caret(codes) == reference_caret(codes), codes
+            assert free_reduce_codes(codes) == reference_free_reduce(codes)
+            assert free_reduce_codes(list(codes)) == reference_free_reduce(codes)
+    for codes in (
+        (1,) * 1000,
+        (-2,) * 999 + (3,) + (-3,) * 3,
+        (1, 2) * 500 + (-1,),
+        (2,) * 5 + (1,) + (2,) * 400 + (-1,) * 2 + (-2,),
+    ):
+        assert _spell(codes) == reference_spell(codes)
+        assert _caret(codes) == reference_caret(codes)
+        assert free_reduce_codes(codes + tuple(-c for c in reversed(codes))) == ()
