@@ -9,6 +9,7 @@ non-connectivity, and finite presentations of the genus-2 Goeritz group.
 from .words import (
     CyclicWord,
     Letter,
+    MixedAlphabetError,
     Word,
     WordParseError,
     abelianize,

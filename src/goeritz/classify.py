@@ -2,9 +2,11 @@
 
 The complex is connected (and then contractible) exactly when p is +1
 or -1 modulo q.  Connected complexes are trees except when q = 2 or
-p = 2q + 1, where they are 2-dimensional; the case tag records which
-clause of the structure classification applies, and the orbit data
-feeds the quotient graph used to present the Goeritz group.
+p = 2q + 1, where they are 2-dimensional.  Every fact that depends on
+the case of (p, q) sits in one row of CASES, picked by case_data: the
+clause of the structure classification (the case tag), the edge and
+simplex types, the orbit data, the quotient graph, and the shape of the
+amalgam from which the Goeritz group is presented.
 """
 
 from __future__ import annotations
@@ -91,47 +93,144 @@ class ComplexStructureReport:
     quotient_graph: QuotientGraph
 
 
-def case_tag(params: PqParams) -> CaseTag:
-    """Dispatch into the structure classification.
+@dataclass(frozen=True)
+class Factor:
+    """A vertex of the quotient graph as a factor of the amalgam: the
+    stabilizer of a disk, of a pair (as a set) or of a primitive triple,
+    the disks it acts on, and the names of its generators beside alpha.
+    An absorbed factor has no generic presentation.  Two consecutive
+    factors share a generator exactly when it lies in their edge group."""
+
+    label: str
+    stabilizer: str  # "disk", "pair", "triple" or "absorbed"
+    where: str
+    names: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class CaseData:
+    """Every fact about the complex and the Goeritz group that depends on
+    (p, q) only through its row of CASES.  Rows are the singletons of
+    CASES, so they compare and hash by identity."""
+
+    tag: CaseTag
+    edge_types: frozenset[int]
+    simplex_types: frozenset[int]
+    dimension: int
+    triple_exists: bool
+    common_dual_rule: CommonDualRule
+    vertex_orbits: Optional[int]
+    edge_orbits: Optional[EdgeOrbitInfo]
+    quotient_graph: QuotientGraph
+    factors: tuple[Factor, ...] = ()  # the amalgam chain, one per quotient vertex
+    edges: tuple[str, ...] = ()  # labels; edges[i] joins factors[i] and factors[i + 1]
+    note: str = ""
+
+
+def _disk(disk: str, beta: str = "beta", gamma: str = "gamma") -> Factor:
+    return Factor(f"G({disk})", "disk", disk, (beta, gamma))
+
+
+def _pair(first: str, second: str, sigma: str = "sigma") -> Factor:
+    return Factor(f"G({first} u {second})", "pair", f"{{{first}, {second}}}", (sigma,))
+
+
+_ONE_EDGE_ORBIT = EdgeOrbitInfo(1, (EdgeOrbit("{E, D}", True),))
+_TWO_EDGE_ORBITS = EdgeOrbitInfo(2, (EdgeOrbit("{E, D}", True), EdgeOrbit("{E, E1}", True)))
+_THREE_EDGE_ORBITS = EdgeOrbitInfo(
+    3, (EdgeOrbit("{E, D}", False), EdgeOrbit("{E, E1}", True), EdgeOrbit("{D, D1}", True))
+)
+
+# Keyed by case tag and vertex transitivity (q^2 = 1 mod p; None when the
+# complex is disconnected).  Only T1c occurs with both transitivities.
+CASES: dict[tuple[CaseTag, Optional[bool]], CaseData] = {
+    (CaseTag.T1A, True): CaseData(
+        CaseTag.T1A, frozenset({2}), frozenset(), 1, False, CommonDualRule(True, 2),
+        1, _ONE_EDGE_ORBIT, QuotientGraph.SINGLE_EDGE,
+        factors=(Factor("G(E u D)", "absorbed", "{E, D}"), Factor("G(E)", "absorbed", "E")),
+        edges=("G(E, D)",),
+        note="p = 2: the pair stabilizers are special and are absorbed "
+        "into the flat presentation table",
+    ),
+    (CaseTag.T1B, True): CaseData(
+        CaseTag.T1B, frozenset({1}), frozenset(), 1, False, CommonDualRule(True, 1),
+        1, _ONE_EDGE_ORBIT, QuotientGraph.SINGLE_EDGE,
+        factors=(_pair("E", "D"), _disk("E")),
+        edges=("G(E, D)",),
+    ),
+    (CaseTag.T1C, True): CaseData(
+        CaseTag.T1C, frozenset({0, 1}), frozenset(), 1, False, CommonDualRule(False, 1),
+        1, _TWO_EDGE_ORBITS, QuotientGraph.PATH3,
+        factors=(_pair("E", "D", "sigma1"), _disk("E"), _pair("E", "E1", "sigma2")),
+        edges=("G(E, D)", "G(E, E1)"),
+    ),
+    (CaseTag.T1C, False): CaseData(
+        CaseTag.T1C, frozenset({0, 1}), frozenset(), 1, False, CommonDualRule(False, 1),
+        2, _THREE_EDGE_ORBITS, QuotientGraph.PATH4,
+        factors=(
+            _pair("D", "D1", "sigma1"),
+            _disk("D", "beta1", "gamma1"),
+            _disk("E", "beta2", "gamma2"),
+            _pair("E", "E1", "sigma2"),
+        ),
+        edges=("G(D, D1)", "G(E, D)", "G(E, E1)"),
+    ),
+    (CaseTag.T2A, True): CaseData(
+        CaseTag.T2A, frozenset({1}), frozenset({3}), 2, True, CommonDualRule(True, 1),
+        1, _ONE_EDGE_ORBIT, QuotientGraph.SINGLE_EDGE,
+        factors=(Factor("G(E u E1 u E2)", "triple", "E, E1, E2", ("delta", "gamma")), _disk("E")),
+        edges=("G(E, E1 u E2)",),
+    ),
+    (CaseTag.T2B, False): CaseData(
+        CaseTag.T2B, frozenset({0, 1}), frozenset({1}), 2, True, CommonDualRule(False, 1),
+        2, _THREE_EDGE_ORBITS, QuotientGraph.SINGLE_EDGE,
+        factors=(_disk("E", "beta1", "gamma1"), _disk("D", "beta2", "gamma2")),
+        edges=("G(E, D)",),
+    ),
+    (CaseTag.T2C, False): CaseData(
+        CaseTag.T2C, frozenset({0, 1}), frozenset({1}), 2, True, CommonDualRule(False, 1),
+        2, _THREE_EDGE_ORBITS, QuotientGraph.PATH3,
+        factors=(_disk("D", "beta1", "gamma1"), _disk("E", "beta2", "gamma2"), _pair("E", "E1")),
+        edges=("G(E, D)", "G(E, E1)"),
+    ),
+    (CaseTag.DISCONNECTED, None): CaseData(
+        CaseTag.DISCONNECTED, frozenset({0, 1}), frozenset(), 1, False, CommonDualRule(False, 1),
+        None, None, QuotientGraph.NOT_APPLICABLE,
+    ),
+}
+
+
+def case_data(params: PqParams) -> CaseData:
+    """Pick the row of CASES for (p, q).
 
     p = 3 is tested before the generic q = 1 branch: it is the only
     overlap between q = 1 and the two-dimensional condition p = 2q + 1.
     """
     p, q = params.p, params.q
     if not params.connected:
-        return CaseTag.DISCONNECTED
+        return CASES[CaseTag.DISCONNECTED, None]
     if p == 2:
-        return CaseTag.T1A
-    if p == 3:
-        return CaseTag.T2A
-    if q == 2 or p == 2 * q + 1:
-        return CaseTag.T2B if p == 5 else CaseTag.T2C
-    if q == 1:
-        return CaseTag.T1B
-    return CaseTag.T1C
+        tag = CaseTag.T1A
+    elif p == 3:
+        tag = CaseTag.T2A
+    elif q == 2 or p == 2 * q + 1:
+        tag = CaseTag.T2B if p == 5 else CaseTag.T2C
+    elif q == 1:
+        tag = CaseTag.T1B
+    else:
+        tag = CaseTag.T1C
+    return CASES[tag, q * q % p == 1]
 
 
-_EDGE_TYPES = {
-    CaseTag.T1A: frozenset({2}),
-    CaseTag.T1B: frozenset({1}),
-    CaseTag.T1C: frozenset({0, 1}),
-    CaseTag.T2A: frozenset({1}),
-    CaseTag.T2B: frozenset({0, 1}),
-    CaseTag.T2C: frozenset({0, 1}),
-    CaseTag.DISCONNECTED: frozenset({0, 1}),
-}
-
-_SIMPLEX_TYPES = {
-    CaseTag.T2A: frozenset({3}),
-    CaseTag.T2B: frozenset({1}),
-    CaseTag.T2C: frozenset({1}),
-}
+def case_tag(params: PqParams) -> CaseTag:
+    """Which clause of the structure classification applies."""
+    return case_data(params).tag
 
 
 def vertex_orbits(params: PqParams) -> int:
     """1 when q^2 = 1 mod p (the action is vertex-transitive), else 2."""
     _require_connected(params)
-    return 1 if (params.q * params.q) % params.p == 1 else 2
+    return case_data(params).vertex_orbits
 
 
 def edge_orbits(params: PqParams) -> EdgeOrbitInfo:
@@ -141,56 +240,30 @@ def edge_orbits(params: PqParams) -> EdgeOrbitInfo:
     neighbours E_1, D_1.
     """
     _require_connected(params)
-    p, q = params.p, params.q
-    if q == 1:
-        return EdgeOrbitInfo(1, (EdgeOrbit("{E, D}", True),))
-    if (q * q) % p == 1:
-        return EdgeOrbitInfo(
-            2,
-            (EdgeOrbit("{E, D}", True), EdgeOrbit("{E, E1}", True)),
-        )
-    return EdgeOrbitInfo(
-        3,
-        (
-            EdgeOrbit("{E, D}", False),
-            EdgeOrbit("{E, E1}", True),
-            EdgeOrbit("{D, D1}", True),
-        ),
-    )
+    return case_data(params).edge_orbits
 
 
 def quotient_graph(params: PqParams) -> QuotientGraph:
     """Shape of the quotient of the Bass-Serre tree by the group action."""
     _require_connected(params)
-    tag = case_tag(params)
-    if tag in (CaseTag.T1A, CaseTag.T1B, CaseTag.T2A, CaseTag.T2B):
-        return QuotientGraph.SINGLE_EDGE
-    if tag is CaseTag.T2C:
-        return QuotientGraph.PATH3
-    # T1c: splits on vertex transitivity
-    return QuotientGraph.PATH3 if vertex_orbits(params) == 1 else QuotientGraph.PATH4
+    return case_data(params).quotient_graph
 
 
 def classify(params: PqParams) -> ComplexStructureReport:
     """The full structure report for the primitive disk complex."""
-    tag = case_tag(params)
-    connected = params.connected
-    two_dimensional = params.q == 2 or params.p == 2 * params.q + 1
+    row = case_data(params)
     return ComplexStructureReport(
         params=params,
-        connected=connected,
-        dimension=2 if (connected and two_dimensional) else 1,
-        case_tag=tag,
-        edge_types_present=_EDGE_TYPES[tag],
-        simplex_types_present=_SIMPLEX_TYPES.get(tag, frozenset()),
-        triple_exists=two_dimensional,
-        common_dual_rule=CommonDualRule(
-            all_pairs=params.q == 1,
-            dual_count=2 if params.p == 2 else 1,
-        ),
-        vertex_orbits=vertex_orbits(params) if connected else None,
-        edge_orbits=edge_orbits(params) if connected else None,
-        quotient_graph=quotient_graph(params) if connected else QuotientGraph.NOT_APPLICABLE,
+        connected=params.connected,
+        dimension=row.dimension,
+        case_tag=row.tag,
+        edge_types_present=row.edge_types,
+        simplex_types_present=row.simplex_types,
+        triple_exists=row.triple_exists,
+        common_dual_rule=row.common_dual_rule,
+        vertex_orbits=row.vertex_orbits,
+        edge_orbits=row.edge_orbits,
+        quotient_graph=row.quotient_graph,
     )
 
 

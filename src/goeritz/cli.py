@@ -15,8 +15,10 @@ from .farey import ConnectedComplexError, nonconnectivity_witness
 from .presentations import (
     abelianize_presentation,
     amalgam_decomposition,
+    amalgam_dict,
     display_name,
     goeritz_presentation,
+    presentation_dict,
     render,
 )
 from .primitivity import (
@@ -30,13 +32,14 @@ from .report import (
     build_report,
     params_dict,
     report_dict,
+    shell_dict,
     structure_dict,
     witness_dict,
 )
 from .sequences import InvalidParameters, make_params, pq_sequence
 from .shells import ShellKind, build_shell, intersection_number
 from .sweeps import DEFAULT_BOUNDS, run_sweep
-from .words import WordParseError, parse_word
+from .words import MixedAlphabetError, WordParseError, parse_word
 
 
 def _print_json(data) -> None:
@@ -155,8 +158,6 @@ def cmd_shell(args) -> int:
     kind = ShellKind(args.kind)
     shell = build_shell(params, kind)
     if args.json:
-        from .report import shell_dict
-
         _print_json({"params": params_dict(params), "shell": shell_dict(shell)})
         return 0
     p = params.p
@@ -232,12 +233,9 @@ def cmd_presentation(args) -> int:
     pres = goeritz_presentation(params)
     sections = []
     if args.format == "json":
-        data = {"params": params_dict(params), "presentation": None}
-        from .presentations import _amalgam_dict, _presentation_dict
-
-        data["presentation"] = _presentation_dict(pres)
+        data = {"params": params_dict(params), "presentation": presentation_dict(pres)}
         if args.amalgam:
-            data["amalgam"] = _amalgam_dict(amalgam_decomposition(params))
+            data["amalgam"] = amalgam_dict(amalgam_decomposition(params))
         if args.abelianization:
             ab = abelianize_presentation(pres)
             data["abelianization"] = {"torsion": list(ab.torsion), "free_rank": ab.free_rank}
@@ -398,12 +396,10 @@ def main(argv=None) -> int:
     except (
         InvalidParameters,
         WordParseError,
+        MixedAlphabetError,
         DisconnectedComplexError,
         ConnectedComplexError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,15 +77,9 @@ def continued_fraction(numerator: int, denominator: int) -> tuple[int, ...]:
     return tuple(quotients)
 
 
-def replacement(left: FareyLabel, right: FareyLabel, side: str, params: PqParams) -> FareyLabel:
-    """The mediant label produced from an ordered pair.
-
-    side is "R" when the new disk takes the right slot of the next pair
-    and "L" when it takes the left slot; the label itself is the same
-    either way.
-    """
-    if side not in ("L", "R"):
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+def replacement(left: FareyLabel, right: FareyLabel, params: PqParams) -> FareyLabel:
+    """The mediant label produced from an ordered pair; the same whether
+    the new disk then takes the left or the right slot of the next pair."""
     return FareyLabel(
         a=left.a + right.a,
         b=left.b + right.b,
@@ -159,7 +153,7 @@ def nonconnectivity_witness(params: PqParams) -> ReplacementTrace:
     for block, size in enumerate(cf):
         side = "R" if block % 2 == 0 else "L"
         for _ in range(size):
-            new = replacement(pair[0], pair[1], side, params)
+            new = replacement(pair[0], pair[1], params)
             disks.append(ReplacementStep(side, new, new.word(q), pair_before=pair))
             pair = (pair[0], new) if side == "R" else (new, pair[1])
     final = disks[-1].label

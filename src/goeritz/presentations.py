@@ -1,21 +1,23 @@
 """Finite presentations of genus-2 Goeritz groups of lens spaces.
 
 Emits, for connected primitive disk complexes: the disk and pair
-stabilizer presentations, the case table for the whole group, and the
-decomposition as a chain of vertex stabilizers amalgamated over edge
-stabilizers (one factor per quotient-graph vertex).  Relator words use
+stabilizer presentations, the decomposition as a chain of vertex
+stabilizers amalgamated over edge stabilizers (one factor per
+quotient-graph vertex, read off the case's row of classify.CASES), and
+the presentation of the whole group derived from that amalgam.  Relator words use
 signed indices into the generator list, so the rank-two word machinery
 carries over syntactically to any number of generators.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .classify import CaseTag, DisconnectedComplexError, case_tag, vertex_orbits
+from .classify import CaseData, CaseTag, DisconnectedComplexError, case_data
 from .sequences import PqParams
 from .snf import invariant_factors
 from .words import free_reduce_codes
@@ -190,9 +192,9 @@ def _presentation_text(pres: GroupPresentation) -> str:
     return f"⟨{gens} | {rels}⟩" if rels else f"⟨{gens} | −⟩"
 
 
-def _presentation_dict(pres: GroupPresentation) -> dict:
+def presentation_dict(pres: GroupPresentation) -> dict:
     if pres.summands:
-        return {"summands": [_presentation_dict(part) for part in pres.summands]}
+        return {"summands": [presentation_dict(part) for part in pres.summands]}
     return {
         "generators": [
             {"name": g.name, "display": display_name(g.name), "description": g.description}
@@ -274,6 +276,24 @@ def _pair_stab(sigma: str = "sigma", pair: str = "") -> GroupPresentation:
     )
 
 
+def _triple_stab(delta: str, gamma: str, triple: str) -> GroupPresentation:
+    _, first, second = triple.split(", ")
+    return direct_sum(
+        _alpha(),
+        presentation(
+            [
+                (delta, f"order-three rotation of the triple {triple}"),
+                (gamma, f"exchanges {first} and {second}"),
+            ],
+            [[(delta, 3)], [(gamma, 2)], [(gamma, 1), (delta, 1), (gamma, 1), (delta, 1)]],
+        ),
+    )
+
+
+# Factor.stabilizer -> builder taking the factor's names, then its disks.
+_STABILIZERS = {"disk": _vertex_stab, "pair": _pair_stab, "triple": _triple_stab}
+
+
 def stabilizer_presentation(kind: StabilizerKind, params: PqParams) -> GroupPresentation:
     """Stabilizer of a primitive disk, of a pair preserved disk-wise, or
     of a pair preserved as a set (exchangeable or not)."""
@@ -296,108 +316,6 @@ def _require_presentable(params: PqParams) -> None:
             f"{params}: not covered; the presentation requires p = +1 or -1 mod q "
             f"(here p mod q = {params.r})"
         )
-
-
-def goeritz_presentation(params: PqParams) -> GroupPresentation:
-    """The case table for the genus-2 Goeritz group of L(p,q)."""
-    _require_presentable(params)
-    p, q = params.p, params.q
-    if p == 2:
-        return presentation(
-            [
-                ("beta", _BETA_GLOSS),
-                ("rho", "order-four element of the stabilizer of the pair E, D"),
-                ("gamma", _GAMMA_GLOSS),
-            ],
-            [
-                [("rho", 4)],
-                [("gamma", 2)],
-                [("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)],
-                [("rho", 2), ("beta", 1), ("rho", 2), ("beta", -1)],
-            ],
-        )
-    if p == 3:
-        return direct_sum(
-            _alpha(),
-            presentation(
-                [
-                    ("beta", _BETA_GLOSS),
-                    ("delta", "order-three rotation of a primitive triple"),
-                    ("gamma", _GAMMA_GLOSS),
-                ],
-                [
-                    [("delta", 3)],
-                    [("gamma", 2)],
-                    [("gamma", 1), ("delta", 1), ("gamma", 1), ("delta", 1)],
-                ],
-            ),
-        )
-    if q == 1:
-        return direct_sum(
-            _alpha(),
-            presentation(
-                [
-                    ("beta", _BETA_GLOSS),
-                    ("gamma", _GAMMA_GLOSS),
-                    ("sigma", _SIGMA_GLOSS + " {E, D}"),
-                ],
-                [[("gamma", 2)], [("sigma", 2)]],
-            ),
-        )
-    if p == 5:
-        return direct_sum(
-            _alpha(),
-            presentation(
-                [
-                    ("beta1", _BETA_GLOSS + " of E"),
-                    ("beta2", _BETA_GLOSS + " of D"),
-                    ("gamma1", _GAMMA_GLOSS + " of E"),
-                    ("gamma2", _GAMMA_GLOSS + " of D"),
-                ],
-                [[("gamma1", 2)], [("gamma2", 2)]],
-            ),
-        )
-    if p == 2 * q + 1 or q == 2:
-        return direct_sum(
-            _alpha(),
-            presentation(
-                [
-                    ("beta1", _BETA_GLOSS + " of D"),
-                    ("beta2", _BETA_GLOSS + " of E"),
-                    ("gamma1", _GAMMA_GLOSS + " of D"),
-                    ("gamma2", _GAMMA_GLOSS + " of E"),
-                    ("sigma", _SIGMA_GLOSS + " {E, E1}"),
-                ],
-                [[("gamma1", 2)], [("gamma2", 2)], [("sigma", 2)]],
-            ),
-        )
-    if (q * q) % p == 1:
-        return direct_sum(
-            _alpha(),
-            presentation(
-                [
-                    ("beta", _BETA_GLOSS),
-                    ("gamma", _GAMMA_GLOSS),
-                    ("sigma1", _SIGMA_GLOSS + " {E, D}"),
-                    ("sigma2", _SIGMA_GLOSS + " {E, E1}"),
-                ],
-                [[("gamma", 2)], [("sigma1", 2)], [("sigma2", 2)]],
-            ),
-        )
-    return direct_sum(
-        _alpha(),
-        presentation(
-            [
-                ("beta1", _BETA_GLOSS + " of D"),
-                ("beta2", _BETA_GLOSS + " of E"),
-                ("gamma1", _GAMMA_GLOSS + " of D"),
-                ("gamma2", _GAMMA_GLOSS + " of E"),
-                ("sigma1", _SIGMA_GLOSS + " {D, D1}"),
-                ("sigma2", _SIGMA_GLOSS + " {E, E1}"),
-            ],
-            [[("gamma1", 2)], [("gamma2", 2)], [("sigma1", 2)], [("sigma2", 2)]],
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -424,104 +342,99 @@ class AmalgamDecomposition:
     note: str = ""
 
 
-def _alpha_edge(label: str, left: str, right: str) -> AmalgamEdge:
-    return AmalgamEdge(label, _alpha(), left, right, (("alpha", "alpha", "alpha"),))
-
-
 def amalgam_decomposition(params: PqParams) -> AmalgamDecomposition:
     """Chain of vertex stabilizers amalgamated over edge stabilizers;
     the factor count equals the quotient-graph vertex count."""
     _require_presentable(params)
-    tag = case_tag(params)
-    if tag is CaseTag.T1A:
-        return AmalgamDecomposition(
-            factors=(AmalgamFactor("G(E u D)", None), AmalgamFactor("G(E)", None)),
-            edges=(AmalgamEdge("G(E, D)", None, "G(E u D)", "G(E)"),),
-            note=(
-                "p = 2: the pair stabilizers are special and are absorbed "
-                "into the flat presentation table"
-            ),
+    return _amalgam(case_data(params))
+
+
+def goeritz_presentation(params: PqParams) -> GroupPresentation:
+    """The genus-2 Goeritz group of L(p,q): the amalgamated product of
+    its amalgam, or for p = 2, whose factors are absorbed, a literal
+    presentation."""
+    _require_presentable(params)
+    return _whole_group(case_data(params))
+
+
+# Both are built once per row of CASES and shared: every part is frozen.
+@functools.cache
+def _amalgam(row: CaseData) -> AmalgamDecomposition:
+    factors = tuple(
+        AmalgamFactor(
+            f.label,
+            None if f.stabilizer == "absorbed" else _STABILIZERS[f.stabilizer](*f.names, f.where),
         )
-    if tag is CaseTag.T2A:
-        triple = direct_sum(
-            _alpha(),
-            presentation(
-                [
-                    ("delta", "order-three rotation of the triple E, E1, E2"),
-                    ("gamma", "exchanges E1 and E2"),
-                ],
-                [
-                    [("delta", 3)],
-                    [("gamma", 2)],
-                    [("gamma", 1), ("delta", 1), ("gamma", 1), ("delta", 1)],
-                ],
-            ),
+        for f in row.factors
+    )
+    edges = tuple(map(_edge, row.edges, factors, factors[1:]))
+    return AmalgamDecomposition(factors, edges, row.note)
+
+
+def _edge(label: str, left: AmalgamFactor, right: AmalgamFactor) -> AmalgamEdge:
+    """The edge group of two consecutive factors: alpha's summand plus the
+    other generators both factors carry, with the relators among them."""
+    if left.presentation is None or right.presentation is None:
+        return AmalgamEdge(label, None, left.label, right.label)
+    alpha, rest = left.presentation.summands
+    theirs = right.presentation.generator_names()
+    kept = [(g.name, g.description) for g in rest.generators if g.name in theirs]
+    shared = ["alpha"] + [name for name, _ in kept]
+    relators = [rel for rel in rest.named_relators() if all(n in shared for n, _ in rel)]
+    return AmalgamEdge(
+        label,
+        direct_sum(alpha, presentation(kept, relators)) if kept else alpha,
+        left.label,
+        right.label,
+        tuple((g, g, g) for g in shared),
+    )
+
+
+@functools.cache
+def _whole_group(row: CaseData) -> GroupPresentation:
+    if row.tag is CaseTag.T1A:
+        return presentation(
+            [
+                ("beta", _BETA_GLOSS),
+                ("rho", "order-four element of the stabilizer of the pair E, D"),
+                ("gamma", _GAMMA_GLOSS),
+            ],
+            [
+                [("rho", 4)],
+                [("gamma", 2)],
+                [("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)],
+                [("rho", 2), ("beta", 1), ("rho", 2), ("beta", -1)],
+            ],
         )
-        edge = AmalgamEdge(
-            "G(E, E1 u E2)",
-            direct_sum(_alpha(), presentation([("gamma", "exchanges E1 and E2")], [[("gamma", 2)]])),
-            "G(E u E1 u E2)",
-            "G(E)",
-            (("alpha", "alpha", "alpha"), ("gamma", "gamma", "gamma")),
-        )
-        return AmalgamDecomposition(
-            factors=(
-                AmalgamFactor("G(E u E1 u E2)", triple),
-                AmalgamFactor("G(E)", _vertex_stab(disk="E")),
-            ),
-            edges=(edge,),
-        )
-    if tag is CaseTag.T1B:
-        return AmalgamDecomposition(
-            factors=(
-                AmalgamFactor("G(E u D)", _pair_stab(pair="{E, D}")),
-                AmalgamFactor("G(E)", _vertex_stab(disk="E")),
-            ),
-            edges=(_alpha_edge("G(E, D)", "G(E u D)", "G(E)"),),
-        )
-    if tag is CaseTag.T2B:
-        return AmalgamDecomposition(
-            factors=(
-                AmalgamFactor("G(E)", _vertex_stab("beta1", "gamma1", "E")),
-                AmalgamFactor("G(D)", _vertex_stab("beta2", "gamma2", "D")),
-            ),
-            edges=(_alpha_edge("G(E, D)", "G(E)", "G(D)"),),
-        )
-    if tag is CaseTag.T2C:
-        return AmalgamDecomposition(
-            factors=(
-                AmalgamFactor("G(D)", _vertex_stab("beta1", "gamma1", "D")),
-                AmalgamFactor("G(E)", _vertex_stab("beta2", "gamma2", "E")),
-                AmalgamFactor("G(E u E1)", _pair_stab(pair="{E, E1}")),
-            ),
-            edges=(
-                _alpha_edge("G(E, D)", "G(D)", "G(E)"),
-                _alpha_edge("G(E, E1)", "G(E)", "G(E u E1)"),
-            ),
-        )
-    if vertex_orbits(params) == 1:
-        return AmalgamDecomposition(
-            factors=(
-                AmalgamFactor("G(E u D)", _pair_stab("sigma1", "{E, D}")),
-                AmalgamFactor("G(E)", _vertex_stab(disk="E")),
-                AmalgamFactor("G(E u E1)", _pair_stab("sigma2", "{E, E1}")),
-            ),
-            edges=(
-                _alpha_edge("G(E, D)", "G(E u D)", "G(E)"),
-                _alpha_edge("G(E, E1)", "G(E)", "G(E u E1)"),
-            ),
-        )
-    return AmalgamDecomposition(
-        factors=(
-            AmalgamFactor("G(D u D1)", _pair_stab("sigma1", "{D, D1}")),
-            AmalgamFactor("G(D)", _vertex_stab("beta1", "gamma1", "D")),
-            AmalgamFactor("G(E)", _vertex_stab("beta2", "gamma2", "E")),
-            AmalgamFactor("G(E u E1)", _pair_stab("sigma2", "{E, E1}")),
-        ),
-        edges=(
-            _alpha_edge("G(D, D1)", "G(D u D1)", "G(D)"),
-            _alpha_edge("G(E, D)", "G(D)", "G(E)"),
-            _alpha_edge("G(E, E1)", "G(E)", "G(E u E1)"),
+    return _amalgamated_product(_amalgam(row))
+
+
+def _amalgamated_product(am: AmalgamDecomposition) -> GroupPresentation:
+    """The whole group from its amalgam.
+
+    Every edge group is generated by the generators that both of its
+    factors carry under the same names (alpha and, for p = 3, gamma),
+    and alpha is central in every factor.  So the product is alpha's
+    summand plus one summand holding the union of the factors' other
+    generators, sorted by name and glossed as in the first factor that
+    declares them, and the union of their relators: an edge relator,
+    present in both factors of its edge, is kept once, and the relators
+    are stably sorted by the index of their first generator.
+    """
+    glosses: dict[str, str] = {}
+    relators: dict[tuple[tuple[str, int], ...], None] = {}
+    for factor in am.factors:
+        rest = factor.presentation.summands[1]
+        for g in rest.generators:
+            glosses.setdefault(g.name, g.description)
+        relators.update(dict.fromkeys(rest.named_relators()))
+    names = sorted(glosses)
+    index = {name: i for i, name in enumerate(names)}
+    return direct_sum(
+        _alpha(),
+        presentation(
+            [(name, glosses[name]) for name in names],
+            sorted(relators, key=lambda rel: index[rel[0][0]]),
         ),
     )
 
@@ -573,19 +486,19 @@ def _amalgam_text(am: AmalgamDecomposition) -> str:
     return "\n".join(lines)
 
 
-def _amalgam_dict(am: AmalgamDecomposition) -> dict:
+def amalgam_dict(am: AmalgamDecomposition) -> dict:
     return {
         "factors": [
             {
                 "label": f.label,
-                "presentation": _presentation_dict(f.presentation) if f.presentation else None,
+                "presentation": presentation_dict(f.presentation) if f.presentation else None,
             }
             for f in am.factors
         ],
         "edges": [
             {
                 "label": e.label,
-                "presentation": _presentation_dict(e.presentation) if e.presentation else None,
+                "presentation": presentation_dict(e.presentation) if e.presentation else None,
                 "left": e.left,
                 "right": e.right,
                 "inclusions": [list(t) for t in e.inclusions],
@@ -618,12 +531,12 @@ def render(obj: Union[GroupPresentation, AmalgamDecomposition], fmt: str = "text
         if fmt == "text":
             return _presentation_text(obj)
         if fmt == "json":
-            return json.dumps(_presentation_dict(obj), ensure_ascii=False, indent=2)
+            return json.dumps(presentation_dict(obj), ensure_ascii=False, indent=2)
         return _gap_script(obj)
     if isinstance(obj, AmalgamDecomposition):
         if fmt == "text":
             return _amalgam_text(obj)
         if fmt == "json":
-            return json.dumps(_amalgam_dict(obj), ensure_ascii=False, indent=2)
+            return json.dumps(amalgam_dict(obj), ensure_ascii=False, indent=2)
         return _amalgam_gap(obj)
     raise TypeError(f"cannot render {type(obj).__name__}")

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .words import (
     CyclicWord,
+    MixedAlphabetError,
     Word,
     _CANCELLING_PAIR,
     _SPELLING,
@@ -43,7 +44,7 @@ def _normalize_rank2(w) -> tuple[int, ...]:
     codes = _coerce_codes(w)
     if 3 in codes or -3 in codes:
         if 1 in codes or -1 in codes:
-            raise ValueError("word mixes x and z; no generating pair applies")
+            raise MixedAlphabetError("word mixes x and z; no generating pair applies")
         codes = tuple(map(_Z_AS_X.__getitem__, codes))
     return codes
 

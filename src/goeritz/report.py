@@ -10,11 +10,11 @@ from .farey import ReplacementTrace, nonconnectivity_witness
 from .presentations import (
     AmalgamDecomposition,
     GroupPresentation,
-    _amalgam_dict,
-    _presentation_dict,
     abelianize_presentation,
     amalgam_decomposition,
+    amalgam_dict,
     goeritz_presentation,
+    presentation_dict,
 )
 from .sequences import PqParams, PqSequence, make_params, pq_sequence
 from .shells import Shell, ShellKind, build_shell
@@ -135,10 +135,10 @@ def report_dict(report: FullReport) -> dict:
         "shells": [shell_dict(s) for s in report.shells],
         "structure": structure_dict(report.structure),
         "witness": witness_dict(report.witness) if report.witness else None,
-        "presentation": _presentation_dict(report.presentation)
+        "presentation": presentation_dict(report.presentation)
         if report.presentation
         else None,
-        "amalgam": _amalgam_dict(report.amalgam) if report.amalgam else None,
+        "amalgam": amalgam_dict(report.amalgam) if report.amalgam else None,
     }
     if report.presentation is not None:
         ab = abelianize_presentation(report.presentation)

@@ -23,7 +23,7 @@ from .primitivity import (
     is_primitive_whitehead,
     nonprimitivity_filter,
 )
-from .sequences import make_params, pq_sequence, verify_symmetry
+from .sequences import InvalidParameters, make_params, pq_sequence, verify_symmetry
 from .words import CyclicWord, Word, least_rotation
 
 
@@ -276,6 +276,8 @@ def sweep_dispatch_totality(max_p: int) -> SweepResult:
     return SweepResult("dispatch-totality", max_p, count, tuple(failures))
 
 
+_WORD_LEVEL_CHECKS = ("oz-vs-whitehead", "filter-soundness")
+
 _CHECKS = {
     "four-primitives": sweep_four_primitives,
     "oz-vs-whitehead": sweep_oz_vs_whitehead,
@@ -295,4 +297,8 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
         )
     if bound is None:
         bound = DEFAULT_BOUNDS[check]
+    least = 1 if check in _WORD_LEVEL_CHECKS else 2
+    if bound < least:
+        # a smaller bound leaves nothing to check, and the sweep would pass vacuously
+        raise InvalidParameters(f"the {check} bound must be at least {least}, got {bound}")
     return _CHECKS[check](bound)

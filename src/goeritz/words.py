@@ -63,6 +63,10 @@ class WordParseError(ValueError):
         super().__init__(f"offset {offset}: expected {expected}, found {found}")
 
 
+class MixedAlphabetError(ValueError):
+    """The word uses both x and z, so no two-letter alphabet applies."""
+
+
 class Letter(NamedTuple):
     symbol: str
     sign: int
@@ -347,7 +351,7 @@ def abelianize(w: WordLike) -> tuple[int, int]:
             bases.add(abs(c))
             first += s
     if len(bases) > 1:
-        raise ValueError("word mixes x and z; no two-letter alphabet applies")
+        raise MixedAlphabetError("word mixes x and z; no two-letter alphabet applies")
     return (first, second)
 
 

@@ -236,3 +236,30 @@ def test_sweep_json(capsys):
 def test_sweep_unknown_check(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "no-such-check"])
+
+
+def test_word_mixing_x_and_z_is_invalid_input(capsys):
+    for argv in (("primitive", "xz"), ("primitive", "--method", "filter", "xZ")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err == "error: word mixes x and z; no generating pair applies\n", argv
+
+
+def test_internal_value_error_is_not_reported_as_invalid_input(capsys, monkeypatch):
+    def broken(params):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("goeritz.cli.classify", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["classify", "8", "3"])
+
+
+def test_sweep_rejects_vacuous_bounds(capsys):
+    vacuous = (("witness", "-3"), ("four-primitives", "1"), ("filter-soundness", "0"),
+               ("filter-soundness", "-3"))
+    for check, bound in vacuous:
+        code, out, err = run(capsys, "sweep", check, "--max-p", bound)
+        assert code == 2, check
+        assert out == "" and "must be at least" in err, check
+    code, out, _ = run(capsys, "sweep", "oz-vs-whitehead", "--max-p", "1")
+    assert code == 0 and "2 subjects, 0 failures" in out

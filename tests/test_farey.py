@@ -76,27 +76,20 @@ def test_seed_labels_reject_connected():
 def test_replacement_examples_12_5():
     params = make_params(12, 5)
     d0, dm1 = seed_labels(params)
-    first = replacement(d0, dm1, "R", params)
+    first = replacement(d0, dm1, params)
     assert (first.a, first.b, first.d, first.e) == (1, 1, 2, 2)
     assert str(first.word(5)) == "xy^5xy^5xy^2"
-    second = replacement(d0, first, "R", params)
+    second = replacement(d0, first, params)
     assert (second.a, second.b, second.d, second.e) == (2, 1, 4, 4)
     # recursion agrees with the closed forms d = a*m + b - 1, e = a*r - (b-1)*q
     assert second.matches_closed_form(params)
-
-
-def test_replacement_rejects_bad_side():
-    params = make_params(12, 5)
-    d0, dm1 = seed_labels(params)
-    with pytest.raises(ValueError):
-        replacement(d0, dm1, "Q", params)
 
 
 def test_mediant_of_seeds_is_one_over_one():
     for p, q in ((12, 5), (17, 7), (19, 7)):
         params = make_params(p, q)
         d0, dm1 = seed_labels(params)
-        new = replacement(d0, dm1, "R", params)
+        new = replacement(d0, dm1, params)
         assert (new.a, new.b) == (1, 1)
 
 
