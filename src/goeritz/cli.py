@@ -13,6 +13,7 @@ import sys
 from .classify import DisconnectedComplexError, classify
 from .farey import ConnectedComplexError, nonconnectivity_witness
 from .presentations import (
+    abelianization_dict,
     abelianize_presentation,
     amalgam_decomposition,
     amalgam_dict,
@@ -121,10 +122,10 @@ def cmd_sequence(args) -> int:
     seq = pq_sequence(params)
     rows = []
     mismatch = 0
-    for j, word in enumerate(seq.words):
-        row = {"j": j, "word": word.spell(), "class": _sequence_class(j, seq)}
+    for j, spelling in enumerate(seq.spellings):
+        row = {"j": j, "word": spelling, "class": _sequence_class(j, seq)}
         if args.verify:
-            oracle = is_primitive_whitehead(word)
+            oracle = is_primitive_whitehead(seq.words[j])
             row["oracle_primitive"] = oracle
             if oracle != (j in seq.primitive_indices):
                 mismatch += 1
@@ -162,13 +163,13 @@ def cmd_shell(args) -> int:
         return 0
     p = params.p
     print(f"{shell.label()} for {params} (kind {kind.value})")
-    width = max(len(str(e.boundary_word)) for e in shell.entries)
+    width = max(len(e.text) for e in shell.entries)
     print(f"  {'j':>3}  {'word':<{width}}  {'class':<13}  meets next  meets next+1")
     for e in shell.entries:
         meet1 = intersection_number(shell, e.index, e.index + 1) if e.index + 1 <= p else "-"
         meet2 = intersection_number(shell, e.index, e.index + 2) if e.index + 2 <= p else "-"
         print(
-            f"  {e.index:>3}  {str(e.boundary_word):<{width}}  {e.disk_class.value:<13}  "
+            f"  {e.index:>3}  {e.text:<{width}}  {e.disk_class.value:<13}  "
             f"{meet1!s:>10}  {meet2!s:>12}"
         )
     return 0
@@ -237,8 +238,7 @@ def cmd_presentation(args) -> int:
         if args.amalgam:
             data["amalgam"] = amalgam_dict(amalgam_decomposition(params))
         if args.abelianization:
-            ab = abelianize_presentation(pres)
-            data["abelianization"] = {"torsion": list(ab.torsion), "free_rank": ab.free_rank}
+            data["abelianization"] = abelianization_dict(abelianize_presentation(pres))
         _print_json(data)
         return 0
     if args.format == "text":

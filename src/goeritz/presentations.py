@@ -509,6 +509,10 @@ def amalgam_dict(am: AmalgamDecomposition) -> dict:
     }
 
 
+def abelianization_dict(ab: Abelianization) -> dict:
+    return {"torsion": list(ab.torsion), "free_rank": ab.free_rank}
+
+
 def _amalgam_gap(am: AmalgamDecomposition) -> str:
     lines = []
     for i, factor in enumerate(am.factors, start=1):

@@ -287,7 +287,7 @@ def whitehead_reduce_step(w) -> Optional[tuple[WhiteheadAutomorphism, CyclicWord
     if found is None:
         return None
     auto, image = found
-    return auto, CyclicWord(_unspell(image))
+    return auto, CyclicWord._of_reduced_spelling(image)
 
 
 def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWord]]]:
@@ -299,7 +299,7 @@ def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWo
         if found is None:
             break
         auto, spelled = found
-        chain.append((auto, CyclicWord(_unspell(spelled))))
+        chain.append((auto, CyclicWord._of_reduced_spelling(spelled)))
     return len(spelled) == 1, chain
 
 

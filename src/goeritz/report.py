@@ -10,6 +10,7 @@ from .farey import ReplacementTrace, nonconnectivity_witness
 from .presentations import (
     AmalgamDecomposition,
     GroupPresentation,
+    abelianization_dict,
     abelianize_presentation,
     amalgam_decomposition,
     amalgam_dict,
@@ -116,7 +117,7 @@ def shell_dict(shell: Shell) -> dict:
         "entries": [
             {
                 "index": e.index,
-                "word": str(e.boundary_word),
+                "word": e.text,
                 "class": e.disk_class.value,
             }
             for e in shell.entries
@@ -129,7 +130,7 @@ def report_dict(report: FullReport) -> dict:
     out = {
         "params": params_dict(report.params),
         "sequence": {
-            "words": [w.spell() for w in seq.words],
+            "words": list(seq.spellings),
             "primitive_indices": sorted(seq.primitive_indices),
         },
         "shells": [shell_dict(s) for s in report.shells],
@@ -141,6 +142,5 @@ def report_dict(report: FullReport) -> dict:
         "amalgam": amalgam_dict(report.amalgam) if report.amalgam else None,
     }
     if report.presentation is not None:
-        ab = abelianize_presentation(report.presentation)
-        out["abelianization"] = {"torsion": list(ab.torsion), "free_rank": ab.free_rank}
+        out["abelianization"] = abelianization_dict(abelianize_presentation(report.presentation))
     return out

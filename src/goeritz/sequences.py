@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .words import Word, _positive_codes, cyclically_equal, reverse, swap_generators
@@ -89,9 +90,18 @@ def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
 
 @dataclass(frozen=True)
 class PqSequence:
+    """The words w_0, ..., w_p, kept as their spellings over z, y.
+
+    `words` builds the `Word`s on first access.
+    """
+
     params: PqParams
-    words: tuple[Word, ...]
+    spellings: tuple[str, ...]
     primitive_indices: frozenset[int]
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(Word(_positive_codes(s.encode("ascii"))) for s in self.spellings)
 
 
 def primitive_indices(params: PqParams) -> frozenset[int]:
@@ -101,8 +111,8 @@ def primitive_indices(params: PqParams) -> frozenset[int]:
 
 
 def pq_sequence(params: PqParams) -> PqSequence:
-    words = tuple(Word(_positive_codes(spelled)) for spelled in spelled_sequence(params.p, params.q))
-    return PqSequence(params=params, words=words, primitive_indices=primitive_indices(params))
+    spellings = tuple(spelled.decode("ascii") for spelled in spelled_sequence(params.p, params.q))
+    return PqSequence(params=params, spellings=spellings, primitive_indices=primitive_indices(params))
 
 
 def verify_symmetry(seq: PqSequence) -> bool:

@@ -4,12 +4,18 @@ Entry j carries the boundary word obtained from the j-th sequence word
 by substituting xy for z, together with its primitivity class.  The
 intersection pattern inside a shell is the closed form
 |E_i cap E_j| = j - i - 1.
+
+The words are rendered as caret text one letter change at a time; an
+entry builds its `Word` only when asked for it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterator
 
 from .sequences import PqParams, spelled_sequence
 from .words import Word, _positive_codes
@@ -53,9 +59,21 @@ def shell_primitive_indices(params: PqParams, kind: ShellKind) -> frozenset[int]
 
 @dataclass(frozen=True)
 class ShellEntry:
+    """Entry j of a shell.
+
+    `text` is the boundary word in caret notation and `spelled` the
+    spelling of the sequence word w_j over z, y, as bytes; the boundary
+    word is w_j with z replaced by xy.
+    """
+
     index: int
-    boundary_word: Word
+    text: str
+    spelled: bytes
     disk_class: DiskClass
+
+    @cached_property
+    def boundary_word(self) -> Word:
+        return Word(_positive_codes(self.spelled.replace(b"z", b"xy")))
 
 
 @dataclass(frozen=True)
@@ -69,20 +87,52 @@ class Shell:
         return f"({self.params.p}, {self.slope})-shell"
 
 
+def _y_run(k: int) -> str:
+    return "" if k == 0 else "y" if k == 1 else f"y^{k}"
+
+
+def _shell_texts(p: int, qbar: int) -> Iterator[str]:
+    """The caret texts of the shell words of the (p, qbar)-sequence.
+
+    Each z of w_j at position i renders as the token x, followed by its y
+    and the y letters up to the next z; the y letters before the first z
+    form the leading run.  Turning the y at position t into a z splits
+    the run that covered t, so only two tokens change: the run's owner
+    (the previous z, or the leading run) and t's own.
+    """
+    tokens = [""] * p  # the token of each z position, "" at a y
+    zs: list[int] = []  # the z positions, sorted
+    lead = _y_run(p)
+    yield lead
+    for j in range(p):
+        t = j * qbar % p
+        at = bisect(zs, t)
+        end = zs[at] if at < len(zs) else p
+        if at:
+            owner = zs[at - 1]
+            tokens[owner] = "x" + _y_run(t - owner)
+        else:
+            lead = _y_run(t)
+        tokens[t] = "x" + _y_run(end - t)
+        zs.insert(at, t)
+        yield lead + "".join(tokens)
+
+
 def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:
     """All p+1 entries of a (p, q-bar)-shell with words and classes."""
+    p = params.p
     slope = kind.slope(params)
     primitive = shell_primitive_indices(params, kind)
     entries = []
-    for j, spelled in enumerate(spelled_sequence(params.p, slope)):
-        word = Word(_positive_codes(spelled.replace(b"z", b"xy")))
-        if j in (0, params.p):
+    texts = _shell_texts(p, slope)
+    for j, (text, spelled) in enumerate(zip(texts, spelled_sequence(p, slope))):
+        if j in (0, p):
             cls = DiskClass.SEMIPRIMITIVE
         elif j in primitive:
             cls = DiskClass.PRIMITIVE
         else:
             cls = DiskClass.NEITHER
-        entries.append(ShellEntry(index=j, boundary_word=word, disk_class=cls))
+        entries.append(ShellEntry(index=j, text=text, spelled=spelled, disk_class=cls))
     return Shell(params=params, kind=kind, slope=slope, entries=tuple(entries))
 
 

@@ -276,7 +276,17 @@ def sweep_dispatch_totality(max_p: int) -> SweepResult:
     return SweepResult("dispatch-totality", max_p, count, tuple(failures))
 
 
-_WORD_LEVEL_CHECKS = ("oz-vs-whitehead", "filter-soundness")
+# The least bound that leaves something to check: one letter for the
+# word-level checks, p = 2 for the p-level ones, and p = 12 for the
+# witness sweep, whose first disconnected pair is (12, 5).
+_LEAST_BOUNDS = {
+    "four-primitives": 2,
+    "oz-vs-whitehead": 1,
+    "filter-soundness": 1,
+    "witness": 12,
+    "symmetry": 2,
+    "dispatch-totality": 2,
+}
 
 _CHECKS = {
     "four-primitives": sweep_four_primitives,
@@ -297,7 +307,7 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
         )
     if bound is None:
         bound = DEFAULT_BOUNDS[check]
-    least = 1 if check in _WORD_LEVEL_CHECKS else 2
+    least = _LEAST_BOUNDS[check]
     if bound < least:
         # a smaller bound leaves nothing to check, and the sweep would pass vacuously
         raise InvalidParameters(f"the {check} bound must be at least {least}, got {bound}")

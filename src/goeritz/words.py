@@ -132,7 +132,15 @@ def cyclic_reduce_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least rotation under the fixed letter order.
+    """The lexicographically least rotation under the fixed letter order."""
+    if len(codes) <= 1:
+        return tuple(codes)
+    i = _least_rotation_start(_spell(codes))
+    return codes[i:] + codes[:i]
+
+
+def _least_rotation_start(spelled: str) -> int:
+    """Where the least rotation of a spelled word starts.
 
     Linear time, by the two-candidate scan of the doubled key string: of
     the rotations starting at i < j, compare them letter by letter; at the
@@ -141,10 +149,8 @@ def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
     by k + 1.  Among rotations with equal keys (x and z rank equal) it
     returns the one starting earliest.
     """
-    n = len(codes)
-    if n <= 1:
-        return tuple(codes)
-    keys = _spell(codes).translate(_ROTATION_KEYS) * 2
+    n = len(spelled)
+    keys = spelled.translate(_ROTATION_KEYS) * 2
     i, j, k = 0, 1, 0
     while j < n and k < n:
         a, b = keys[i + k], keys[j + k]
@@ -160,7 +166,7 @@ def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
         elif i > j:
             i, j = j, i
         k = 0
-    return codes[i:] + codes[:i]
+    return i
 
 
 def _spell(codes: tuple[int, ...]) -> str:
@@ -252,6 +258,18 @@ class CyclicWord:
     def __init__(self, letters=()):
         codes = cyclic_reduce_codes(free_reduce_codes(_coerce_codes(letters)))
         object.__setattr__(self, "_codes", least_rotation(codes))
+
+    @classmethod
+    def _of_reduced_spelling(cls, spelled: str) -> "CyclicWord":
+        """The cyclic word of a spelled word that is already cyclically reduced.
+
+        Skips the reductions of __init__ and takes the least rotation
+        directly on the text.
+        """
+        i = _least_rotation_start(spelled)
+        word = object.__new__(cls)
+        object.__setattr__(word, "_codes", _unspell(spelled[i:] + spelled[:i]))
+        return word
 
     @property
     def codes(self) -> tuple[int, ...]:

@@ -263,3 +263,12 @@ def test_sweep_rejects_vacuous_bounds(capsys):
         assert out == "" and "must be at least" in err, check
     code, out, _ = run(capsys, "sweep", "oz-vs-whitehead", "--max-p", "1")
     assert code == 0 and "2 subjects, 0 failures" in out
+
+
+def test_sweep_witness_refuses_bounds_below_the_first_disconnected_pair(capsys):
+    for bound in ("2", "11"):
+        code, out, err = run(capsys, "sweep", "witness", "--max-p", bound)
+        assert code == 2, bound
+        assert out == "" and err == f"error: the witness bound must be at least 12, got {bound}\n"
+    code, out, _ = run(capsys, "sweep", "witness", "--max-p", "12")
+    assert code == 0 and "1 subjects, 0 failures" in out

@@ -7,6 +7,7 @@ from goeritz.classify import DisconnectedComplexError
 from goeritz.presentations import (
     Abelianization,
     StabilizerKind,
+    abelianization_dict,
     abelianize_presentation,
     amalgam_decomposition,
     display_name,
@@ -408,6 +409,11 @@ def test_abelianization_text():
     assert Abelianization((2, 2), 1).text() == "Z + Z/2 + Z/2"
     assert Abelianization((), 2).text() == "Z^2"
     assert Abelianization((), 0).text() == "0"
+
+
+def test_abelianization_dict():
+    assert abelianization_dict(Abelianization((2, 2), 1)) == {"torsion": [2, 2], "free_rank": 1}
+    assert abelianization_dict(Abelianization((), 0)) == {"torsion": [], "free_rank": 0}
 
 
 def test_presentation_builder_validates():

@@ -12,8 +12,10 @@ from goeritz.primitivity import (
     FilterOutcome,
     WhiteheadAutomorphism,
     _PAIRS,
+    _find_shortening,
     _length_change_coefficients,
     _pair_counts,
+    _spelled_core,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
@@ -26,6 +28,7 @@ from goeritz.words import (
     CyclicWord,
     Word,
     _spell,
+    _unspell,
     abelianize,
     cyclic_reduce_codes,
     cyclically_equal,
@@ -302,3 +305,32 @@ def test_oracle_rejects_a_move_that_misses_its_predicted_length(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="predicted"):
         is_primitive_whitehead(w("xy^3xy^4"))
+
+
+def old_trace(word):
+    """whitehead_trace as it was: each image wrapped by the full CyclicWord
+    construction, which reduces it again and rotates its codes."""
+    spelled = _spelled_core(word)
+    chain = []
+    while len(spelled) > 1:
+        found = _find_shortening(spelled)
+        if found is None:
+            break
+        auto, spelled = found
+        chain.append((auto, CyclicWord(_unspell(spelled))))
+    return len(spelled) == 1, chain
+
+
+def test_trace_chain_matches_the_old_construction():
+    words = [Word(codes) for codes in cyclically_reduced_words(7)]
+    words += [w(f"xy^{n}xy^{n + 1}") for n in (1, 4, 37, 300)]
+    words += [w(f"xY^{n}xY^{n + 2}") for n in (1, 4, 37)]
+    words += [automorphic_image(base, 300, seed) for seed, base in enumerate(("x", "x^3y^4"))]
+    for word in words:
+        verdict, chain = whitehead_trace(word)
+        old_verdict, old_chain = old_trace(word)
+        assert verdict is old_verdict and chain == old_chain, word
+        assert [type(image.codes) for _, image in chain] == [tuple] * len(chain)
+        assert [str(image) for _, image in chain] == [str(image) for _, image in old_chain]
+        step = whitehead_reduce_step(word)
+        assert step == (old_chain[0] if old_chain else None)

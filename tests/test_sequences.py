@@ -9,9 +9,18 @@ from goeritz.sequences import (
     pq_sequence,
     primitive_indices,
     sequence_word,
+    spelled_sequence,
     verify_symmetry,
 )
-from goeritz.words import abelianize, cyclically_equal, parse_word, reverse, swap_generators
+from goeritz.words import (
+    Word,
+    _positive_codes,
+    abelianize,
+    cyclically_equal,
+    parse_word,
+    reverse,
+    swap_generators,
+)
 
 KNOWN_83_SEQUENCE = [
     "yyyyyyyy",
@@ -141,3 +150,13 @@ def test_symmetry_example_by_rotation():
 def test_symmetry_sweep():
     for p, q in coprime_pairs(40):
         assert verify_symmetry(pq_sequence(make_params(p, q)))
+
+
+def test_spellings_match_the_spelled_words():
+    """The spellings kept by PqSequence are the old Word.spell() of each word."""
+    for p, q in coprime_pairs(60):
+        params = make_params(p, q)
+        seq = pq_sequence(params)
+        old_words = [Word(_positive_codes(spelled)) for spelled in spelled_sequence(p, params.q)]
+        assert seq.spellings == tuple(word.spell() for word in old_words), (p, q)
+        assert list(seq.words) == old_words

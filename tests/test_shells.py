@@ -170,3 +170,58 @@ def test_incremental_words_match_the_residue_definition():
             assert [e.boundary_word for e in build_shell(params, kind).entries] == shell_words
             if kind is ShellKind.Q:
                 assert list(pq_sequence(params).words) == words
+
+
+def test_shell_texts_match_the_rendered_words():
+    """The incrementally rendered shell texts against the old path: the
+    Word of w_j with z -> xy, rendered by str(), for p <= 60 and all four kinds."""
+    references = {}  # (p, slope) -> shell texts
+    for p, q in coprime_pairs(60):
+        params = make_params(p, q)
+        for kind in ShellKind:
+            slope = kind.slope(params)
+            if (p, slope) not in references:
+                references[p, slope] = [
+                    str(Word(_positive_codes(spelled.replace(b"z", b"xy"))))
+                    for spelled in spelled_sequence(p, slope)
+                ]
+            shell = build_shell(params, kind)
+            assert [e.text for e in shell.entries] == references[p, slope], (p, q, kind)
+            assert [e.spelled for e in shell.entries] == list(spelled_sequence(p, slope))
+
+
+def test_report_builds_no_sequence_or_shell_words(monkeypatch):
+    """build_report and report_dict leave the sequence and shell Words
+    unbuilt; asking for them builds (once) the same Words as before."""
+    from goeritz.report import build_report, report_dict
+
+    built = []
+    honest = Word.__init__
+
+    def counting_init(self, letters=()):
+        built.append(self)
+        honest(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counting_init)
+    for p, q in ((13, 3), (41, 8), (97, 7)):  # connected: no witness words
+        report = build_report(p, q)
+        report_dict(report)
+        assert built == [], (p, q)
+        params = make_params(p, q)
+        words = [sequence_word(p, params.q, j) for j in range(p + 1)]
+        assert report.sequence.words == tuple(words)
+        xy = parse_word("xy")
+        for shell in report.shells:
+            expected = [
+                Word(_positive_codes(spelled.replace(b"z", b"xy")))
+                for spelled in spelled_sequence(p, shell.slope)
+            ]
+            assert [e.boundary_word for e in shell.entries] == expected
+            if shell.kind is ShellKind.Q:
+                assert [e.boundary_word for e in shell.entries] == [
+                    substitute(word, xy) for word in words
+                ]
+        built.clear()
+        assert report.sequence.words[1] is report.sequence.words[1]
+        assert report.shells[0].entries[1].boundary_word is report.shells[0].entries[1].boundary_word
+        assert built == []
