@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
-2 invalid input, 3 sweep found failures.
+2 invalid input, 3 sweep found failures, 4 verdict: inconclusive (the
+filter of `primitive --method filter` decided nothing).
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_primitive(args) -> int:
                     f"{wit.second} at {wit.second_offset}"
                 )
     if outcome == "inconclusive":
-        return 0
+        return 4
     return 0 if verdict else 1
 
 
@@ -125,7 +126,7 @@ def cmd_sequence(args) -> int:
     for j, spelling in enumerate(seq.spellings):
         row = {"j": j, "word": spelling, "class": _sequence_class(j, seq)}
         if args.verify:
-            oracle = is_primitive_whitehead(seq.words[j])
+            oracle = is_primitive_whitehead(spelling)
             row["oracle_primitive"] = oracle
             if oracle != (j in seq.primitive_indices):
                 mismatch += 1

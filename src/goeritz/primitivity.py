@@ -3,9 +3,9 @@
 * the Osborne-Zieschang normal form for words with positive letters only,
 * a quick sound-but-partial filter that can certify non-primitivity,
 * an independent Whitehead-algorithm oracle: greedily shorten the cyclic
-  word with Whitehead automorphisms; by peak reduction a primitive
-  element admits a strictly shortening automorphism whenever its cyclic
-  length exceeds one, so the terminal length decides.
+  word with powers of Whitehead automorphisms; by peak reduction a
+  primitive element admits a strictly shortening automorphism whenever
+  its cyclic length exceeds one, so the terminal length decides.
 
 Words over {z, y} are accepted everywhere; z is treated as the first
 generator in place of x.
@@ -13,11 +13,14 @@ generator in place of x.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .words import (
     CyclicWord,
@@ -55,7 +58,8 @@ class WhiteheadAutomorphism:
 
     kind "I" is a signed permutation of the generators; kind "II" fixes a
     multiplier letter a and sends the other generator to one of b*a,
-    a^-1*b or a^-1*b*a.
+    a^-1*b or a^-1*b*a.  The oracle's chains also hold kind "II" powers,
+    which send b to b*a^k, a^-k*b or a^-k*b*a^k.
     """
 
     kind: str
@@ -110,19 +114,6 @@ class WhiteheadAutomorphism:
 
     def apply(self, w) -> Word:
         return Word(self.apply_codes(_normalize_rank2(w)))
-
-    def inverse_codes(self, codes: tuple[int, ...]) -> tuple[int, ...]:
-        inv = lambda img: tuple(-c for c in reversed(img))
-        table = {
-            _X: self.inverse_x,
-            -_X: inv(self.inverse_x),
-            _Y: self.inverse_y,
-            -_Y: inv(self.inverse_y),
-        }
-        out: list[int] = []
-        for c in codes:
-            out.extend(table[c])
-        return free_reduce_codes(out)
 
     def __str__(self) -> str:
         return self.label
@@ -190,6 +181,11 @@ _MIXED_PAIRS = ("xy", "xY", "Xy", "XY", "yx", "yX", "Yx", "YX")
 _PAIRS = _MIXED_PAIRS + ("xx", "XX", "yy", "YY")
 
 
+def _moved(auto: WhiteheadAutomorphism) -> int:
+    """The generator a type II move does not fix."""
+    return _Y if auto.image_x == (_X,) else _X
+
+
 def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[int, ...]:
     """Coefficients c(uv), one per subword uv in _PAIRS, with
     |auto(w)| - |w| = sum of c(uv) * #uv.
@@ -203,7 +199,7 @@ def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[int, ...]:
     ends in that generator; A holds the letters whose images end in a.
     """
     table = auto._table
-    moved = _Y if auto.image_x == (_X,) else _X
+    moved = _moved(auto)
     image = table[moved]
     a = image[-1] if image[-1] != moved else -image[0]
     in_a = {c: table[c][-1] == a for c in table}
@@ -244,73 +240,230 @@ def predicted_length_changes(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, coefficients, counts)) for coefficients in _TYPE_II_COEFFICIENTS)
 
 
-def _cyclic_reduce_spelled(spelled: str) -> str:
-    """Strip mutually inverse first/last letters of a freely reduced spelled word."""
-    i, j = 0, len(spelled) - 1
-    while i < j and spelled[i] == spelled[j].swapcase():
-        i += 1
-        j -= 1
-    return spelled[i : j + 1]
+class _GapForm(NamedTuple):
+    """How the powers of one type II move act on a word in gap form.
+
+    The letters L_0, ..., L_{m-1} of the moved generator b (each b or
+    b^-1) cut a cyclically reduced word into gaps, the gap after L_i a
+    power u^e_i of the multiplier's generator u.  The k-th power of the
+    move writes b^-1 and b into the gaps only: it adds
+    k * shift[L_i, L_{i+1}] to e_i.
+    """
+
+    split: re.Pattern  # splits a spelled word at b and b^-1, keeping them
+    up: str  # u
+    down: str  # u^-1
+    shift: dict[tuple[str, str], int]
 
 
-def _find_shortening(spelled: str) -> Optional[tuple[WhiteheadAutomorphism, str]]:
-    """First enumerated automorphism whose image is cyclically shorter.
+def _gap_form(auto: WhiteheadAutomorphism) -> _GapForm:
+    """The gap form of a type II move, read off its images of b and b^-1.
+
+    The image of b^s is u^l b^s u^t; letter L_i brings its t to the gap
+    after it and letter L_{i+1} its l, so shift[L_i, L_{i+1}] = t + l.
+    For b -> b a with a = u^s this is s([L_i = b] - [L_{i+1} = b^-1]);
+    for b -> a^-1 b it is s([L_i = b^-1] - [L_{i+1} = b]); for the
+    conjugation b -> a^-1 b a it is 0, so that move never changes the
+    cyclic length.
+    """
+    moved = _moved(auto)
+    u = _X + _Y - moved
+    ends = {}  # b^s -> (l, t); the letters u and u^-1 have codes u and -u
+    for c in (moved, -moved):
+        image = auto._table[c]
+        i = image.index(c)
+        ends[_SPELLING[c]] = (sum(image[:i]) // u, sum(image[i + 1 :]) // u)
+    shift = {(first, second): ends[first][1] + ends[second][0] for first in ends for second in ends}
+    b, b_inverse = _SPELLING[moved], _SPELLING[-moved]
+    return _GapForm(re.compile(f"([{b}{b_inverse}])"), _SPELLING[u], _SPELLING[-u], shift)
+
+
+# The gap form of each type II move, in enumeration order.
+_GAP_FORMS = tuple(_gap_form(auto) for auto in WHITEHEAD_TYPE_II)
+
+
+def _candidate_moves() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The type II moves that can be the first shortening one, in
+    enumeration order, with their length-change coefficients.
+
+    A conjugation never changes the cyclic length, and a move with the
+    coefficients of an earlier move has that move's change; so neither
+    is ever the first move with a negative change.  Four moves remain.
+    """
+    candidates = {}
+    for index, (coefficients, form) in enumerate(zip(_TYPE_II_COEFFICIENTS, _GAP_FORMS)):
+        if any(form.shift.values()):
+            candidates.setdefault(coefficients, index)
+    return tuple((index, coefficients) for coefficients, index in candidates.items())
+
+
+_CANDIDATE_MOVES = _candidate_moves()
+
+
+def _power_step(spelled: str, index: int, change: int) -> tuple[int, str]:
+    """Apply the best power of a type II move to a cyclically reduced word.
+
+    `index` is the move's place in WHITEHEAD_TYPE_II and `change` its
+    predicted unit length change.  Returns the exponent k and the cyclic
+    word of the k-th power's image, spelled from the first moved letter.
+
+    In gap form the image of the k-th power has cyclic length
+    f(k) = m + sum |e_i + k d_i|, with d_i = shift[L_i, L_{i+1}] in
+    {-1, 0, 1}: no two moved letters cancel, since the pairs b b^-1 and
+    b^-1 b have d_i = 0 and no empty gap.  With t_i = -d_i e_i, each
+    term with d_i != 0 is |k - t_i|, so f is convex and its smallest
+    minimizer is the lower median of the t_i.  That is the k taken: f
+    strictly decreases up to it, so each of the k unit moves shortens
+    the word.  The gaps are handled by their distinct (L_i, gap, L_{i+1})
+    keys, so the per-letter work is C-level splitting, counting and
+    joining.
+    """
+    form = _GAP_FORMS[index]
+    parts = form.split.split(spelled)
+    letters = parts[1::2]
+    gaps = parts[2::2]
+    if gaps:
+        gaps[-1] += parts[0]  # the gap after the last moved letter wraps round
+    keys = list(zip(letters, gaps, letters[1:] + letters[:1]))
+    distinct = Counter(keys)
+    moving = []  # (key, d_i, e_i) of each distinct gap the move changes
+    breakpoints = []  # (t_i, how many gaps have it)
+    for key, n in distinct.items():
+        d = form.shift[key[0], key[2]]
+        if d:
+            gap = key[1]
+            e = -len(gap) if gap[:1] == form.down else len(gap)
+            moving.append((key, d, e))
+            breakpoints.append((-d * e, n))
+    gain = lambda k: sum(n * (abs(k - t) - abs(t)) for t, n in breakpoints)
+    if gain(1) != change:
+        raise RuntimeError(
+            f"Whitehead move {WHITEHEAD_TYPE_II[index]} changes the length of a cyclic word "
+            f"of length {len(spelled)} by {gain(1)} in gap form, not the predicted {change}"
+        )
+    rank = (sum(n for _, n in breakpoints) - 1) // 2
+    for k, n in sorted(breakpoints):
+        rank -= n
+        if rank < 0:
+            break
+    text = {key: key[0] + key[1] for key in distinct}
+    for key, d, e in moving:
+        e += k * d
+        text[key] = key[0] + (form.up * e if e >= 0 else form.down * -e)
+    image = "".join(map(text.__getitem__, keys))
+    predicted = len(spelled) + gain(k)
+    if len(image) != predicted:
+        raise RuntimeError(
+            f"Whitehead move ({WHITEHEAD_TYPE_II[index]})^{k} took a cyclic word of length "
+            f"{len(spelled)} to length {len(image)}, not the predicted {predicted}"
+        )
+    return k, image
+
+
+def _find_shortening(spelled: str) -> Optional[tuple[int, int, str]]:
+    """The first enumerated type II move that shortens the word, as a power.
 
     The word is cyclically reduced and spelled over x, y.  Type I maps
     permute letters and never change cyclic length, so only the type II
-    candidates can shorten.  Their length changes are predicted from the
-    input's two-letter subword counts; only the chosen move is applied,
-    and its image must have exactly the predicted length.
+    candidates can shorten.  Their unit length changes are predicted
+    from the input's two-letter subword counts; the first move whose
+    change is negative is applied as often as it keeps shortening the
+    word.  Returns the move's index in WHITEHEAD_TYPE_II, the exponent
+    and the image, or None when no move shortens.
     """
     counts = _pair_counts(spelled)
-    for auto, coefficients in zip(WHITEHEAD_TYPE_II, _TYPE_II_COEFFICIENTS):
+    for index, coefficients in _CANDIDATE_MOVES:
         change = sum(map(mul, coefficients, counts))
         if change < 0:
-            image = _cyclic_reduce_spelled(auto.apply_spelled(spelled))
-            if len(image) != len(spelled) + change:
-                raise RuntimeError(
-                    f"Whitehead move {auto} took a cyclic word of length {len(spelled)} "
-                    f"to length {len(image)}, not the predicted {len(spelled) + change}"
-                )
-            return auto, image
+            return (index, *_power_step(spelled, index, change))
     return None
 
 
+@functools.lru_cache(maxsize=128)
+def _power(index: int, k: int) -> WhiteheadAutomorphism:
+    """The k-th power of a type II move, labelled by its image of b.
+
+    u^l b u^t goes to u^(kl) b u^(kt); the same holds for the inverse.
+    """
+    auto = WHITEHEAD_TYPE_II[index]
+    if k == 1:
+        return auto
+    moved = _moved(auto)
+
+    def power(image):
+        if moved not in image:
+            return image  # the fixed generator's
+        i = image.index(moved)
+        return image[:i] * k + image[i : i + 1] + image[i + 1 :] * k
+
+    images = tuple(map(power, (auto.image_x, auto.image_y, auto.inverse_x, auto.inverse_y)))
+    label = f"{_SPELLING[moved]} -> {_caret(images[0] if moved == _X else images[1])}"
+    return WhiteheadAutomorphism("II", label, *images)
+
+
+_NOT_A_LETTER = str.maketrans("", "", "xXyYzZ")
+_Z_AS_X_SPELLING = str.maketrans("zZ", "xX")
+
+
 def _spelled_core(w) -> str:
-    """The cyclically reduced word over x, y that the oracle starts from."""
-    return _spell(cyclic_reduce_codes(free_reduce_codes(_normalize_rank2(w))))
+    """The cyclically reduced word over x, y that the oracle starts from.
+
+    w is a word, or its spelling over x, X, y, Y, z, Z (z standing in
+    for x).  A spelling of positive letters is cyclically reduced as it
+    is, so it skips the code tuples.
+    """
+    if isinstance(w, str):
+        stray = w.translate(_NOT_A_LETTER)
+        if stray:
+            raise ValueError(f"a spelled word has the letters xXyYzZ only, found {stray[0]!r}")
+        if "z" in w or "Z" in w:
+            if "x" in w or "X" in w:
+                raise MixedAlphabetError("word mixes x and z; no generating pair applies")
+            w = w.translate(_Z_AS_X_SPELLING)
+        if w.islower():
+            return w
+        codes = _unspell(w)
+    else:
+        codes = _normalize_rank2(w)
+    return _spell(cyclic_reduce_codes(free_reduce_codes(codes)))
 
 
 def whitehead_reduce_step(w) -> Optional[tuple[WhiteheadAutomorphism, CyclicWord]]:
-    """One strictly shortening Whitehead move, or None at a local minimum."""
+    """The first shortening Whitehead move, raised to the least power that
+    leaves the word shortest, or None at a local minimum."""
     found = _find_shortening(_spelled_core(w))
     if found is None:
         return None
-    auto, image = found
-    return auto, CyclicWord._of_reduced_spelling(image)
+    index, k, image = found
+    return _power(index, k), CyclicWord._of_reduced_spelling(image)
 
 
 def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWord]]]:
-    """Run the greedy reduction, returning the verdict and the move chain."""
+    """Run the greedy reduction, returning the verdict and the chain of
+    powered moves with their images."""
     spelled = _spelled_core(w)
     chain: list[tuple[WhiteheadAutomorphism, CyclicWord]] = []
     while len(spelled) > 1:
         found = _find_shortening(spelled)
         if found is None:
             break
-        auto, spelled = found
-        chain.append((auto, CyclicWord._of_reduced_spelling(spelled)))
+        index, k, spelled = found
+        chain.append((_power(index, k), CyclicWord._of_reduced_spelling(spelled)))
     return len(spelled) == 1, chain
 
 
 def is_primitive_whitehead(w) -> bool:
-    """Whitehead-algorithm primitivity oracle."""
+    """Whitehead-algorithm primitivity oracle.
+
+    w is a word or a spelling over x, X, y, Y, z, Z; any other character
+    raises ValueError.
+    """
     spelled = _spelled_core(w)
     while len(spelled) > 1:
         found = _find_shortening(spelled)
         if found is None:
             return False
-        spelled = found[1]
+        spelled = found[2]
     return len(spelled) == 1
 
 

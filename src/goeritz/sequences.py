@@ -67,14 +67,6 @@ def make_params(p: int, q: int) -> PqParams:
     return PqParams(p=p, q=q, q_prime=q_prime, r=r, m=m, connected=connected)
 
 
-def sequence_word(p: int, qbar: int, j: int) -> Word:
-    """The j-th word of the (p, qbar)-sequence, for any slope 0 < qbar < p."""
-    if not 0 <= j <= p:
-        raise ValueError(f"index {j} out of range 0..{p}")
-    z_residues = {(1 + k * qbar) % p for k in range(j)}
-    return Word([3 if (i % p) in z_residues else 2 for i in range(1, p + 1)])
-
-
 def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
     """The spellings of w_0, ..., w_p of the (p, qbar)-sequence, as bytes.
 

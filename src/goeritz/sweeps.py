@@ -112,7 +112,7 @@ def sweep_four_primitives(max_p: int) -> SweepResult:
     for p, q in coprime_pairs(max_p):
         count += 1
         seq = pq_sequence(make_params(p, q))
-        oracle = {j for j, w in enumerate(seq.words) if is_primitive_whitehead(w)}
+        oracle = {j for j, spelling in enumerate(seq.spellings) if is_primitive_whitehead(spelling)}
         if oracle != set(seq.primitive_indices):
             failures.append(
                 SweepFailure(

@@ -43,7 +43,7 @@ def test_primitive_oz_rejects_negative_letters(capsys):
 
 def test_primitive_filter_inconclusive(capsys):
     code, out, _ = run(capsys, "primitive", "xy", "--method", "filter")
-    assert code == 0
+    assert code == 4
     assert "inconclusive" in out
 
 
@@ -95,6 +95,30 @@ def test_sequence_verify(capsys):
     code, out, _ = run(capsys, "sequence", "8", "3", "--verify")
     assert code == 0
     assert "oracle agreement: ok" in out
+
+
+def test_sequence_verify_builds_no_words(capsys, monkeypatch):
+    """The oracle reads the sequence spellings directly (Word.__init__
+    counted by monkeypatch); the verdicts are the oracle's on the Words."""
+    from goeritz.primitivity import is_primitive_whitehead
+    from goeritz.sequences import make_params, pq_sequence
+    from goeritz.words import Word
+
+    built = []
+    honest = Word.__init__
+
+    def counting_init(self, letters=()):
+        built.append(self)
+        honest(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counting_init)
+    for p, q in ((8, 3), (41, 9), (97, 22)):
+        code, out, _ = run(capsys, "sequence", str(p), str(q), "--verify", "--json")
+        assert code == 0 and built == [], (p, q)
+        rows = json.loads(out)["rows"]
+        words = pq_sequence(make_params(p, q)).words
+        assert [row["oracle_primitive"] for row in rows] == [is_primitive_whitehead(w) for w in words]
+        built.clear()
 
 
 def test_sequence_json(capsys):

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from goeritz import primitivity
 from goeritz.primitivity import (
     WHITEHEAD_AUTOMORPHISMS,
     WHITEHEAD_TYPE_I,
@@ -12,9 +13,12 @@ from goeritz.primitivity import (
     FilterOutcome,
     WhiteheadAutomorphism,
     _PAIRS,
+    _GAP_FORMS,
     _find_shortening,
     _length_change_coefficients,
     _pair_counts,
+    _power,
+    _power_step,
     _spelled_core,
     is_primitive_positive,
     is_primitive_whitehead,
@@ -26,6 +30,7 @@ from goeritz.primitivity import (
 )
 from goeritz.words import (
     CyclicWord,
+    MixedAlphabetError,
     Word,
     _spell,
     _unspell,
@@ -60,11 +65,27 @@ def test_enumeration_sizes():
     assert len(WHITEHEAD_AUTOMORPHISMS) == 20
 
 
+def inverse_codes(auto, codes):
+    """The image of codes under the inverse of auto, from its inverse_x and
+    inverse_y (once the method WhiteheadAutomorphism.inverse_codes)."""
+    inv = lambda img: tuple(-c for c in reversed(img))
+    table = {
+        1: auto.inverse_x,
+        -1: inv(auto.inverse_x),
+        2: auto.inverse_y,
+        -2: inv(auto.inverse_y),
+    }
+    out = []
+    for c in codes:
+        out.extend(table[c])
+    return free_reduce_codes(out)
+
+
 def test_every_enumerated_map_is_an_automorphism():
     for auto in WHITEHEAD_AUTOMORPHISMS:
         for gen in ((1,), (2,)):
-            assert auto.inverse_codes(auto.apply_codes(gen)) == gen
-            assert auto.apply_codes(auto.inverse_codes(gen)) == gen
+            assert inverse_codes(auto, auto.apply_codes(gen)) == gen
+            assert auto.apply_codes(inverse_codes(auto, gen)) == gen
 
 
 def test_oz_canonical_word_examples():
@@ -252,9 +273,29 @@ def test_string_pair_counts_match_a_counter_of_letter_pairs():
         ), tup
 
 
+def reference_power(auto, k):
+    """auto^k by brute force: its images of x and y by k applications of
+    apply_codes, its inverse's by k of inverse_codes, and the label of the
+    enumeration (the moved generator and its image)."""
+
+    def iterate(move, gen):
+        codes = (gen,)
+        for _ in range(k):
+            codes = move(codes)
+        return codes
+
+    image_x, image_y = iterate(auto.apply_codes, 1), iterate(auto.apply_codes, 2)
+    undo = lambda codes: inverse_codes(auto, codes)
+    inverse_x, inverse_y = iterate(undo, 1), iterate(undo, 2)
+    moved, image = ("x", image_x) if image_y == (2,) else ("y", image_y)
+    return WhiteheadAutomorphism("II", f"{moved} -> {Word(image)}", image_x, image_y, inverse_x, inverse_y)
+
+
 def reference_trace(word):
-    """The greedy oracle by brute force: apply all twelve type II moves in
-    enumeration order and take the first whose image is cyclically shorter."""
+    """The greedy power oracle by brute force: apply all twelve type II
+    moves in enumeration order and take the first whose image is
+    cyclically shorter; then apply that move with apply_codes while the
+    word strictly shortens, and record its power."""
     codes = cyclic_reduce_codes(free_reduce_codes(word.codes))
     chain = []
     while len(codes) > 1:
@@ -264,8 +305,11 @@ def reference_trace(word):
                 break
         else:
             break
-        codes = image
-        chain.append((auto, CyclicWord(codes)))
+        k = 0
+        while len(image) < len(codes):
+            codes, k = image, k + 1
+            image = cyclic_reduce_codes(auto.apply_codes(codes))
+        chain.append((reference_power(auto, k), CyclicWord(codes)))
     return len(codes) == 1, chain
 
 
@@ -299,11 +343,11 @@ def test_trace_matches_brute_force_scan_on_automorphic_images():
 
 
 def test_oracle_rejects_a_move_that_misses_its_predicted_length(monkeypatch):
-    honest = WhiteheadAutomorphism.apply_spelled
-    monkeypatch.setattr(
-        WhiteheadAutomorphism, "apply_spelled", lambda self, spelled: honest(self, spelled) + "xx"
-    )
-    with pytest.raises(RuntimeError, match="predicted"):
+    # the step writes each positive gap it changes as a run of its gap
+    # form's up letter; a forged up letter of two characters writes the
+    # image x^2y of xy^3xy^4 (under x -> y^-3x) one letter too long
+    monkeypatch.setattr(primitivity, "_GAP_FORMS", tuple(f._replace(up=f.up * 2) for f in _GAP_FORMS))
+    with pytest.raises(RuntimeError, match="not the predicted 3"):
         is_primitive_whitehead(w("xy^3xy^4"))
 
 
@@ -316,8 +360,8 @@ def old_trace(word):
         found = _find_shortening(spelled)
         if found is None:
             break
-        auto, spelled = found
-        chain.append((auto, CyclicWord(_unspell(spelled))))
+        index, k, spelled = found
+        chain.append((_power(index, k), CyclicWord(_unspell(spelled))))
     return len(spelled) == 1, chain
 
 
@@ -334,3 +378,80 @@ def test_trace_chain_matches_the_old_construction():
         assert [str(image) for _, image in chain] == [str(image) for _, image in old_chain]
         step = whitehead_reduce_step(word)
         assert step == (old_chain[0] if old_chain else None)
+
+
+def test_oracle_rejects_a_gap_form_that_misses_the_cut_vertex_prediction(monkeypatch):
+    # gap forms that move no gap predict no change for any power
+    monkeypatch.setattr(
+        primitivity,
+        "_GAP_FORMS",
+        tuple(f._replace(shift=dict.fromkeys(f.shift, 0)) for f in _GAP_FORMS),
+    )
+    with pytest.raises(RuntimeError, match="by 0 in gap form, not the predicted -2"):
+        is_primitive_whitehead(w("xy^3xy^4"))
+
+
+def test_power_step_matches_repeated_moves_up_to_length_nine():
+    """For every move with a negative unit change, k is the number of
+    apply_codes applications that strictly shorten the word, one after
+    another, and the image is the cyclic word of the k-fold image."""
+    checked = powers = words = 0
+    for tup in cyclically_reduced_words(9):
+        words += 1
+        spelled = _spell(tup)
+        changes = predicted_length_changes(tup)
+        # the move chosen is the first of all twelve with a negative change
+        first = next((i for i, change in enumerate(changes) if change < 0), None)
+        found = _find_shortening(spelled)
+        assert (None if found is None else found[0]) == first, tup
+        for index, change in enumerate(changes):
+            if change >= 0:
+                continue
+            auto = WHITEHEAD_TYPE_II[index]
+            codes, k = tup, 0
+            while True:
+                image = cyclic_reduce_codes(auto.apply_codes(codes))
+                if len(image) >= len(codes):
+                    break
+                codes, k = image, k + 1
+            power, text = _power_step(spelled, index, change)
+            assert (power, CyclicWord(_unspell(text))) == (k, CyclicWord(codes)), (tup, auto)
+            assert cyclic_reduce_codes(_unspell(text)) == _unspell(text)
+            checked += 1
+            powers += k > 1
+    assert (words, checked, powers) == (29_540, 29_616, 8_576)
+
+
+def test_conjugation_moves_never_change_the_cyclic_length():
+    conjugations = [i for i, auto in enumerate(WHITEHEAD_TYPE_II) if len(auto.image_x + auto.image_y) == 4]
+    assert len(conjugations) == 4
+    assert all(set(_GAP_FORMS[i].shift.values()) == {0} for i in conjugations)
+    for tup in cyclically_reduced_words(8):
+        changes = predicted_length_changes(tup)
+        assert [changes[i] for i in conjugations] == [0] * 4, tup
+
+
+def test_powers_of_moves():
+    assert all(_power(i, 1) is auto for i, auto in enumerate(WHITEHEAD_TYPE_II))
+    labels = {str(_power(i, 5)) for i in range(12)} | {str(_power(i, 3)) for i in range(12)}
+    assert {"x -> xy^5", "y -> x^-3y", "x -> y^-5xy^5", "y -> yx^-3"} <= labels
+    for index in range(12):
+        for k in (1, 2, 7):
+            assert _power(index, k) == reference_power(WHITEHEAD_TYPE_II[index], k)
+
+
+def test_oracle_takes_spelled_words():
+    for tup in cyclically_reduced_words(6):
+        verdict = is_primitive_whitehead(Word(tup))
+        spelled = _spell(tup)
+        assert is_primitive_whitehead(spelled) is verdict, spelled
+        # not reduced as spelled: conjugated, with a cancelling pair inside
+        assert is_primitive_whitehead("y" + spelled + "xXY") is verdict, spelled
+        assert is_primitive_whitehead(spelled.replace("x", "z").replace("X", "Z")) is verdict
+    assert is_primitive_whitehead("zyzyy") and is_primitive_whitehead("yzz")
+    assert not is_primitive_whitehead("yY") and not is_primitive_whitehead("")
+    for bad in ("xy1", "x y", "xy^2", "xyw", "xé"):
+        with pytest.raises(ValueError, match="letters xXyYzZ only"):
+            is_primitive_whitehead(bad)
+    with pytest.raises(MixedAlphabetError):
+        is_primitive_whitehead("xzy")

@@ -8,7 +8,6 @@ from goeritz.sequences import (
     make_params,
     pq_sequence,
     primitive_indices,
-    sequence_word,
     spelled_sequence,
     verify_symmetry,
 )
@@ -21,6 +20,16 @@ from goeritz.words import (
     reverse,
     swap_generators,
 )
+
+
+def sequence_word(p: int, qbar: int, j: int) -> Word:
+    """The j-th word of the (p, qbar)-sequence, for any slope 0 < qbar < p,
+    from the residue definition (once goeritz.sequences.sequence_word)."""
+    if not 0 <= j <= p:
+        raise ValueError(f"index {j} out of range 0..{p}")
+    z_residues = {(1 + k * qbar) % p for k in range(j)}
+    return Word([3 if (i % p) in z_residues else 2 for i in range(1, p + 1)])
+
 
 KNOWN_83_SEQUENCE = [
     "yyyyyyyy",
@@ -160,3 +169,19 @@ def test_spellings_match_the_spelled_words():
         old_words = [Word(_positive_codes(spelled)) for spelled in spelled_sequence(p, params.q)]
         assert seq.spellings == tuple(word.spell() for word in old_words), (p, q)
         assert list(seq.words) == old_words
+
+
+def test_four_primitives_sweep_builds_no_words(monkeypatch):
+    from goeritz.sweeps import run_sweep
+
+    built = []
+    honest = Word.__init__
+
+    def counting_init(self, letters=()):
+        built.append(self)
+        honest(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counting_init)
+    result = run_sweep("four-primitives", 30)
+    assert result.subjects > 100 and not result.failures
+    assert built == []

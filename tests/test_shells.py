@@ -3,7 +3,7 @@ import math
 import pytest
 
 from goeritz.primitivity import is_primitive_whitehead
-from goeritz.sequences import make_params, pq_sequence, sequence_word, spelled_sequence
+from goeritz.sequences import make_params, pq_sequence, spelled_sequence
 from goeritz.shells import (
     DiskClass,
     DualPairKind,
@@ -14,6 +14,7 @@ from goeritz.shells import (
     shell_primitive_indices,
 )
 from goeritz.words import Word, _positive_codes, abelianize, parse_word, substitute
+from test_sequences import sequence_word
 
 
 def coprime_pairs(max_p):
