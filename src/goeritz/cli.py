@@ -1,5 +1,11 @@
 """Command line front end.
 
+`primitive` decides with the Whitehead oracle (`--method auto`, the
+default, or `whitehead`).  The positive-word normal form (`--method oz`)
+and the non-primitivity filter (`--method filter`) are independent
+checks on it, run on request and by the `oz-vs-whitehead` and
+`filter-soundness` sweeps.
+
 Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
 2 invalid input, 3 sweep found failures, 4 verdict: inconclusive (the
 filter of `primitive --method filter` decided nothing).
@@ -50,33 +56,29 @@ def _print_json(data) -> None:
 
 def cmd_primitive(args) -> int:
     word = parse_word(args.word)
-    method = args.method
+    method = "whitehead" if args.method == "auto" else args.method
     verdict = None
     outcome = None
     chain = []
     filter_verdict = None
 
-    if method in ("auto", "filter"):
+    if method == "filter":
         filter_verdict = nonprimitivity_filter(word)
         if filter_verdict.outcome is FilterOutcome.NOT_PRIMITIVE:
-            verdict, method = False, "filter"
-        elif method == "filter":
+            verdict = False
+        else:
             outcome = "inconclusive"
-    if verdict is None and method in ("auto", "oz"):
-        if all(letter.sign > 0 for letter in word.letters):
-            verdict = is_primitive_positive(word)
-            method = "oz"
-        elif method == "oz":
+    elif method == "oz":
+        if min(word.codes, default=1) < 0:
             raise InvalidParameters(
                 "the positive-word test needs a word without inverse letters; "
                 "use --method whitehead"
             )
-    if verdict is None and method in ("auto", "whitehead"):
-        if args.trace:
-            verdict, chain = whitehead_trace(word)
-        else:
-            verdict = is_primitive_whitehead(word)
-        method = "whitehead"
+        verdict = is_primitive_positive(word)
+    elif args.trace:
+        verdict, chain = whitehead_trace(word)
+    else:
+        verdict = is_primitive_whitehead(word)
 
     if args.json:
         data = {

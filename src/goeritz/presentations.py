@@ -167,18 +167,30 @@ def _word_display(rel: tuple[tuple[str, int], ...]) -> str:
     return _run_display(rel)
 
 
+def _runs(rel) -> list[tuple[object, int]]:
+    """Each run of equal consecutive letters of a relator, as (letter, length).
+
+    A plain scan: relators are a few letters long, and itertools.groupby
+    costs more per relator than it saves per letter there.
+    """
+    runs = []
+    i, n = 0, len(rel)
+    while i < n:
+        letter = rel[i]
+        j = i + 1
+        while j < n and rel[j] == letter:
+            j += 1
+        runs.append((letter, j - i))
+        i = j
+    return runs
+
+
 def _run_display(rel) -> str:
     parts = []
-    i = 0
-    while i < len(rel):
-        name, sign = rel[i]
-        j = i
-        while j < len(rel) and rel[j] == (name, sign):
-            j += 1
-        exp = (j - i) * sign
+    for (name, sign), n in _runs(rel):
+        exp = n * sign
         sym = display_name(name)
         parts.append(sym if exp == 1 else sym + str(exp).translate(_SUPERSCRIPTS))
-        i = j
     return "".join(parts)
 
 
@@ -206,29 +218,17 @@ def presentation_dict(pres: GroupPresentation) -> dict:
 
 def _ascii_word(rel: tuple[tuple[str, int], ...]) -> str:
     parts = []
-    i = 0
-    while i < len(rel):
-        name, sign = rel[i]
-        j = i
-        while j < len(rel) and rel[j] == (name, sign):
-            j += 1
-        exp = (j - i) * sign
+    for (name, sign), n in _runs(rel):
+        exp = n * sign
         parts.append(name if exp == 1 else f"{name}^{exp}")
-        i = j
     return "*".join(parts) if parts else "1"
 
 
 def _gap_relator(rel: tuple[int, ...]) -> str:
     parts = []
-    i = 0
-    while i < len(rel):
-        c = rel[i]
-        j = i
-        while j < len(rel) and rel[j] == c:
-            j += 1
-        exp = (j - i) if c > 0 else -(j - i)
+    for c, n in _runs(rel):
+        exp = n if c > 0 else -n
         parts.append(f"F.{abs(c)}" if exp == 1 else f"F.{abs(c)}^{exp}")
-        i = j
     return "*".join(parts)
 
 

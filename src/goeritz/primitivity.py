@@ -1,14 +1,16 @@
 """Primitivity of elements of the rank-two free group, by three routes.
 
+* the Whitehead-algorithm oracle, the decision: greedily shorten the
+  cyclic word with powers of Whitehead automorphisms; by peak reduction
+  a primitive element admits a strictly shortening automorphism
+  whenever its cyclic length exceeds one, so the terminal length decides,
 * the Osborne-Zieschang normal form for words with positive letters only,
-* a quick sound-but-partial filter that can certify non-primitivity,
-* an independent Whitehead-algorithm oracle: greedily shorten the cyclic
-  word with powers of Whitehead automorphisms; by peak reduction a
-  primitive element admits a strictly shortening automorphism whenever
-  its cyclic length exceeds one, so the terminal length decides.
+* a quick sound-but-partial filter that can certify non-primitivity.
 
-Words over {z, y} are accepted everywhere; z is treated as the first
-generator in place of x.
+The last two are independent checks on the oracle.  All three take a
+word, a tuple of letter codes or a spelling over x, X, y, Y, z, Z, and
+read it through `_rank2_spelling`; z is treated as the first generator
+in place of x.
 """
 
 from __future__ import annotations
@@ -25,31 +27,58 @@ from typing import NamedTuple, Optional
 from .words import (
     CyclicWord,
     MixedAlphabetError,
-    Word,
     _CANCELLING_PAIR,
     _SPELLING,
     _caret,
     _coerce_codes,
     _spell,
     _unspell,
-    cyclic_reduce_codes,
     free_reduce_codes,
 )
 
 _X, _Y = 1, 2
 
+_NOT_A_LETTER = str.maketrans("", "", "xXyYzZ")
+_Z_AS_X_SPELLING = str.maketrans("zZ", "xX")
 
-_Z_AS_X = {3: _X, -3: -_X, _X: _X, -_X: -_X, _Y: _Y, -_Y: -_Y}
 
+def _rank2_spelling(w) -> str:
+    """The word spelled over x, X, y, Y: the one way into every decider.
 
-def _normalize_rank2(w) -> tuple[int, ...]:
-    """Codes over {1, 2}, renaming z to the first-generator slot."""
-    codes = _coerce_codes(w)
-    if 3 in codes or -3 in codes:
-        if 1 in codes or -1 in codes:
+    w is a word, a tuple of letter codes, or a spelling over x, X, y, Y,
+    z, Z, with z standing in for x.  A word that mixes x and z raises
+    MixedAlphabetError; any other character of a spelling raises
+    ValueError.
+    """
+    if isinstance(w, str):
+        stray = w.translate(_NOT_A_LETTER)
+        if stray:
+            raise ValueError(f"a spelled word has the letters xXyYzZ only, found {stray[0]!r}")
+    else:
+        w = _spell(_coerce_codes(w))
+    if "z" in w or "Z" in w:
+        if "x" in w or "X" in w:
             raise MixedAlphabetError("word mixes x and z; no generating pair applies")
-        codes = tuple(map(_Z_AS_X.__getitem__, codes))
-    return codes
+        w = w.translate(_Z_AS_X_SPELLING)
+    return w
+
+
+def _cyclic_core(spelled: str) -> str:
+    """The cyclic reduction of a word spelled over x, X, y, Y.
+
+    A spelling of positive letters is cyclically reduced as it is, and
+    one without a cancelling pair (the spelling of a `Word`) skips the
+    code tuples.
+    """
+    if spelled.islower():
+        return spelled
+    if _CANCELLING_PAIR.search(spelled):
+        spelled = _spell(free_reduce_codes(_unspell(spelled)))
+    i, j = 0, len(spelled)
+    while j - i >= 2 and spelled[i] == spelled[j - 1].swapcase():
+        i += 1
+        j -= 1
+    return spelled[i:j]
 
 
 @dataclass(frozen=True)
@@ -111,9 +140,6 @@ class WhiteheadAutomorphism:
         an a^-1.  So no deletion brings a new cancelling pair together.
         """
         return _CANCELLING_PAIR.sub("", spelled.translate(self._spelled_table))
-
-    def apply(self, w) -> Word:
-        return Word(self.apply_codes(_normalize_rank2(w)))
 
     def __str__(self) -> str:
         return self.label
@@ -401,37 +427,10 @@ def _power(index: int, k: int) -> WhiteheadAutomorphism:
     return WhiteheadAutomorphism("II", label, *images)
 
 
-_NOT_A_LETTER = str.maketrans("", "", "xXyYzZ")
-_Z_AS_X_SPELLING = str.maketrans("zZ", "xX")
-
-
-def _spelled_core(w) -> str:
-    """The cyclically reduced word over x, y that the oracle starts from.
-
-    w is a word, or its spelling over x, X, y, Y, z, Z (z standing in
-    for x).  A spelling of positive letters is cyclically reduced as it
-    is, so it skips the code tuples.
-    """
-    if isinstance(w, str):
-        stray = w.translate(_NOT_A_LETTER)
-        if stray:
-            raise ValueError(f"a spelled word has the letters xXyYzZ only, found {stray[0]!r}")
-        if "z" in w or "Z" in w:
-            if "x" in w or "X" in w:
-                raise MixedAlphabetError("word mixes x and z; no generating pair applies")
-            w = w.translate(_Z_AS_X_SPELLING)
-        if w.islower():
-            return w
-        codes = _unspell(w)
-    else:
-        codes = _normalize_rank2(w)
-    return _spell(cyclic_reduce_codes(free_reduce_codes(codes)))
-
-
 def whitehead_reduce_step(w) -> Optional[tuple[WhiteheadAutomorphism, CyclicWord]]:
     """The first shortening Whitehead move, raised to the least power that
     leaves the word shortest, or None at a local minimum."""
-    found = _find_shortening(_spelled_core(w))
+    found = _find_shortening(_cyclic_core(_rank2_spelling(w)))
     if found is None:
         return None
     index, k, image = found
@@ -441,7 +440,7 @@ def whitehead_reduce_step(w) -> Optional[tuple[WhiteheadAutomorphism, CyclicWord
 def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWord]]]:
     """Run the greedy reduction, returning the verdict and the chain of
     powered moves with their images."""
-    spelled = _spelled_core(w)
+    spelled = _cyclic_core(_rank2_spelling(w))
     chain: list[tuple[WhiteheadAutomorphism, CyclicWord]] = []
     while len(spelled) > 1:
         found = _find_shortening(spelled)
@@ -455,10 +454,10 @@ def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWo
 def is_primitive_whitehead(w) -> bool:
     """Whitehead-algorithm primitivity oracle.
 
-    w is a word or a spelling over x, X, y, Y, z, Z; any other character
-    raises ValueError.
+    w is a word, a tuple of letter codes or a spelling over x, X, y, Y,
+    z, Z; any other character raises ValueError.
     """
-    spelled = _spelled_core(w)
+    spelled = _cyclic_core(_rank2_spelling(w))
     while len(spelled) > 1:
         found = _find_shortening(spelled)
         if found is None:
@@ -485,27 +484,28 @@ def oz_canonical_word(m: int, n: int) -> CyclicWord:
     return CyclicWord(codes)
 
 
-def is_primitive_positive(w, symbols: Optional[tuple[str, str]] = None) -> bool:
+_SWAP_XY = str.maketrans("xy", "yx")
+
+
+def is_primitive_positive(w) -> bool:
     """Positive-word primitivity via the normal-form characterization.
 
     The word must contain only positive letters over a two-letter
     alphabet; the count of the non-y symbol may exceed the y count, in
     which case the symbols are exchanged before comparison.
     """
-    codes = _normalize_rank2(w)
-    if any(c < 0 for c in codes):
+    spelled = _rank2_spelling(w)
+    if "X" in spelled or "Y" in spelled:
         raise ValueError("word has negative letters; use the Whitehead oracle")
-    m = sum(1 for c in codes if c == _X)
-    n = sum(1 for c in codes if c == _Y)
+    m = spelled.count("x")
+    n = spelled.count("y")
     if m == 0 or n == 0:
-        return len(codes) == 1
+        return len(spelled) == 1
     if math.gcd(m, n) != 1:
         return False
     if m > n:
-        codes = tuple(_Y if c == _X else _X for c in codes)
-        m, n = n, m
-    as_zy = tuple(3 if c == _X else 2 for c in codes)
-    return CyclicWord(as_zy) == oz_canonical_word(m, n)
+        spelled, m, n = spelled.translate(_SWAP_XY), n, m
+    return CyclicWord(_unspell(spelled.replace("x", "z"))) == oz_canonical_word(m, n)
 
 
 class FilterOutcome(Enum):
@@ -578,6 +578,21 @@ def _scan_patterns(codes: tuple[int, ...]) -> Optional[tuple[str, int, str, int]
     return None
 
 
+def _symmetry_variants(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """w, w^-1, the y-flip of w and the y-flip of w^-1.
+
+    These symmetries keep primitivity and the filter's verdict, so the
+    filter scans all four and the word-level sweeps check one of each
+    class.
+    """
+    inverted = tuple(-c for c in reversed(codes))
+    flip = lambda codes: tuple(-c if abs(c) == _Y else c for c in codes)
+    return codes, inverted, flip(codes), flip(inverted)
+
+
+_VARIANT_NAMES = ("w", "w^-1", "y-flip of w", "y-flip of w^-1")
+
+
 def nonprimitivity_filter(w) -> FilterVerdict:
     """Sound partial test: NOT_PRIMITIVE is definitive, INCONCLUSIVE decides nothing.
 
@@ -585,16 +600,8 @@ def nonprimitivity_filter(w) -> FilterVerdict:
     normalizations: as given, inverted, with the sign of y flipped, and
     both.
     """
-    core = cyclic_reduce_codes(free_reduce_codes(_normalize_rank2(w)))
-    inverted = tuple(-c for c in reversed(core))
-    flip = lambda codes: tuple(-c if abs(c) == _Y else c for c in codes)
-    variants = (
-        ("w", core),
-        ("w^-1", inverted),
-        ("y-flip of w", flip(core)),
-        ("y-flip of w^-1", flip(inverted)),
-    )
-    for name, codes in variants:
+    core = _unspell(_cyclic_core(_rank2_spelling(w)))
+    for name, codes in zip(_VARIANT_NAMES, _symmetry_variants(core)):
         hit = _scan_patterns(codes)
         if hit is not None:
             first, i, second, j = hit

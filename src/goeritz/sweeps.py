@@ -22,6 +22,7 @@ from .primitivity import (
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
+    _symmetry_variants,
 )
 from .sequences import InvalidParameters, make_params, pq_sequence, verify_symmetry
 from .words import CyclicWord, Word, least_rotation
@@ -43,16 +44,6 @@ class SweepResult:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-DEFAULT_BOUNDS = {
-    "four-primitives": 40,
-    "oz-vs-whitehead": 14,
-    "filter-soundness": 12,
-    "witness": 60,
-    "symmetry": 40,
-    "dispatch-totality": 60,
-}
 
 
 def coprime_pairs(max_p: int) -> Iterator[tuple[int, int]]:
@@ -94,15 +85,11 @@ def _cyclically_reduced_words(max_len: int) -> Iterator[tuple[int, ...]]:
 def reduced_cores(max_len: int) -> Iterator[tuple[int, ...]]:
     """One representative per cyclic core class, up to the symmetries the
     filter and the oracle share: rotation, inversion and the y sign flip."""
-    flip = lambda codes: tuple(-c if abs(c) == 2 else c for c in codes)
-    invert = lambda codes: tuple(-c for c in reversed(codes))
     for codes in _cyclically_reduced_words(max_len):
-        canon = least_rotation(codes)
-        if canon != codes:
+        if least_rotation(codes) != codes:
             continue
-        variants = (codes, least_rotation(invert(codes)),
-                    least_rotation(flip(codes)), least_rotation(flip(invert(codes))))
-        if codes == min(variants):
+        _, *others = _symmetry_variants(codes)
+        if codes <= min(map(least_rotation, others)):
             yield codes
 
 
@@ -128,12 +115,13 @@ def sweep_oz_vs_whitehead(max_len: int) -> SweepResult:
     count = 0
     for codes in positive_cyclic_words(max_len):
         count += 1
-        w = CyclicWord(codes)
-        by_form = is_primitive_positive(w)
-        by_oracle = is_primitive_whitehead(w)
+        by_form = is_primitive_positive(codes)
+        by_oracle = is_primitive_whitehead(codes)
         if by_form != by_oracle:
             failures.append(
-                SweepFailure(str(w), f"normal form says {by_form}, oracle says {by_oracle}")
+                SweepFailure(
+                    str(CyclicWord(codes)), f"normal form says {by_form}, oracle says {by_oracle}"
+                )
             )
     return SweepResult("oz-vs-whitehead", max_len, count, tuple(failures))
 
@@ -143,10 +131,8 @@ def sweep_filter_soundness(max_len: int) -> SweepResult:
     count = 0
     for codes in reduced_cores(max_len):
         count += 1
-        verdict = nonprimitivity_filter(Word(codes))
-        if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(
-            Word(codes)
-        ):
+        verdict = nonprimitivity_filter(codes)
+        if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(codes):
             failures.append(
                 SweepFailure(str(Word(codes)), "filter fired on an oracle-primitive word")
             )
@@ -276,26 +262,20 @@ def sweep_dispatch_totality(max_p: int) -> SweepResult:
     return SweepResult("dispatch-totality", max_p, count, tuple(failures))
 
 
-# The least bound that leaves something to check: one letter for the
-# word-level checks, p = 2 for the p-level ones, and p = 12 for the
-# witness sweep, whose first disconnected pair is (12, 5).
-_LEAST_BOUNDS = {
-    "four-primitives": 2,
-    "oz-vs-whitehead": 1,
-    "filter-soundness": 1,
-    "witness": 12,
-    "symmetry": 2,
-    "dispatch-totality": 2,
+# Each check with its default bound and the least bound that leaves
+# something to check: one letter for the word-level checks, p = 2 for the
+# p-level ones, and p = 12 for the witness sweep, whose first disconnected
+# pair is (12, 5).
+_CHECKS = {
+    "four-primitives": (sweep_four_primitives, 40, 2),
+    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1),
+    "filter-soundness": (sweep_filter_soundness, 12, 1),
+    "witness": (sweep_witness, 60, 12),
+    "symmetry": (sweep_symmetry, 40, 2),
+    "dispatch-totality": (sweep_dispatch_totality, 60, 2),
 }
 
-_CHECKS = {
-    "four-primitives": sweep_four_primitives,
-    "oz-vs-whitehead": sweep_oz_vs_whitehead,
-    "filter-soundness": sweep_filter_soundness,
-    "witness": sweep_witness,
-    "symmetry": sweep_symmetry,
-    "dispatch-totality": sweep_dispatch_totality,
-}
+DEFAULT_BOUNDS = {check: default for check, (_, default, _) in _CHECKS.items()}
 
 
 def run_sweep(check: str, bound: int | None = None) -> SweepResult:
@@ -305,10 +285,10 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
         raise ValueError(
             f"unknown check {check!r}; choose from {', '.join(sorted(_CHECKS))}"
         )
+    sweep, default, least = _CHECKS[check]
     if bound is None:
-        bound = DEFAULT_BOUNDS[check]
-    least = _LEAST_BOUNDS[check]
+        bound = default
     if bound < least:
         # a smaller bound leaves nothing to check, and the sweep would pass vacuously
         raise InvalidParameters(f"the {check} bound must be at least {least}, got {bound}")
-    return _CHECKS[check](bound)
+    return sweep(bound)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from goeritz.cli import main
+from goeritz.words import Word
 
 
 def run(capsys, *argv):
@@ -12,15 +13,21 @@ def run(capsys, *argv):
 
 
 def test_primitive_auto_positive(capsys):
-    code, out, _ = run(capsys, "primitive", "zyyzyyzy")
+    code, out, _ = run(capsys, "primitive", "zyyzyyzy", "--method", "oz")
     assert code == 0
     assert "method: oz" in out and "primitive: yes" in out
+    code, out, _ = run(capsys, "primitive", "zyyzyyzy")
+    assert code == 0
+    assert "method: whitehead" in out and "primitive: yes" in out
 
 
 def test_primitive_auto_filter_hit(capsys):
-    code, out, _ = run(capsys, "primitive", "x y x Y")
+    code, out, _ = run(capsys, "primitive", "x y x Y", "--method", "filter")
     assert code == 1
     assert "method: filter" in out and "primitive: no" in out
+    code, out, _ = run(capsys, "primitive", "x y x Y")
+    assert code == 1
+    assert "method: whitehead" in out and "primitive: no" in out
 
 
 def test_primitive_whitehead_with_trace(capsys):
@@ -48,10 +55,29 @@ def test_primitive_filter_inconclusive(capsys):
 
 
 def test_primitive_json(capsys):
-    code, out, _ = run(capsys, "primitive", "x x y y", "--json")
+    code, out, _ = run(capsys, "primitive", "x x y y", "--method", "filter", "--json")
     assert code == 1
     data = json.loads(out)
     assert data["primitive"] is False and data["method"] == "filter"
+    code, out, _ = run(capsys, "primitive", "x x y y", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["primitive"] is False and data["method"] == "whitehead"
+
+
+def test_primitive_auto_is_one_oracle_call(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("auto must call the Whitehead oracle only")
+
+    monkeypatch.setattr("goeritz.cli.nonprimitivity_filter", boom)
+    monkeypatch.setattr("goeritz.cli.is_primitive_positive", boom)
+    monkeypatch.setattr(Word, "letters", property(boom))
+    # a positive word, a word the filter fires on, a mixed-sign primitive
+    for text, expected in (("zyyzyyzy", 0), ("x y x Y", 1), ("xY^150xY^151", 0)):
+        for extra in ((), ("--trace",), ("--json",)):
+            code, out, _ = run(capsys, "primitive", text, *extra)
+            assert code == expected, (text, extra)
+            assert "whitehead" in out, (text, extra)
 
 
 def test_parse_error_exit_code(capsys):

@@ -14,12 +14,13 @@ from goeritz.primitivity import (
     WhiteheadAutomorphism,
     _PAIRS,
     _GAP_FORMS,
+    _cyclic_core,
     _find_shortening,
     _length_change_coefficients,
     _pair_counts,
     _power,
     _power_step,
-    _spelled_core,
+    _rank2_spelling,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
@@ -354,7 +355,7 @@ def test_oracle_rejects_a_move_that_misses_its_predicted_length(monkeypatch):
 def old_trace(word):
     """whitehead_trace as it was: each image wrapped by the full CyclicWord
     construction, which reduces it again and rotates its codes."""
-    spelled = _spelled_core(word)
+    spelled = _cyclic_core(_rank2_spelling(word))
     chain = []
     while len(spelled) > 1:
         found = _find_shortening(spelled)
@@ -455,3 +456,47 @@ def test_oracle_takes_spelled_words():
             is_primitive_whitehead(bad)
     with pytest.raises(MixedAlphabetError):
         is_primitive_whitehead("xzy")
+
+
+def _outcome(decide, word):
+    """A decider's result on a word, or the type of the error it raises."""
+    try:
+        return decide(word)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_deciders_take_every_input_form():
+    """Words, code tuples and spellings over xXyY or zZyY decide alike,
+    for every word of up to six letters, reduced or not."""
+    to_z = str.maketrans("xX", "zZ")
+    checked = 0
+    for n in range(7):
+        for tup in product((1, -1, 2, -2), repeat=n):
+            spelled = _spell(tup)
+            z_codes = _unspell(spelled.translate(to_z))
+            forms = [tup, z_codes, spelled, spelled.translate(to_z)]
+            if free_reduce_codes(tup) == tup:
+                forms += [Word(tup), Word(z_codes)]
+            for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead):
+                expected = _outcome(decide, tup)
+                assert [_outcome(decide, form) for form in forms] == [expected] * len(forms), (
+                    decide.__name__,
+                    spelled,
+                )
+            checked += 1
+    assert checked == 5461
+    # the normal form refuses inverse letters as given, before any reduction
+    for word in ("Xyx", (-1, 2, 1), "xXy", "zZy", "Zyz"):
+        with pytest.raises(ValueError, match="negative letters"):
+            is_primitive_positive(word)
+    assert is_primitive_positive(Word((1, -1, 2)))  # reduced to y when built
+
+
+def test_deciders_raise_the_same_errors():
+    for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead):
+        for mixed in ("xzy", (1, 3, 2), Word((1, 3, 2))):
+            with pytest.raises(MixedAlphabetError, match="mixes x and z"):
+                decide(mixed)
+        with pytest.raises(ValueError, match="letters xXyYzZ only, found '1'"):
+            decide("xy1")

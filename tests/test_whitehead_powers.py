@@ -19,10 +19,19 @@ from goeritz.primitivity import (
     WHITEHEAD_TYPE_II,
     WhiteheadAutomorphism,
     _TYPE_II_COEFFICIENTS,
-    _normalize_rank2,
+    _X,
+    _Y,
     _pair_counts,
 )
-from goeritz.words import Word, _spell, cyclic_reduce_codes, free_reduce_codes, parse_word
+from goeritz.words import (
+    MixedAlphabetError,
+    Word,
+    _coerce_codes,
+    _spell,
+    cyclic_reduce_codes,
+    free_reduce_codes,
+    parse_word,
+)
 
 FIXED = settings(
     derandomize=True,
@@ -36,6 +45,19 @@ MAX_LETTERS = 2000
 
 
 # --- the unit-step oracle, verbatim
+
+
+_Z_AS_X = {3: _X, -3: -_X, _X: _X, -_X: -_X, _Y: _Y, -_Y: -_Y}
+
+
+def _normalize_rank2(w) -> tuple[int, ...]:
+    """Codes over {1, 2}, renaming z to the first-generator slot."""
+    codes = _coerce_codes(w)
+    if 3 in codes or -3 in codes:
+        if 1 in codes or -1 in codes:
+            raise MixedAlphabetError("word mixes x and z; no generating pair applies")
+        codes = tuple(map(_Z_AS_X.__getitem__, codes))
+    return codes
 
 
 def _cyclic_reduce_spelled(spelled: str) -> str:
