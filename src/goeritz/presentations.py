@@ -15,6 +15,7 @@ import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Optional, Union
 
 from .classify import CaseData, CaseTag, DisconnectedComplexError, case_data
@@ -167,22 +168,15 @@ def _word_display(rel: tuple[tuple[str, int], ...]) -> str:
     return _run_display(rel)
 
 
-def _runs(rel) -> list[tuple[object, int]]:
+@functools.lru_cache(maxsize=256)
+def _runs(rel: tuple) -> tuple[tuple[object, int], ...]:
     """Each run of equal consecutive letters of a relator, as (letter, length).
 
-    A plain scan: relators are a few letters long, and itertools.groupby
-    costs more per relator than it saves per letter there.
+    Cached: the presentations of all (p, q) share a few dozen distinct
+    relators of two to six letters, on which a call costs more than its
+    letters.
     """
-    runs = []
-    i, n = 0, len(rel)
-    while i < n:
-        letter = rel[i]
-        j = i + 1
-        while j < n and rel[j] == letter:
-            j += 1
-        runs.append((letter, j - i))
-        i = j
-    return runs
+    return tuple((letter, len(list(run))) for letter, run in groupby(rel))
 
 
 def _run_display(rel) -> str:
