@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .sequences import PqParams
-from .words import Word, _positive_codes
+from .sequences import InvalidParameters, PqParams
+from .words import MAX_WORD_LETTERS, Word, _positive_codes
 
 
 class ConnectedComplexError(ValueError):
@@ -139,28 +139,36 @@ def nonconnectivity_witness(params: PqParams) -> ReplacementTrace:
 
     The schedule alternates blocks of R- and L-replacements whose sizes
     are the partial quotients of s/(t+1); the final label is s/(t+1)
-    and its word exponent e equals q + 1 exactly.
+    and its word exponent e equals q + 1 exactly.  A trace whose words
+    have more than MAX_WORD_LETTERS letters in all is refused before any
+    word is made.
     """
     d0, d_minus_1 = seed_labels(params)
     s, t = solve_replacement_equation(params)
     cf = continued_fraction(s, t + 1)
     q = params.q
-    disks = [
-        ReplacementStep("seed", d0, d0.word(q)),
-        ReplacementStep("seed", d_minus_1, d_minus_1.word(q)),
-    ]
+    steps = [("seed", d0, None), ("seed", d_minus_1, None)]  # (tag, label, pair_before)
     pair = (d0, d_minus_1)
     for block, size in enumerate(cf):
         side = "R" if block % 2 == 0 else "L"
         for _ in range(size):
             new = replacement(pair[0], pair[1], params)
-            disks.append(ReplacementStep(side, new, new.word(q), pair_before=pair))
+            steps.append((side, new, pair))
             pair = (pair[0], new) if side == "R" else (new, pair[1])
-    final = disks[-1].label
+    final = steps[-1][1]
     if (final.a, final.b) != (s, t + 1):
         raise RuntimeError(
             f"{params}: the schedule ended at {final.fraction}, not {s}/{t + 1}"
         )
     if final.e != q + 1:
         raise RuntimeError(f"{params}: the final word has e = {final.e}, not q + 1 = {q + 1}")
-    return ReplacementTrace(params=params, s=s, t=t, cf=cf, disks=tuple(disks))
+    letters = sum((q + 1) * label.d + 1 + label.e for _, label, _ in steps)
+    if letters > MAX_WORD_LETTERS:
+        raise InvalidParameters(
+            f"{params}: the witness words have {letters} letters in all, "
+            f"more than the {MAX_WORD_LETTERS} allowed"
+        )
+    disks = tuple(
+        ReplacementStep(tag, label, label.word(q), before) for tag, label, before in steps
+    )
+    return ReplacementTrace(params=params, s=s, t=t, cf=cf, disks=disks)

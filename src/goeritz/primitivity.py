@@ -466,22 +466,29 @@ def is_primitive_whitehead(w) -> bool:
     return len(spelled) == 1
 
 
-def oz_canonical_word(m: int, n: int) -> CyclicWord:
-    """The positive normal form with m z's and n y's, for 1 <= m <= n coprime.
+def _normal_form(m: int, n: int) -> str:
+    """The positive normal form with m x's and n y's, spelled, for 1 <= m <= n coprime.
 
-    Letter i of the product is z exactly when 1 + (i-1)*m falls in the
-    residues 1..m modulo m+n.
+    Letter k (from 0) is x exactly when k*m falls in the residues
+    0..m-1 modulo m+n, that is when k is the ceiling of j*(m+n)/m for
+    some j; so the word is built one run of y's per x.
     """
     if m < 1 or n < m:
         raise ValueError(f"need 1 <= m <= n, got ({m}, {n})")
     if math.gcd(m, n) != 1:
         raise ValueError(f"({m}, {n}) are not coprime")
     period = m + n
-    codes = []
-    for k in range(period):
-        i = (1 + k * m) % period
-        codes.append(3 if 1 <= i <= m else 2)
-    return CyclicWord(codes)
+    starts = [-(-j * period // m) for j in range(m + 1)]
+    return "".join("x" + "y" * (end - start - 1) for start, end in zip(starts, starts[1:]))
+
+
+def oz_canonical_word(m: int, n: int) -> CyclicWord:
+    """The positive normal form with m z's and n y's, for 1 <= m <= n coprime.
+
+    Letter i of the product is z exactly when 1 + (i-1)*m falls in the
+    residues 1..m modulo m+n.
+    """
+    return CyclicWord._of_reduced_spelling(_normal_form(m, n).replace("x", "z"))
 
 
 _SWAP_XY = str.maketrans("xy", "yx")
@@ -505,7 +512,8 @@ def is_primitive_positive(w) -> bool:
         return False
     if m > n:
         spelled, m, n = spelled.translate(_SWAP_XY), n, m
-    return CyclicWord(_unspell(spelled.replace("x", "z"))) == oz_canonical_word(m, n)
+    form = _normal_form(m, n)
+    return spelled in form + form  # a word of its length is a rotation of it
 
 
 class FilterOutcome(Enum):
@@ -528,66 +536,52 @@ class FilterVerdict:
     witness: Optional[FilterWitness] = None
 
 
-def _scan_patterns(codes: tuple[int, ...]) -> Optional[tuple[str, int, str, int]]:
-    """Look for {xy, xy^-1} or {xy^n x, y^(n+2)} in a cyclically reduced word."""
-    n = len(codes)
+# A gap of an x: the x and the positive y letters up to the next x,
+# which the lookahead leaves for the next match.
+_CLEAN_GAP = re.compile("x(y*)(?=x)")
+_Y_RUN = re.compile("y+")
+_FLIP_Y = str.maketrans("yY", "Yy")
+
+
+def _scan_patterns(spelled: str) -> Optional[tuple[str, int, str, int]]:
+    """Look for {xy, xy^-1} or {xy^n x, y^(n+2)} in a cyclically reduced
+    word spelled over x, X, y, Y; offsets are letter positions in it."""
+    n = len(spelled)
     if n < 2:
         return None
-    xy_at = xY_at = None
-    for i, c in enumerate(codes):
-        if c == _X:
-            nxt = codes[(i + 1) % n]
-            if nxt == _Y and xy_at is None:
-                xy_at = i
-            elif nxt == -_Y and xY_at is None:
-                xY_at = i
-    if xy_at is not None and xY_at is not None:
+    doubled = spelled + spelled
+    xy_at, xY_at = doubled.find("xy"), doubled.find("xY")
+    if xy_at >= 0 and xY_at >= 0:
         return ("xy", xy_at, "xy^-1", xY_at)
 
-    x_positions = [i for i, c in enumerate(codes) if c == _X]
-    if len(x_positions) < 2:
+    if spelled.count("x") < 2:
         return None
-    # clean gaps: y-power subwords flanked by two x's
-    gaps: list[tuple[int, int]] = []
-    for k, start in enumerate(x_positions):
-        end = x_positions[(k + 1) % len(x_positions)]
-        width = (end - start - 1) % n
-        if all(codes[(start + 1 + t) % n] == _Y for t in range(width)):
-            gaps.append((width, start))
+    # clean gaps: y-power subwords flanked by two x's; the gap of the last
+    # x runs on to the first x of the second copy
+    end = n + spelled.index("x") + 1
+    gaps = [(len(gap.group(1)), gap.start()) for gap in _CLEAN_GAP.finditer(doubled, 0, end)]
     if not gaps:
         return None
-    # longest cyclic run of positive y letters
-    best_run, best_at = 0, 0
-    i = 0
-    while i < n:
-        if codes[i] == _Y and (i > 0 or codes[-1] != _Y):
-            j = i
-            run = 0
-            while run < n and codes[j % n] == _Y:
-                run += 1
-                j += 1
-            if run > best_run:
-                best_run, best_at = run, i
-            i = j
-        else:
-            i += 1
+    # the longest cyclic run of positive y letters, and its first start
+    # (the word has an x, so no run is the whole word)
+    best_run = max(map(len, _Y_RUN.findall(doubled)), default=0)
     gap, gap_at = min(gaps)
     if best_run >= gap + 2:
+        best_at = doubled.find("y" * best_run)
         first = "x^2" if gap == 0 else ("xyx" if gap == 1 else f"xy^{gap}x")
         return (first, gap_at, f"y^{gap + 2}", best_at)
     return None
 
 
-def _symmetry_variants(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """w, w^-1, the y-flip of w and the y-flip of w^-1.
+def _symmetry_variants(spelled: str) -> tuple[str, str, str, str]:
+    """w, w^-1, the y-flip of w and the y-flip of w^-1, spelled.
 
     These symmetries keep primitivity and the filter's verdict, so the
     filter scans all four and the word-level sweeps check one of each
     class.
     """
-    inverted = tuple(-c for c in reversed(codes))
-    flip = lambda codes: tuple(-c if abs(c) == _Y else c for c in codes)
-    return codes, inverted, flip(codes), flip(inverted)
+    inverted = spelled[::-1].swapcase()
+    return spelled, inverted, spelled.translate(_FLIP_Y), inverted.translate(_FLIP_Y)
 
 
 _VARIANT_NAMES = ("w", "w^-1", "y-flip of w", "y-flip of w^-1")
@@ -600,9 +594,9 @@ def nonprimitivity_filter(w) -> FilterVerdict:
     normalizations: as given, inverted, with the sign of y flipped, and
     both.
     """
-    core = _unspell(_cyclic_core(_rank2_spelling(w)))
-    for name, codes in zip(_VARIANT_NAMES, _symmetry_variants(core)):
-        hit = _scan_patterns(codes)
+    core = _cyclic_core(_rank2_spelling(w))
+    for name, variant in zip(_VARIANT_NAMES, _symmetry_variants(core)):
+        hit = _scan_patterns(variant)
         if hit is not None:
             first, i, second, j = hit
             return FilterVerdict(

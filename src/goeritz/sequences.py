@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .words import Word, _positive_codes, cyclically_equal, reverse, swap_generators
+from .words import MAX_WORD_LETTERS, Word, _positive_codes
 
 
 class InvalidParameters(ValueError):
@@ -72,7 +72,14 @@ def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
 
     Each word is made from the one before: w_{j+1} is w_j with the
     letter at 0-based position (j * qbar) mod p turned from y to z.
+    A sequence of more than MAX_WORD_LETTERS letters in all is refused
+    at the first step, before its first word is made.
     """
+    if p * (p + 1) > MAX_WORD_LETTERS:
+        raise InvalidParameters(
+            f"the sequence of p = {p} has p(p+1) = {p * (p + 1)} letters, "
+            f"more than the {MAX_WORD_LETTERS} allowed"
+        )
     letters = bytearray(b"y" * p)
     yield bytes(letters)
     for j in range(p):
@@ -107,10 +114,11 @@ def pq_sequence(params: PqParams) -> PqSequence:
     return PqSequence(params=params, spellings=spellings, primitive_indices=primitive_indices(params))
 
 
+_SWAP_ZY = str.maketrans("zy", "yz")
+
+
 def verify_symmetry(seq: PqSequence) -> bool:
-    """Check that w_{p-j} is a rotation of the reversed symbol swap of w_j."""
-    p = seq.params.p
-    return all(
-        cyclically_equal(seq.words[p - j], reverse(swap_generators(seq.words[j])))
-        for j in range(p + 1)
-    )
+    """Check that w_{p-j} is a rotation of the reversed symbol swap of w_j;
+    as all the words have p letters, that it occurs in w_{p-j} written twice."""
+    words = seq.spellings
+    return all(w[::-1].translate(_SWAP_ZY) in 2 * image for w, image in zip(words, reversed(words)))

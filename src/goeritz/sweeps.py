@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .classify import DisconnectedComplexError, classify, quotient_graph
@@ -25,7 +26,7 @@ from .primitivity import (
     _symmetry_variants,
 )
 from .sequences import InvalidParameters, make_params, pq_sequence, verify_symmetry
-from .words import CyclicWord, Word, least_rotation
+from .words import CyclicWord, Word, _least_rotation, _unspell
 
 
 @dataclass(frozen=True)
@@ -54,43 +55,38 @@ def coprime_pairs(max_p: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
-def positive_cyclic_words(max_len: int) -> Iterator[tuple[int, ...]]:
-    """Canonical rotations of all positive words over {z, y}, lengths 1..max_len."""
+def positive_cyclic_words(max_len: int) -> Iterator[str]:
+    """Canonical rotations of all positive words over {z, y}, lengths 1..max_len, spelled."""
     for n in range(1, max_len + 1):
-        for mask in range(1 << n):
-            codes = tuple(3 if (mask >> i) & 1 else 2 for i in range(n))
-            if least_rotation(codes) == codes:
-                yield codes
+        for word in map("".join, product("yz", repeat=n)):
+            if _least_rotation(word) == word:
+                yield word
 
 
-def _cyclically_reduced_words(max_len: int) -> Iterator[tuple[int, ...]]:
-    letters = (1, -1, 2, -2)
-    path: list[int] = []
+def _cyclically_reduced_words(max_len: int) -> Iterator[str]:
+    """The cyclically reduced words over x, X, y, Y of 1..max_len letters, depth first."""
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if path and (len(path) == 1 or path[-1] != -path[0]):
-            yield tuple(path)
-        if len(path) == max_len:
-            return
-        for c in letters:
-            if path and c == -path[-1]:
-                continue
-            path.append(c)
-            yield from rec()
-            path.pop()
+    def extend(word: str) -> Iterator[str]:
+        if word and word[0] != word[-1].swapcase():
+            yield word
+        if len(word) < max_len:
+            # every letter but the inverse of the last (of none, for the empty word)
+            for letter in "xXyY".replace(word[-1:].swapcase(), ""):
+                yield from extend(word + letter)
 
-    yield from rec()
+    return extend("")
 
 
-def reduced_cores(max_len: int) -> Iterator[tuple[int, ...]]:
+def reduced_cores(max_len: int) -> Iterator[str]:
     """One representative per cyclic core class, up to the symmetries the
-    filter and the oracle share: rotation, inversion and the y sign flip."""
-    for codes in _cyclically_reduced_words(max_len):
-        if least_rotation(codes) != codes:
+    filter and the oracle share: rotation, inversion and the y sign flip.
+    It is the least string among the least rotations of the four variants."""
+    for word in _cyclically_reduced_words(max_len):
+        if _least_rotation(word) != word:
             continue
-        _, *others = _symmetry_variants(codes)
-        if codes <= min(map(least_rotation, others)):
-            yield codes
+        _, *others = _symmetry_variants(word)
+        if word <= min(map(_least_rotation, others)):
+            yield word
 
 
 def sweep_four_primitives(max_p: int) -> SweepResult:
@@ -113,14 +109,15 @@ def sweep_four_primitives(max_p: int) -> SweepResult:
 def sweep_oz_vs_whitehead(max_len: int) -> SweepResult:
     failures = []
     count = 0
-    for codes in positive_cyclic_words(max_len):
+    for word in positive_cyclic_words(max_len):
         count += 1
-        by_form = is_primitive_positive(codes)
-        by_oracle = is_primitive_whitehead(codes)
+        by_form = is_primitive_positive(word)
+        by_oracle = is_primitive_whitehead(word)
         if by_form != by_oracle:
             failures.append(
                 SweepFailure(
-                    str(CyclicWord(codes)), f"normal form says {by_form}, oracle says {by_oracle}"
+                    str(CyclicWord(_unspell(word))),
+                    f"normal form says {by_form}, oracle says {by_oracle}",
                 )
             )
     return SweepResult("oz-vs-whitehead", max_len, count, tuple(failures))
@@ -129,12 +126,12 @@ def sweep_oz_vs_whitehead(max_len: int) -> SweepResult:
 def sweep_filter_soundness(max_len: int) -> SweepResult:
     failures = []
     count = 0
-    for codes in reduced_cores(max_len):
+    for word in reduced_cores(max_len):
         count += 1
-        verdict = nonprimitivity_filter(codes)
-        if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(codes):
+        verdict = nonprimitivity_filter(word)
+        if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(word):
             failures.append(
-                SweepFailure(str(Word(codes)), "filter fired on an oracle-primitive word")
+                SweepFailure(str(Word(_unspell(word))), "filter fired on an oracle-primitive word")
             )
     return SweepResult("filter-soundness", max_len, count, tuple(failures))
 

@@ -135,12 +135,11 @@ def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least rotation under the fixed letter order."""
     if len(codes) <= 1:
         return tuple(codes)
-    i = _least_rotation_start(_spell(codes))
-    return codes[i:] + codes[:i]
+    return _unspell(_least_rotation(_spell(codes)))
 
 
-def _least_rotation_start(spelled: str) -> int:
-    """Where the least rotation of a spelled word starts.
+def _least_rotation(spelled: str) -> str:
+    """The least rotation of a spelled word under the fixed letter order.
 
     Linear time, by the two-candidate scan of the doubled key string: of
     the rotations starting at i < j, compare them letter by letter; at the
@@ -166,7 +165,7 @@ def _least_rotation_start(spelled: str) -> int:
         elif i > j:
             i, j = j, i
         k = 0
-    return i
+    return spelled[i:] + spelled[:i]
 
 
 def _spell(codes: tuple[int, ...]) -> str:
@@ -266,9 +265,8 @@ class CyclicWord:
         Skips the reductions of __init__ and takes the least rotation
         directly on the text.
         """
-        i = _least_rotation_start(spelled)
         word = object.__new__(cls)
-        object.__setattr__(word, "_codes", _unspell(spelled[i:] + spelled[:i]))
+        object.__setattr__(word, "_codes", _unspell(_least_rotation(spelled)))
         return word
 
     @property

@@ -322,3 +322,49 @@ def test_sweep_witness_refuses_bounds_below_the_first_disconnected_pair(capsys):
         assert out == "" and err == f"error: the witness bound must be at least 12, got {bound}\n"
     code, out, _ = run(capsys, "sweep", "witness", "--max-p", "12")
     assert code == 0 and "1 subjects, 0 failures" in out
+
+
+def test_hostile_p_is_refused_before_anything_is_made():
+    """A sequence, shell, report or witness past the letter cap exits 2
+    with an error and no output.  Each runs in a child process whose
+    address space is capped at 1.5 GB, so a command that starts making
+    its words fails there with a MemoryError instead of filling memory."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import goeritz
+
+    limit = 1536 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(Path(goeritz.__file__).resolve().parents[1]))
+    hostile = (
+        ("sequence", "200000", "7"),
+        ("shell", "200000", "7"),
+        ("report", "200000", "7"),
+        ("witness", "200003", "1000"),
+        ("sequence", "100000", "1"),
+    )
+    for argv in hostile:
+        done = subprocess.run(
+            [sys.executable, "-m", "goeritz.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr[-300:])
+        assert done.stderr.startswith("error: ") and "10000000 allowed" in done.stderr, argv
+
+
+def test_the_letter_cap_spares_classify_presentation_and_smaller_p(capsys):
+    from goeritz.sequences import InvalidParameters, spelled_sequence
+
+    assert next(spelled_sequence(3161, 7)) == b"y" * 3161  # p(p+1) = 9,995,082
+    with pytest.raises(InvalidParameters, match="p\\(p\\+1\\) = 10001406 letters"):
+        next(spelled_sequence(3162, 7))
+    for argv in (("classify", "200000", "7"), ("presentation", "200000", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err, argv

@@ -1,7 +1,11 @@
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import goeritz
 from goeritz import words
 from goeritz.words import (
     MAX_WORD_LETTERS,
@@ -23,6 +27,8 @@ from goeritz.words import (
     substitute,
     swap_generators,
 )
+
+from test_whitehead_powers import FIXED
 
 SIX_LETTERS = (1, -1, 2, -2, 3, -3)
 SYMBOLS = {1: "x", 2: "y", 3: "z"}
@@ -295,3 +301,38 @@ def test_spell_caret_and_free_reduction_match_the_letter_loops():
         assert _spell(codes) == reference_spell(codes)
         assert _caret(codes) == reference_caret(codes)
         assert free_reduce_codes(codes + tuple(-c for c in reversed(codes))) == ()
+
+
+# --- properties of the word algebra, over each two-letter alphabet in use
+
+
+@st.composite
+def words_over_one_alphabet(draw, count):
+    """count words over {x, y} or over {z, y}, each of up to 60 letters."""
+    letters = draw(st.sampled_from(((1, -1, 2, -2), (3, -3, 2, -2))))
+    word = st.lists(st.sampled_from(letters), max_size=60).map(Word)
+    return tuple(draw(word) for _ in range(count))
+
+
+@FIXED
+@given(words_over_one_alphabet(3))
+def test_word_algebra_properties(words):
+    u, v, t = words
+    assert ~~u == u
+    assert u * ~u == Word()
+    assert (u * v) * t == u * (v * t)
+    assert CyclicWord(u * v) == CyclicWord(v * u)
+    # the empty word is written 1, which is not word text; it parses from ""
+    assert parse_word(str(u) if len(u) else "") == u
+
+
+def test_the_package_checks_invariants_without_assert():
+    """python -O strips assert statements, so the package raises instead."""
+    package = Path(goeritz.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.glob("*.py"))) > 10 and found == []
