@@ -133,42 +133,48 @@ class ReplacementTrace:
         return self.disks[-1]
 
 
+def _schedule(pair: tuple[FareyLabel, FareyLabel], cf: tuple[int, ...], params: PqParams):
+    """The (tag, label, pair_before) of each disk of the trace, in order:
+    the two seeds, then blocks of R- and L-replacements sized by cf."""
+    yield "seed", pair[0], None
+    yield "seed", pair[1], None
+    for block, size in enumerate(cf):
+        side = "R" if block % 2 == 0 else "L"
+        for _ in range(size):
+            new = replacement(pair[0], pair[1], params)
+            yield side, new, pair
+            pair = (pair[0], new) if side == "R" else (new, pair[1])
+
+
 def nonconnectivity_witness(params: PqParams) -> ReplacementTrace:
     """Run the full replacement schedule; the final disk is primitive
     while the two starting disks next to it are not.
 
     The schedule alternates blocks of R- and L-replacements whose sizes
     are the partial quotients of s/(t+1); the final label is s/(t+1)
-    and its word exponent e equals q + 1 exactly.  A trace whose words
-    have more than MAX_WORD_LETTERS letters in all is refused before any
-    word is made.
+    and its word exponent e equals q + 1 exactly.  The trace is refused
+    as soon as its words would pass MAX_WORD_LETTERS letters in all,
+    before the word that passes it is made.
     """
-    d0, d_minus_1 = seed_labels(params)
+    seeds = seed_labels(params)
     s, t = solve_replacement_equation(params)
     cf = continued_fraction(s, t + 1)
     q = params.q
-    steps = [("seed", d0, None), ("seed", d_minus_1, None)]  # (tag, label, pair_before)
-    pair = (d0, d_minus_1)
-    for block, size in enumerate(cf):
-        side = "R" if block % 2 == 0 else "L"
-        for _ in range(size):
-            new = replacement(pair[0], pair[1], params)
-            steps.append((side, new, pair))
-            pair = (pair[0], new) if side == "R" else (new, pair[1])
-    final = steps[-1][1]
+    disks = []
+    letters = 0
+    for tag, label, pair_before in _schedule(seeds, cf, params):
+        letters += (q + 1) * label.d + 1 + label.e
+        if letters > MAX_WORD_LETTERS:
+            raise InvalidParameters(
+                f"{params}: the witness words pass {letters} letters, "
+                f"more than the {MAX_WORD_LETTERS} allowed"
+            )
+        disks.append(ReplacementStep(tag, label, label.word(q), pair_before))
+    final = disks[-1].label
     if (final.a, final.b) != (s, t + 1):
         raise RuntimeError(
             f"{params}: the schedule ended at {final.fraction}, not {s}/{t + 1}"
         )
     if final.e != q + 1:
         raise RuntimeError(f"{params}: the final word has e = {final.e}, not q + 1 = {q + 1}")
-    letters = sum((q + 1) * label.d + 1 + label.e for _, label, _ in steps)
-    if letters > MAX_WORD_LETTERS:
-        raise InvalidParameters(
-            f"{params}: the witness words have {letters} letters in all, "
-            f"more than the {MAX_WORD_LETTERS} allowed"
-        )
-    disks = tuple(
-        ReplacementStep(tag, label, label.word(q), before) for tag, label, before in steps
-    )
-    return ReplacementTrace(params=params, s=s, t=t, cf=cf, disks=disks)
+    return ReplacementTrace(params=params, s=s, t=t, cf=cf, disks=tuple(disks))

@@ -116,7 +116,7 @@ def sweep_oz_vs_whitehead(max_len: int) -> SweepResult:
         if by_form != by_oracle:
             failures.append(
                 SweepFailure(
-                    str(CyclicWord(_unspell(word))),
+                    str(CyclicWord._of_reduced_spelling(word)),
                     f"normal form says {by_form}, oracle says {by_oracle}",
                 )
             )

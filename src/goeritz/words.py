@@ -48,7 +48,8 @@ _RUN_PASSES = tuple(
 )
 _SINGLE_INVERSES = (("X", "x^-1"), ("Y", "y^-1"), ("Z", "z^-1"))
 
-# parse_word refuses text that would expand to more letters than this.
+# The most letters a parsed word, a whole sequence or a witness trace may
+# have: parse_word, spelled_sequence and nonconnectivity_witness refuse more.
 MAX_WORD_LETTERS = 10_000_000
 
 

@@ -344,6 +344,7 @@ def test_hostile_p_is_refused_before_anything_is_made():
         ("shell", "200000", "7"),
         ("report", "200000", "7"),
         ("witness", "200003", "1000"),
+        ("witness", "200000004", "100000001"),
         ("sequence", "100000", "1"),
     )
     for argv in hostile:
