@@ -37,15 +37,17 @@ from .primitivity import (
     whitehead_trace,
 )
 from .report import (
-    build_report,
+    SEQUENCE_CLASS,
     params_dict,
-    report_dict,
-    shell_dict,
+    sequence_rows,
     structure_dict,
     witness_dict,
+    write_report_json,
+    write_sequence_json,
+    write_shell_json,
 )
-from .sequences import InvalidParameters, make_params, pq_sequence
-from .shells import ShellKind, build_shell, intersection_number
+from .sequences import InvalidParameters, check_sequence_size, make_params, primitive_indices
+from .shells import DiskClass, ShellKind, build_shell, intersection_number
 from .sweeps import DEFAULT_BOUNDS, run_sweep
 from .words import MixedAlphabetError, WordParseError, parse_word
 
@@ -112,58 +114,34 @@ def cmd_primitive(args) -> int:
     return 0 if verdict else 1
 
 
-def _sequence_class(j: int, seq) -> str:
-    if j in (0, seq.params.p):
-        return "semiprimitive-endpoint"
-    if j in seq.primitive_indices:
-        return "primitive"
-    return "other"
-
-
 def cmd_sequence(args) -> int:
     params = make_params(args.p, args.q)
-    seq = pq_sequence(params)
-    rows = []
-    mismatch = 0
-    for j, spelling in enumerate(seq.spellings):
-        row = {"j": j, "word": spelling, "class": _sequence_class(j, seq)}
-        if args.verify:
-            oracle = is_primitive_whitehead(spelling)
-            row["oracle_primitive"] = oracle
-            if oracle != (j in seq.primitive_indices):
-                mismatch += 1
-        rows.append(row)
     if args.json:
-        data = {
-            "params": params_dict(params),
-            "rows": rows,
-        }
+        return 0 if write_sequence_json(params, args.verify, sys.stdout.write) == 0 else 3
+    check_sequence_size(params.p)
+    print(
+        f"({params.p},{params.q})-sequence: q' = {params.q_prime}, "
+        f"connected = {'yes' if params.connected else 'no'}"
+    )
+    mismatch = 0
+    for j, word, cls, oracle in sequence_rows(params, args.verify):
+        line = f"  {j:>3}  {word}  {SEQUENCE_CLASS[cls]}"
         if args.verify:
-            data["oracle_agreement"] = mismatch == 0
-        _print_json(data)
-    else:
-        print(
-            f"({params.p},{params.q})-sequence: q' = {params.q_prime}, "
-            f"connected = {'yes' if params.connected else 'no'}"
-        )
-        width = max(len(r["word"]) for r in rows)
-        for row in rows:
-            line = f"  {row['j']:>3}  {row['word']:<{width}}  {row['class']}"
-            if args.verify:
-                line += f"  oracle={'primitive' if row['oracle_primitive'] else 'not-primitive'}"
-            print(line)
-        if args.verify:
-            print(f"oracle agreement: {'ok' if mismatch == 0 else f'{mismatch} mismatches'}")
+            line += f"  oracle={'primitive' if oracle else 'not-primitive'}"
+            mismatch += oracle != (cls is DiskClass.PRIMITIVE)
+        print(line)
+    if args.verify:
+        print(f"oracle agreement: {'ok' if mismatch == 0 else f'{mismatch} mismatches'}")
     return 0 if mismatch == 0 else 3
 
 
 def cmd_shell(args) -> int:
     params = make_params(args.p, args.q)
     kind = ShellKind(args.kind)
-    shell = build_shell(params, kind)
     if args.json:
-        _print_json({"params": params_dict(params), "shell": shell_dict(shell)})
+        write_shell_json(params, kind, sys.stdout.write)
         return 0
+    shell = build_shell(params, kind)
     p = params.p
     print(f"{shell.label()} for {params} (kind {kind.value})")
     width = max(len(e.text) for e in shell.entries)
@@ -265,30 +243,31 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = build_report(args.p, args.q)
+    params = make_params(args.p, args.q)
     if args.json:
-        _print_json(report_dict(report))
+        write_report_json(params, sys.stdout.write)
         return 0
-    d = report_dict(report)
-    params = report.params
+    check_sequence_size(params.p)
+    structure = classify(params)
+    trace = None if params.connected else nonconnectivity_witness(params)
+    pres = goeritz_presentation(params) if params.connected else None
     print(f"report for {params}")
     print(
         f"  p = {params.p}, q = {params.q}, q' = {params.q_prime}, r = {params.r}, "
         f"m = {params.m}"
     )
-    print(f"  homeomorphic slopes: {d['params']['homeomorphism_slopes']}")
+    print(f"  homeomorphic slopes: {list(params.homeomorphism_slopes)}")
     print(f"  connected: {'yes' if params.connected else 'no'}")
-    print(f"  structure case: {d['structure']['case_tag']} {d['structure']['clause']}")
-    print(f"  sequence primitive indices: {d['sequence']['primitive_indices']}")
-    if report.witness is not None:
-        w = d["witness"]
+    print(f"  structure case: {structure.case_tag.value} {structure.case_tag.clause}")
+    print(f"  sequence primitive indices: {sorted(primitive_indices(params))}")
+    if trace is not None:
         print(
-            f"  witness: s = {w['s']}, t = {w['t']}, continued fraction "
-            f"{w['continued_fraction']}, {len(w['disks'])} disks, final word {w['disks'][-1]['word']}"
+            f"  witness: s = {trace.s}, t = {trace.t}, continued fraction "
+            f"{list(trace.cf)}, {len(trace.disks)} disks, final word {trace.disks[-1].word}"
         )
-    if report.presentation is not None:
-        print(f"  presentation: {render(report.presentation, 'text')}")
-        ab = d["abelianization"]
+    if pres is not None:
+        print(f"  presentation: {render(pres, 'text')}")
+        ab = abelianization_dict(abelianize_presentation(pres))
         print(f"  abelianization: torsion {ab['torsion']}, free rank {ab['free_rank']}")
     return 0
 

@@ -67,6 +67,19 @@ def make_params(p: int, q: int) -> PqParams:
     return PqParams(p=p, q=q, q_prime=q_prime, r=r, m=m, connected=connected)
 
 
+def check_sequence_size(p: int) -> None:
+    """Refuse a (p, q)-sequence of more than MAX_WORD_LETTERS letters in all.
+
+    The shells and the report of L(p,q) are made from its words, so the
+    same cap refuses them.
+    """
+    if p * (p + 1) > MAX_WORD_LETTERS:
+        raise InvalidParameters(
+            f"the sequence of p = {p} has p(p+1) = {p * (p + 1)} letters, "
+            f"more than the {MAX_WORD_LETTERS} allowed"
+        )
+
+
 def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
     """The spellings of w_0, ..., w_p of the (p, qbar)-sequence, as bytes.
 
@@ -75,11 +88,7 @@ def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
     A sequence of more than MAX_WORD_LETTERS letters in all is refused
     at the first step, before its first word is made.
     """
-    if p * (p + 1) > MAX_WORD_LETTERS:
-        raise InvalidParameters(
-            f"the sequence of p = {p} has p(p+1) = {p * (p + 1)} letters, "
-            f"more than the {MAX_WORD_LETTERS} allowed"
-        )
+    check_sequence_size(p)
     letters = bytearray(b"y" * p)
     yield bytes(letters)
     for j in range(p):

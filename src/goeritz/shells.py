@@ -15,6 +15,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import isqrt
 from typing import Iterator
 
 from .sequences import PqParams, spelled_sequence
@@ -55,6 +56,17 @@ def shell_primitive_indices(params: PqParams, kind: ShellKind) -> frozenset[int]
         params.q_prime if kind in (ShellKind.Q, ShellKind.P_MINUS_Q) else params.q
     )
     return frozenset({1, companion, p - companion, p - 1})
+
+
+def disk_class(j: int, p: int, primitive: frozenset[int]) -> DiskClass:
+    """The class of disk j of a shell (or word j of a sequence) of p+1,
+    whose primitive positions are `primitive`: the two ends are
+    semiprimitive."""
+    if j in (0, p):
+        return DiskClass.SEMIPRIMITIVE
+    if j in primitive:
+        return DiskClass.PRIMITIVE
+    return DiskClass.NEITHER
 
 
 @dataclass(frozen=True)
@@ -98,9 +110,14 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
     and the y letters up to the next z; the y letters before the first z
     form the leading run.  Turning the y at position t into a z splits
     the run that covered t, so only two tokens change: the run's owner
-    (the previous z, or the leading run) and t's own.
+    (the previous z, or the leading run) and t's own.  The tokens are
+    kept joined in blocks of about sqrt(p) positions, and only the blocks
+    of the changed tokens are joined again, so a word costs a join of
+    O(sqrt(p)) strings, not of p.
     """
     tokens = [""] * p  # the token of each z position, "" at a y
+    size = isqrt(p) + 1
+    blocks = [""] * (p // size + 1)  # blocks[b]: tokens[b*size:(b+1)*size] joined
     zs: list[int] = []  # the z positions, sorted
     lead = _y_run(p)
     yield lead
@@ -108,14 +125,18 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
         t = j * qbar % p
         at = bisect(zs, t)
         end = zs[at] if at < len(zs) else p
+        changed = {t // size}
         if at:
             owner = zs[at - 1]
             tokens[owner] = "x" + _y_run(t - owner)
+            changed.add(owner // size)
         else:
             lead = _y_run(t)
         tokens[t] = "x" + _y_run(end - t)
         zs.insert(at, t)
-        yield lead + "".join(tokens)
+        for b in changed:
+            blocks[b] = "".join(tokens[b * size:(b + 1) * size])
+        yield lead + "".join(blocks)
 
 
 def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:
@@ -126,12 +147,7 @@ def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:
     entries = []
     texts = _shell_texts(p, slope)
     for j, (text, spelled) in enumerate(zip(texts, spelled_sequence(p, slope))):
-        if j in (0, p):
-            cls = DiskClass.SEMIPRIMITIVE
-        elif j in primitive:
-            cls = DiskClass.PRIMITIVE
-        else:
-            cls = DiskClass.NEITHER
+        cls = disk_class(j, p, primitive)
         entries.append(ShellEntry(index=j, text=text, spelled=spelled, disk_class=cls))
     return Shell(params=params, kind=kind, slope=slope, entries=tuple(entries))
 

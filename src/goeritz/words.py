@@ -397,9 +397,12 @@ def parse_word(text: str) -> Word:
     """Parse caret notation: atoms are a letter with an optional ^exponent.
 
     Letters x, y, z are positive, X, Y, Z their inverses; whitespace is
-    ignored, so "x y^5 x y^-2" and "xy^5xy^-2" parse identically.  Text
+    ignored, so "x y^5 x y^-2" and "xy^5xy^-2" parse identically.  A lone
+    1, the way `str` writes the empty word, parses as the empty word.  Text
     that would expand to more than MAX_WORD_LETTERS letters is refused.
     """
+    if text.strip() == "1":
+        return Word()
     codes: list[int] = []
     i = 0
     n = len(text)

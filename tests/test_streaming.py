@@ -1,0 +1,231 @@
+"""`report`, `sequence` and `shell` write their output as it is made.
+
+Their `--json` output must stay byte for byte what
+`json.dumps(<dict>, ensure_ascii=False, indent=2)` printed of the dicts
+they stand for, and their text output what it was when it was read off
+those dicts; the dicts and the text renderings they replaced are kept
+here as the reference.  The inputs are every coprime pair with p <= 60
+and every `report` pair of the benchmark's verify-long passes, seeds 1-3.
+Streamed, `report 3000 7` holds O(p), not the Theta(p^2) of the dicts.
+"""
+
+import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import goeritz
+from goeritz import cli
+from goeritz.presentations import render
+from goeritz.primitivity import is_primitive_whitehead
+from goeritz.report import build_report, params_dict, report_dict, shell_dict
+from goeritz.sequences import make_params, pq_sequence
+from goeritz.shells import ShellKind, build_shell
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+SMALL = [(p, q) for p in range(2, 61) for q in range(1, p) if math.gcd(p, q) == 1]
+VERIFY_LONG = sorted(
+    {
+        (s["p"], s["q"])
+        for seed in (1, 2, 3)
+        for s in workloads.generate("verify-long", seed)
+        if s["kind"] == "report"
+    }
+)
+PAIRS = SMALL + VERIFY_LONG
+
+
+def dumped(data) -> str:
+    return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
+
+
+@pytest.fixture
+def run(capsys, monkeypatch):
+    """`main` on argv: (exit code, stdout, stderr).  The parser is built
+    once here, as a process that runs one command builds it once, so the
+    thousands of calls below take seconds, not a minute."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    def run(*argv):
+        code = cli.main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
+
+
+# --- the references: what the verbs printed before they streamed
+
+
+def _sequence_class(j: int, seq) -> str:
+    if j in (0, seq.params.p):
+        return "semiprimitive-endpoint"
+    if j in seq.primitive_indices:
+        return "primitive"
+    return "other"
+
+
+def reference_sequence(p: int, q: int, verify: bool) -> tuple[dict, list[dict]]:
+    """The dict `sequence --json` printed, and its rows."""
+    params = make_params(p, q)
+    seq = pq_sequence(params)
+    rows = []
+    mismatch = 0
+    for j, spelling in enumerate(seq.spellings):
+        row = {"j": j, "word": spelling, "class": _sequence_class(j, seq)}
+        if verify:
+            oracle = is_primitive_whitehead(spelling)
+            row["oracle_primitive"] = oracle
+            if oracle != (j in seq.primitive_indices):
+                mismatch += 1
+        rows.append(row)
+    data = {"params": params_dict(params), "rows": rows}
+    if verify:
+        data["oracle_agreement"] = mismatch == 0
+    return data, rows
+
+
+def reference_sequence_text(p: int, q: int, verify: bool) -> str:
+    data, rows = reference_sequence(p, q, verify)
+    params = data["params"]
+    lines = [
+        f"({params['p']},{params['q']})-sequence: q' = {params['q_prime']}, "
+        f"connected = {'yes' if params['connected'] else 'no'}"
+    ]
+    width = max(len(r["word"]) for r in rows)
+    for row in rows:
+        line = f"  {row['j']:>3}  {row['word']:<{width}}  {row['class']}"
+        if verify:
+            line += f"  oracle={'primitive' if row['oracle_primitive'] else 'not-primitive'}"
+        lines.append(line)
+    if verify:
+        lines.append(f"oracle agreement: {'ok' if data['oracle_agreement'] else 'mismatches'}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_report_text(p: int, q: int) -> str:
+    report = build_report(p, q)
+    d = report_dict(report)
+    params = report.params
+    lines = [
+        f"report for {params}",
+        f"  p = {params.p}, q = {params.q}, q' = {params.q_prime}, r = {params.r}, "
+        f"m = {params.m}",
+        f"  homeomorphic slopes: {d['params']['homeomorphism_slopes']}",
+        f"  connected: {'yes' if params.connected else 'no'}",
+        f"  structure case: {d['structure']['case_tag']} {d['structure']['clause']}",
+        f"  sequence primitive indices: {d['sequence']['primitive_indices']}",
+    ]
+    if report.witness is not None:
+        w = d["witness"]
+        lines.append(
+            f"  witness: s = {w['s']}, t = {w['t']}, continued fraction "
+            f"{w['continued_fraction']}, {len(w['disks'])} disks, final word {w['disks'][-1]['word']}"
+        )
+    if report.presentation is not None:
+        lines.append(f"  presentation: {render(report.presentation, 'text')}")
+        ab = d["abelianization"]
+        lines.append(f"  abelianization: torsion {ab['torsion']}, free rank {ab['free_rank']}")
+    return "\n".join(lines) + "\n"
+
+
+# --- byte identity
+
+
+def test_the_inputs_cover_both_kinds_of_complex():
+    assert len(VERIFY_LONG) >= 40 and max(p for p, _ in VERIFY_LONG) >= 290
+    assert {make_params(p, q).connected for p, q in VERIFY_LONG} == {True, False}
+
+
+def test_report_json_is_the_dump_of_report_dict(run):
+    for p, q in PAIRS:
+        assert run("report", p, q, "--json") == (
+            0, dumped(report_dict(build_report(p, q))), ""
+        ), (p, q)
+
+
+def test_report_text_is_the_summary_of_report_dict(run):
+    for p, q in SMALL:
+        assert run("report", p, q) == (0, reference_report_text(p, q), ""), (p, q)
+
+
+def test_shell_json_is_the_dump_of_shell_dict(run):
+    for p, q in PAIRS:
+        params = make_params(p, q)
+        for kind in ShellKind:
+            want = {"params": params_dict(params), "shell": shell_dict(build_shell(params, kind))}
+            assert run("shell", p, q, "--kind", kind.value, "--json") == (
+                0, dumped(want), ""
+            ), (p, q, kind)
+
+
+def test_sequence_json_is_the_dump_of_the_row_dicts(run):
+    for p, q in PAIRS:
+        assert run("sequence", p, q, "--json") == (
+            0, dumped(reference_sequence(p, q, False)[0]), ""
+        ), (p, q)
+        assert run("sequence", p, q, "--verify", "--json") == (
+            0, dumped(reference_sequence(p, q, True)[0]), ""
+        ), (p, q)
+
+
+def test_sequence_text_is_the_table_of_the_row_dicts(run):
+    for p, q in SMALL:
+        for verify in (False, True):
+            flags = ("--verify",) if verify else ()
+            assert run("sequence", p, q, *flags) == (
+                0, reference_sequence_text(p, q, verify), ""
+            ), (p, q, verify)
+
+
+def test_a_refused_stream_writes_nothing(run):
+    """Errors come before the first byte: a stream cut short would be
+    neither the old output nor valid JSON."""
+    for argv in (("report", 3162, 7, "--json"), ("sequence", 3162, 7, "--verify", "--json"),
+                 ("shell", 3162, 7, "--json"), ("report", 3162, 7), ("sequence", 3162, 7),
+                 ("report", 6, 4, "--json"), ("shell", 9, 3, "--json")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+
+
+# --- memory
+
+_CHILD = """
+import sys
+from goeritz.cli import main
+
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as f:
+    peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+sys.stderr.write(f"{code} {peak_kb}\\n")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_report_3000_peaks_below_60_mb():
+    """The child's own peak resident memory (VmHWM), its output going to
+    /dev/null; the dicts of the whole report took 253 MB (`--json`) and
+    109 MB (text)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(goeritz.__file__).resolve().parents[1]))
+    for argv in (("report", "3000", "7", "--json"), ("report", "3000", "7")):
+        done = subprocess.run(
+            [sys.executable, "-c", _CHILD, *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        code, peak_kb = map(int, done.stderr.split()[-2:])
+        assert code == 0 and peak_kb < 60 * 1024, (argv, peak_kb, done.stderr[-300:])

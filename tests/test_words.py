@@ -336,3 +336,18 @@ def test_the_package_checks_invariants_without_assert():
         if isinstance(node, ast.Assert)
     ]
     assert len(list(package.glob("*.py"))) > 10 and found == []
+
+
+def test_a_lone_1_parses_as_the_empty_word(capsys):
+    from goeritz.cli import main
+
+    assert str(Word()) == "1"
+    for text in ("1", " 1", "1 ", "\t1\n"):
+        assert parse_word(text) == Word(), repr(text)
+    for text in ("11", "1x", "x 1", "1^2", "x^1 1"):
+        with pytest.raises(WordParseError):
+            parse_word(text)
+    # `primitive 1` decides the empty word as `primitive ''` does
+    assert main(["primitive", "1"]) == main(["primitive", ""]) == 1
+    first, second = capsys.readouterr().out.split("method: whitehead\n", 1)[0], None
+    assert first == "word: 1\n"
