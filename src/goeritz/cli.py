@@ -8,13 +8,20 @@ checks on it, run on request and by the `oz-vs-whitehead` and
 
 Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
 2 invalid input, 3 sweep found failures, 4 verdict: inconclusive (the
-filter of `primitive --method filter` decided nothing).
+filter of `primitive --method filter` decided nothing), 141 the reader
+of stdout went away before the output was written (`goeritz report 800 7
+--json | head -c 100`), as shells report a process ended by SIGPIPE.
+
+`main` builds the argument parser once per process, on its first call,
+so in-process callers pay only for their own commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .classify import DisconnectedComplexError, classify
@@ -300,6 +307,7 @@ def _add_pq(sub) -> None:
     sub.add_argument("q", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goeritz",
@@ -370,11 +378,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of a command whose stdout was closed early: 128 + SIGPIPE,
+# outside the verdict codes 0-4.
+BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that is gone shows at the last write, so flush here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull, so
+        # that flush fails neither loudly nor with exit code 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (
         InvalidParameters,
         WordParseError,

@@ -208,7 +208,7 @@ def _write_shell(params: PqParams, kind: ShellKind, depth: int, write: Write) ->
     sep = ""
     for j, text in enumerate(_shell_texts(p, slope)):
         write(
-            f'{sep}{pad2}{{{pad3}"index": {j},{pad3}"word": {_quote(text)},'
+            f'{sep}{pad2}{{{pad3}"index": {j},{pad3}"word": "{text}",'
             f'{pad3}"class": {_QUOTED_CLASS[disk_class(j, p, primitive)]}{pad2}}}'
         )
         sep = ","
@@ -245,7 +245,7 @@ def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     sep = ""
     for j, word, cls, oracle in sequence_rows(params, verify):
         row = (
-            f'{sep}{pad1}{{{pad2}"j": {j},{pad2}"word": {_quote(word)},'
+            f'{sep}{pad1}{{{pad2}"j": {j},{pad2}"word": "{word}",'
             f'{pad2}"class": {_QUOTED_SEQUENCE_CLASS[cls]}'
         )
         if verify:
@@ -276,10 +276,10 @@ def write_report_json(params: PqParams, write: Write) -> None:
         tail["witness"] = witness_dict(nonconnectivity_witness(params))
 
     write(f'{{\n  "params": {_json(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
-    sep = "\n      "
+    sep = '\n      "'
     for spelled in spelled_sequence(params.p, params.q):
-        write(sep + _quote(spelled.decode("ascii")))
-        sep = ",\n      "
+        write(sep + spelled.decode("ascii") + '"')
+        sep = ',\n      "'
     indices = _json(sorted(primitive_indices(params)), 2)
     write(f'\n    ],\n    "primitive_indices": {indices}\n  }},\n  "shells": [')
     sep = "\n    "

@@ -5,14 +5,14 @@ Whitehead oracle or against exact arithmetic, reporting every failure.
 The word-level sweeps enumerate distinct cyclic cores: the filter and
 the oracle depend only on the cyclic core of a word (both reduce first
 and are rotation-invariant), so canonical representatives cover all
-reduced words of the stated length.
+reduced words of the stated length.  The representatives are generated
+as necklaces, not filtered out of all words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .classify import DisconnectedComplexError, classify, quotient_graph
@@ -55,37 +55,49 @@ def coprime_pairs(max_p: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
+def _necklaces(letters: str, max_len: int) -> Iterator[str]:
+    """The necklaces of 1..max_len letters over `letters`, ranked in the
+    order given, with no letter next to its inverse, cyclically; spelled,
+    in lexicographic order.
+
+    The Fredricksen-Kessler-Maiorana recursion, walked depth first with
+    a stack: a prenecklace w of t letters whose longest Lyndon prefix has
+    p letters extends by w[t-p] to a prenecklace with the same p, and by
+    each later letter to a Lyndon word (p = t + 1); it is a necklace iff
+    p divides t, so periodic necklaces are kept.  A letter next to the
+    inverse of the one before it cuts its branch, since every extension
+    keeps that pair; the wrap pair is checked on each necklace.
+    """
+    from_letter = {letter: letters[i:] for i, letter in enumerate(letters)}
+    stack = [(letter, 1) for letter in reversed(letters)]
+    while stack:
+        word, p = stack.pop()
+        t = len(word)
+        inverse = word[-1].swapcase()
+        if t % p == 0 and word[0] != inverse:
+            yield word
+        if t < max_len:
+            same, *later = from_letter[word[t - p]]
+            # pushed last to first, so they pop in lexicographic order
+            stack.extend((word + letter, t + 1) for letter in reversed(later) if letter != inverse)
+            if same != inverse:
+                stack.append((word + same, p))
+
+
 def positive_cyclic_words(max_len: int) -> Iterator[str]:
     """Canonical rotations of all positive words over {z, y}, lengths 1..max_len, spelled."""
-    for n in range(1, max_len + 1):
-        for word in map("".join, product("yz", repeat=n)):
-            if _least_rotation(word) == word:
-                yield word
-
-
-def _cyclically_reduced_words(max_len: int) -> Iterator[str]:
-    """The cyclically reduced words over x, X, y, Y of 1..max_len letters, depth first."""
-
-    def extend(word: str) -> Iterator[str]:
-        if word and word[0] != word[-1].swapcase():
-            yield word
-        if len(word) < max_len:
-            # every letter but the inverse of the last (of none, for the empty word)
-            for letter in "xXyY".replace(word[-1:].swapcase(), ""):
-                yield from extend(word + letter)
-
-    return extend("")
+    return _necklaces("zy", max_len)
 
 
 def reduced_cores(max_len: int) -> Iterator[str]:
     """One representative per cyclic core class, up to the symmetries the
     filter and the oracle share: rotation, inversion and the y sign flip.
     It is the least string among the least rotations of the four variants."""
-    for word in _cyclically_reduced_words(max_len):
-        if _least_rotation(word) != word:
-            continue
+    # the necklaces over x < X < y < Y are the least rotations of the
+    # cyclically reduced words
+    for word in _necklaces("xXyY", max_len):
         _, *others = _symmetry_variants(word)
-        if word <= min(map(_least_rotation, others)):
+        if all(word <= _least_rotation(other) for other in others):
             yield word
 
 

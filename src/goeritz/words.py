@@ -7,8 +7,8 @@ canonical rotation, so equality of cyclic words is plain tuple equality.
 
 The two-letter alphabets used in practice are {x, y} (boundary words
 read off a meridian system of a handlebody) and {z, y} (an abstract
-generating pair).  The rotation order puts x and z before y, and each
-positive letter before its inverse.
+generating pair).  The rotation order is x < X < z < Z < y < Y: the
+generators rank x, z, y, and each positive letter before its inverse.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ _CANCELLING_PAIR = re.compile("xX|Xx|yY|Yy|zZ|Zz")
 # Spelled positive words as bytes (b"xyz") to their codes (1, 2, 3).
 _POSITIVE_CODES = bytes.maketrans(b"xyz", b"\x01\x02\x03")
 
-# The rotation order as a key string: x and z rank equal and before y;
-# a positive letter sorts before its inverse.
-_ROTATION_KEYS = str.maketrans("xXzZyY", "ababcd")
+# The rotation order as a key string, total so that a word mixing x and z
+# has one least rotation: x < X < z < Z < y < Y.
+_ROTATION_KEYS = str.maketrans("xXzZyY", "abcdef")
 
 # Caret rendering of a spelled word: each run of two or more of one letter,
 # found by a pattern of its own (scanning for one literal letter is far
@@ -146,8 +146,7 @@ def _least_rotation(spelled: str) -> str:
     the rotations starting at i < j, compare them letter by letter; at the
     first difference at offset k, no rotation starting within k letters
     after the larger one's start can be least, so that candidate moves on
-    by k + 1.  Among rotations with equal keys (x and z rank equal) it
-    returns the one starting earliest.
+    by k + 1.
     """
     n = len(spelled)
     keys = spelled.translate(_ROTATION_KEYS) * 2

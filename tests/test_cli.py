@@ -369,3 +369,86 @@ def test_the_letter_cap_spares_classify_presentation_and_smaller_p(capsys):
     for argv in (("classify", "200000", "7"), ("presentation", "200000", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 0 and out and not err, argv
+
+
+def _child_env():
+    import os
+    from pathlib import Path
+
+    import goeritz
+
+    return dict(os.environ, PYTHONPATH=str(Path(goeritz.__file__).resolve().parents[1]))
+
+
+def test_the_parser_is_built_once_per_process_and_not_on_import():
+    import subprocess
+    import sys
+
+    child = """
+import contextlib, io
+import goeritz, goeritz.cli
+from goeritz.cli import build_parser, main
+assert build_parser.cache_info().currsize == 0, "built on import"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["primitive", "xy"], ["sequence", "8", "3"], ["primitive", "x^"],
+                 ["sweep", "symmetry", "--max-p", "6"]) * 3:
+        main(argv)
+print(build_parser.cache_info().misses)
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
+def test_a_reused_parser_gives_what_a_fresh_parser_gives(capsys, monkeypatch):
+    """Each call's output and exit code, the parser kept from call to call
+    or built afresh for each: no call may see what the one before it parsed."""
+    from goeritz import cli
+
+    calls = (
+        ("primitive", "--trace", "xy^2xy^3"),
+        ("primitive", "xy^2xy^3", "--json"),
+        ("sweep", "filter-soundness", "--max-p", "4"),
+        ("sweep", "filter-soundness", "--json", "--max-p", "5"),
+        ("sweep", "no-such-check"),
+        ("sequence", "8", "3"),
+        ("primitive",),
+        ("primitive", "--method", "filter", "xyxY"),
+    )
+
+    def results():
+        out = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            out.append((argv, code, captured.out, captured.err))
+        return out
+
+    reused = results()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = results()
+    assert reused == fresh
+    assert [code for _, code, _, _ in reused] == [
+        0, 0, 0, 0, ("SystemExit", 2), 0, ("SystemExit", 2), 1
+    ]
+
+
+def test_a_reader_that_goes_away_ends_the_command_quietly_with_141():
+    """`goeritz report 800 7 --json | head -c 100`: no traceback, and an
+    exit code that no verdict uses."""
+    import subprocess
+    import sys
+
+    child = subprocess.Popen(
+        [sys.executable, "-m", "goeritz.cli", "report", "800", "7", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    head = child.stdout.read(100)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert head.startswith(b'{\n  "params": {') and err == b""

@@ -6,7 +6,9 @@ routines read spelled text, kept verbatim as the references: the filter
 scanned the four symmetry variants as code tuples letter by letter, the
 normal form compared two `CyclicWord`s, the enumerators built code tuples
 and called `least_rotation`, and the symmetry check compared `CyclicWord`s
-of the sequence `Word`s.
+of the sequence `Word`s.  The spelled enumerators that the sweeps used
+before they generated necklaces are kept too: they spelled every
+candidate word and kept those equal to their least rotation.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from goeritz.primitivity import (
     _cyclic_core,
     _normal_form,
     _rank2_spelling,
+    _symmetry_variants,
     is_primitive_positive,
     nonprimitivity_filter,
     oz_canonical_word,
@@ -36,6 +39,7 @@ from goeritz.sweeps import coprime_pairs, run_sweep
 from goeritz.words import (
     CyclicWord,
     Word,
+    _least_rotation,
     _spell,
     _unspell,
     cyclically_equal,
@@ -190,11 +194,48 @@ def old_verify_symmetry(seq) -> bool:
     )
 
 
+# --- the spelled enumerators that filtered, verbatim
+
+
+def filtered_positive_cyclic_words(max_len: int):
+    """Canonical rotations of all positive words over {z, y}, lengths 1..max_len, spelled."""
+    for n in range(1, max_len + 1):
+        for word in map("".join, product("yz", repeat=n)):
+            if _least_rotation(word) == word:
+                yield word
+
+
+def filtered_cyclically_reduced_words(max_len: int):
+    """The cyclically reduced words over x, X, y, Y of 1..max_len letters, depth first."""
+
+    def extend(word: str):
+        if word and word[0] != word[-1].swapcase():
+            yield word
+        if len(word) < max_len:
+            # every letter but the inverse of the last (of none, for the empty word)
+            for letter in "xXyY".replace(word[-1:].swapcase(), ""):
+                yield from extend(word + letter)
+
+    return extend("")
+
+
+def filtered_reduced_cores(max_len: int):
+    """One representative per cyclic core class, up to the symmetries the
+    filter and the oracle share: rotation, inversion and the y sign flip.
+    It is the least string among the least rotations of the four variants."""
+    for word in filtered_cyclically_reduced_words(max_len):
+        if _least_rotation(word) != word:
+            continue
+        _, *others = _symmetry_variants(word)
+        if word <= min(map(_least_rotation, others)):
+            yield word
+
+
 # --- the filter
 
 
 def test_filter_matches_the_code_tuple_filter_up_to_length_nine():
-    words = list(sweeps._cyclically_reduced_words(9))
+    words = list(filtered_cyclically_reduced_words(9))
     assert len(words) == 29540
     for spelled in words:
         assert nonprimitivity_filter(spelled) == old_nonprimitivity_filter(spelled), spelled
@@ -249,20 +290,45 @@ def _class_key(spelled: str) -> str:
 
 
 def test_enumerators_match_the_code_tuple_enumerators():
-    assert list(sweeps._cyclically_reduced_words(8)) == [
+    assert list(filtered_cyclically_reduced_words(8)) == [
         _spell(codes) for codes in old_cyclically_reduced_words(8)
     ]
-    assert sorted(sweeps.positive_cyclic_words(14)) == sorted(
+    assert sorted(filtered_positive_cyclic_words(14)) == sorted(
         _spell(codes) for codes in old_positive_cyclic_words(14)
     )
-    new = list(sweeps.reduced_cores(10))
+    new = list(filtered_reduced_cores(10))
     old = [_spell(codes) for codes in old_reduced_cores(10)]
     assert len(new) == len(old)
     assert {_class_key(word) for word in new} == {_class_key(word) for word in old}
     # one representative per class
     assert len({_class_key(word) for word in new}) == len(new)
+
+
+def test_necklace_enumerators_give_the_sets_the_filtering_enumerators_gave():
+    """At every bound: the same words, each once."""
+    for generated, filtered, top in (
+        (sweeps.reduced_cores, filtered_reduced_cores, 10),
+        (sweeps.positive_cyclic_words, filtered_positive_cyclic_words, 16),
+    ):
+        reference = set(filtered(top))
+        for bound in range(1, top + 1):
+            words = list(generated(bound))
+            assert len(words) == len(set(words)), (generated.__name__, bound)
+            assert set(words) == {w for w in reference if len(w) <= bound}, (
+                generated.__name__, bound
+            )
+    # the necklaces come in lexicographic order, over z < y and x < X < y < Y
+    cores = list(sweeps.reduced_cores(6))
+    assert cores == sorted(cores, key=lambda w: w.translate(str.maketrans("xXyY", "abcd")))
+    assert list(sweeps.positive_cyclic_words(3)) == [
+        "z", "zz", "zzz", "zzy", "zy", "zyy", "y", "yy", "yyy"
+    ]
+
+
+def test_reduced_core_counts():
     assert sum(1 for _ in sweeps.reduced_cores(8)) == 385
     assert sum(1 for _ in sweeps.reduced_cores(11)) == 6574
+    assert sum(1 for _ in sweeps.reduced_cores(12)) == 17805
 
 
 # --- the symmetry check

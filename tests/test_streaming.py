@@ -49,12 +49,8 @@ def dumped(data) -> str:
 
 
 @pytest.fixture
-def run(capsys, monkeypatch):
-    """`main` on argv: (exit code, stdout, stderr).  The parser is built
-    once here, as a process that runs one command builds it once, so the
-    thousands of calls below take seconds, not a minute."""
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def run(capsys):
+    """`main` on argv: (exit code, stdout, stderr)."""
 
     def run(*argv):
         code = cli.main([str(a) for a in argv])

@@ -225,8 +225,8 @@ def test_immutability_and_hash():
 
 def reference_least_rotation(codes):
     """The quadratic scan that least_rotation replaced: compare each rotation
-    with the best so far, x and z ranking equal."""
-    rank = {1: 0, 2: 1, 3: 0}
+    with the best so far, in the order x < X < z < Z < y < Y."""
+    rank = {1: 0, 2: 2, 3: 1}
     keys = [(rank[abs(c)], 0 if c > 0 else 1) for c in codes]
     n = len(codes)
     best = 0
@@ -324,6 +324,20 @@ def test_word_algebra_properties(words):
     assert CyclicWord(u * v) == CyclicWord(v * u)
     # the empty word is written 1, which is not word text; it parses from ""
     assert parse_word(str(u) if len(u) else "") == u
+
+
+@FIXED
+@given(st.lists(st.sampled_from(SIX_LETTERS), max_size=40).map(Word),
+       st.lists(st.sampled_from(SIX_LETTERS), max_size=40).map(Word))
+def test_cyclic_words_are_canonical_over_all_six_letters(u, v):
+    """A word may mix x and z; its cyclic word is still one per rotation class."""
+    assert CyclicWord(u * v) == CyclicWord(v * u)
+
+
+def test_a_word_mixing_x_and_z_has_one_cyclic_word():
+    assert cyclically_equal(Word((1, 3)), Word((3, 1)))
+    assert CyclicWord(w("z x")).codes == (1, 3)
+    assert CyclicWord(w("Z x y z X")).codes == (1, 2, 3, -1, -3)
 
 
 def test_the_package_checks_invariants_without_assert():
