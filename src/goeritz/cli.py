@@ -78,7 +78,7 @@ def cmd_primitive(args) -> int:
         else:
             outcome = "inconclusive"
     elif method == "oz":
-        if min(word.codes, default=1) < 0:
+        if word.spell() != word.spell().lower():
             raise InvalidParameters(
                 "the positive-word test needs a word without inverse letters; "
                 "use --method whitehead"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sequences import InvalidParameters, PqParams
-from .words import MAX_WORD_LETTERS, Word, _positive_codes
+from .words import MAX_WORD_LETTERS, Word
 
 
 class ConnectedComplexError(ValueError):
@@ -43,7 +43,7 @@ class FareyLabel:
         return f"{self.a}/{self.b}"
 
     def word(self, q: int) -> Word:
-        return Word(_positive_codes((b"x" + b"y" * q) * self.d + b"x" + b"y" * self.e))
+        return Word._of_spelling(("x" + "y" * q) * self.d + "x" + "y" * self.e)
 
     def matches_closed_form(self, params: PqParams) -> bool:
         return (

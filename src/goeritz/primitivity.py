@@ -30,9 +30,10 @@ from .words import (
     _CANCELLING_PAIR,
     _SPELLING,
     _caret,
-    _coerce_codes,
+    _coerce_spelling,
+    _cyclic_strip,
+    _free_reduce,
     _spell,
-    _unspell,
     free_reduce_codes,
 )
 
@@ -45,8 +46,8 @@ _Z_AS_X_SPELLING = str.maketrans("zZ", "xX")
 def _rank2_spelling(w) -> str:
     """The word spelled over x, X, y, Y: the one way into every decider.
 
-    w is a word, a tuple of letter codes, or a spelling over x, X, y, Y,
-    z, Z, with z standing in for x.  A word that mixes x and z raises
+    w is a word, a sequence of letter codes, or a spelling over x, X, y,
+    Y, z, Z, with z standing in for x.  A word that mixes x and z raises
     MixedAlphabetError; any other character of a spelling raises
     ValueError.
     """
@@ -55,7 +56,7 @@ def _rank2_spelling(w) -> str:
         if stray:
             raise ValueError(f"a spelled word has the letters xXyYzZ only, found {stray[0]!r}")
     else:
-        w = _spell(_coerce_codes(w))
+        w = _coerce_spelling(w)
     if "z" in w or "Z" in w:
         if "x" in w or "X" in w:
             raise MixedAlphabetError("word mixes x and z; no generating pair applies")
@@ -66,19 +67,13 @@ def _rank2_spelling(w) -> str:
 def _cyclic_core(spelled: str) -> str:
     """The cyclic reduction of a word spelled over x, X, y, Y.
 
-    A spelling of positive letters is cyclically reduced as it is, and
-    one without a cancelling pair (the spelling of a `Word`) skips the
-    code tuples.
+    A spelling of positive letters is cyclically reduced as it is; any
+    other is freely reduced in one pass, which finds nothing to cancel
+    in the spelling of a `Word`, and then stripped of inverse ends.
     """
     if spelled.islower():
         return spelled
-    if _CANCELLING_PAIR.search(spelled):
-        spelled = _spell(free_reduce_codes(_unspell(spelled)))
-    i, j = 0, len(spelled)
-    while j - i >= 2 and spelled[i] == spelled[j - 1].swapcase():
-        i += 1
-        j -= 1
-    return spelled[i:j]
+    return _cyclic_strip(_free_reduce(spelled))
 
 
 @dataclass(frozen=True)
@@ -145,31 +140,18 @@ class WhiteheadAutomorphism:
         return self.label
 
 
-def _map_letter(image_x: tuple[int, ...], image_y: tuple[int, ...], c: int) -> tuple[int, ...]:
-    img = image_x if abs(c) == _X else image_y
-    return img if c > 0 else tuple(-v for v in reversed(img))
-
-
 def _make_type_i() -> tuple[WhiteheadAutomorphism, ...]:
-    maps = []
+    autos = []
     for tx, ty in ((_X, _Y), (_Y, _X)):
         for sx in (1, -1):
             for sy in (1, -1):
-                maps.append(((sx * tx,), (sy * ty,)))
-    autos = []
-    for image_x, image_y in maps:
-        # the inverse of a signed permutation is found among the same eight maps
-        inverse_x = inverse_y = None
-        for cand_x, cand_y in maps:
-            comp_x = _map_letter(cand_x, cand_y, image_x[0])
-            comp_y = _map_letter(cand_x, cand_y, image_y[0])
-            if comp_x == (_X,) and comp_y == (_Y,):
-                inverse_x, inverse_y = cand_x, cand_y
-                break
-        label = f"x -> {_caret(image_x)}, y -> {_caret(image_y)}"
-        autos.append(
-            WhiteheadAutomorphism("I", label, image_x, image_y, inverse_x, inverse_y)
-        )
+                image_x, image_y = (sx * tx,), (sy * ty,)
+                # x -> tx^sx and y -> ty^sy is undone by tx -> x^sx and ty -> y^sy
+                inverse = {tx: (sx * _X,), ty: (sy * _Y,)}
+                label = f"x -> {_caret(_spell(image_x))}, y -> {_caret(_spell(image_y))}"
+                autos.append(
+                    WhiteheadAutomorphism("I", label, image_x, image_y, inverse[_X], inverse[_Y])
+                )
     return tuple(autos)
 
 
@@ -189,7 +171,7 @@ def _make_type_ii() -> tuple[WhiteheadAutomorphism, ...]:
                 image_x, image_y = img_b, (_Y,)
                 inverse_x, inverse_y = inv_b, (_Y,)
             moved = "y" if abs(a) == _X else "x"
-            label = f"{moved} -> {_caret(img_b)}"
+            label = f"{moved} -> {_caret(_spell(img_b))}"
             autos.append(
                 WhiteheadAutomorphism("II", label, image_x, image_y, inverse_x, inverse_y)
             )
@@ -224,12 +206,12 @@ def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[int, ...]:
     generator's image, or the inverse of its first letter when the image
     ends in that generator; A holds the letters whose images end in a.
     """
-    table = auto._table
-    moved = _moved(auto)
-    image = table[moved]
-    a = image[-1] if image[-1] != moved else -image[0]
-    in_a = {c: table[c][-1] == a for c in table}
-    return tuple((in_a[u] != in_a[-v]) - (abs(u) == abs(a)) for u, v in map(_unspell, _PAIRS))
+    images = {u: u.translate(auto._spelled_table) for u in "xXyY"}
+    moved = _SPELLING[_moved(auto)]
+    image = images[moved]
+    a = image[-1] if image[-1] != moved else image[0].swapcase()
+    in_a = {u: images[u][-1] == a for u in images}
+    return tuple((in_a[u] != in_a[v.swapcase()]) - (u.lower() == a.lower()) for u, v in _PAIRS)
 
 
 # Length-change coefficients of each type II move, in enumeration order.
@@ -423,7 +405,7 @@ def _power(index: int, k: int) -> WhiteheadAutomorphism:
         return image[:i] * k + image[i : i + 1] + image[i + 1 :] * k
 
     images = tuple(map(power, (auto.image_x, auto.image_y, auto.inverse_x, auto.inverse_y)))
-    label = f"{_SPELLING[moved]} -> {_caret(images[0] if moved == _X else images[1])}"
+    label = f"{_SPELLING[moved]} -> {_caret(_spell(images[0] if moved == _X else images[1]))}"
     return WhiteheadAutomorphism("II", label, *images)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .words import MAX_WORD_LETTERS, Word, _positive_codes
+from .words import MAX_WORD_LETTERS, Word
 
 
 class InvalidParameters(ValueError):
@@ -109,7 +109,7 @@ class PqSequence:
 
     @cached_property
     def words(self) -> tuple[Word, ...]:
-        return tuple(Word(_positive_codes(s.encode("ascii"))) for s in self.spellings)
+        return tuple(map(Word._of_spelling, self.spellings))
 
 
 def primitive_indices(params: PqParams) -> frozenset[int]:

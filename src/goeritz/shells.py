@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Iterator
 
 from .sequences import PqParams, spelled_sequence
-from .words import Word, _positive_codes
+from .words import Word
 
 
 class DiskClass(Enum):
@@ -85,7 +85,7 @@ class ShellEntry:
 
     @cached_property
     def boundary_word(self) -> Word:
-        return Word(_positive_codes(self.spelled.replace(b"z", b"xy")))
+        return Word._of_spelling(self.spelled.replace(b"z", b"xy").decode("ascii"))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .primitivity import (
     _symmetry_variants,
 )
 from .sequences import InvalidParameters, make_params, pq_sequence, verify_symmetry
-from .words import CyclicWord, Word, _least_rotation, _unspell
+from .words import MAX_WORD_LETTERS, CyclicWord, Word, _least_rotation
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def sweep_filter_soundness(max_len: int) -> SweepResult:
         verdict = nonprimitivity_filter(word)
         if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(word):
             failures.append(
-                SweepFailure(str(Word(_unspell(word))), "filter fired on an oracle-primitive word")
+                SweepFailure(str(Word._of_spelling(word)), "filter fired on an oracle-primitive word")
             )
     return SweepResult("filter-soundness", max_len, count, tuple(failures))
 
@@ -279,7 +279,7 @@ _CHECKS = {
     "four-primitives": (sweep_four_primitives, 40, 2),
     "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1),
     "filter-soundness": (sweep_filter_soundness, 12, 1),
-    "witness": (sweep_witness, 60, 12),
+    "witness": (sweep_witness, 120, 12),
     "symmetry": (sweep_symmetry, 40, 2),
     "dispatch-totality": (sweep_dispatch_totality, 60, 2),
 }
@@ -300,4 +300,13 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
     if bound < least:
         # a smaller bound leaves nothing to check, and the sweep would pass vacuously
         raise InvalidParameters(f"the {check} bound must be at least {least}, got {bound}")
+    if check in ("four-primitives", "symmetry"):
+        # each pair makes its sequence of p(p+1) letters: a bound past the
+        # cap is refused now, not when the sweep reaches it
+        most = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
+        if bound > most:
+            raise InvalidParameters(
+                f"the {check} bound must be at most {most}, the largest p whose sequence "
+                f"has at most {MAX_WORD_LETTERS} letters, got {bound}"
+            )
     return sweep(bound)

@@ -1,9 +1,12 @@
 """Exact algebra of words in a free group of rank two.
 
-Letters are stored as nonzero integers: +1/-1 for x/x^-1, +2/-2 for
-y/y^-1 and +3/-3 for z/z^-1.  A word is a freely reduced tuple of such
-codes; a cyclic word is additionally cyclically reduced and kept in a
-canonical rotation, so equality of cyclic words is plain tuple equality.
+A word is stored as its spelling: one character per letter, x, y, z for
+the generators and X, Y, Z for their inverses.  A `Word` keeps the freely
+reduced spelling; a `CyclicWord` keeps the cyclically reduced spelling in
+its least rotation, so equality of cyclic words is plain string equality.
+The integer letter codes, +1/-1 for x/x^-1, +2/-2 for y/y^-1 and +3/-3
+for z/z^-1, are what the constructors take, and `codes` derives them
+from the spelling on request.
 
 The two-letter alphabets used in practice are {x, y} (boundary words
 read off a meridian system of a handlebody) and {z, y} (an abstract
@@ -17,21 +20,13 @@ import re
 from typing import Iterable, Iterator, NamedTuple, Union
 
 _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
-_CODE_SYMBOLS = {1: "x", 2: "y", 3: "z"}
 
-_VALID_CODES = frozenset(c for code in _CODE_SYMBOLS for c in (code, -code))
-
-# The spelling of a word: one character per letter, x, y, z for the
-# generators and X, Y, Z for their inverses.  Hot loops work on spelled
-# words with C-level str and bytes operations.
+# The spelling of each letter code, and back.
 _SPELLING = {1: "x", -1: "X", 2: "y", -2: "Y", 3: "z", -3: "Z"}
 _CODE_OF_CHAR = {ch: code for code, ch in _SPELLING.items()}
 
 # Two adjacent mutually inverse letters of a spelled word.
 _CANCELLING_PAIR = re.compile("xX|Xx|yY|Yy|zZ|Zz")
-
-# Spelled positive words as bytes (b"xyz") to their codes (1, 2, 3).
-_POSITIVE_CODES = bytes.maketrans(b"xyz", b"\x01\x02\x03")
 
 # The rotation order as a key string, total so that a word mixing x and z
 # has one least rotation: x < X < z < Z < y < Y.
@@ -83,35 +78,59 @@ class Letter(NamedTuple):
         return self.symbol if self.sign > 0 else self.symbol.upper()
 
 
-def _check_code(code: int) -> int:
-    if not isinstance(code, int) or abs(code) not in _CODE_SYMBOLS:
-        raise ValueError(f"not a letter code: {code!r}")
-    return code
+def _spell_letter(item) -> str:
+    if isinstance(item, Letter):
+        if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1):
+            raise ValueError(f"bad letter {item!r}")
+        return str(item)
+    if not isinstance(item, int) or item not in _SPELLING:
+        raise ValueError(f"not a letter code: {item!r}")
+    return _SPELLING[item]
 
 
-def _coerce_codes(letters) -> tuple[int, ...]:
+def _coerce_spelling(letters) -> str:
+    """The spelling of a word, or of a sequence of letter codes or `Letter`s
+    as it stands, not reduced."""
     if isinstance(letters, (Word, CyclicWord)):
-        return letters.codes
-    # plain int codes, checked at C level; anything else goes item by item
-    if (
-        type(letters) in (tuple, list)
-        and set(map(type, letters)) <= {int}
-        and _VALID_CODES.issuperset(letters)
-    ):
-        return tuple(letters)
-    out = []
-    for item in letters:
-        if isinstance(item, Letter):
-            if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1):
-                raise ValueError(f"bad letter {item!r}")
-            out.append(item.code)
+        return letters._spelled
+    # plain int codes are looked up at C level; anything else goes item by item
+    if type(letters) in (tuple, list) and set(map(type, letters)) <= {int}:
+        try:
+            return "".join(map(_SPELLING.__getitem__, letters))
+        except KeyError:
+            pass  # the item-by-item path names the bad code
+    return "".join(map(_spell_letter, letters))
+
+
+def _free_reduce(spelled: str) -> str:
+    """Cancel adjacent mutually inverse letters of a spelling until none
+    remain, in one pass with a stack."""
+    if not _CANCELLING_PAIR.search(spelled):
+        return spelled
+    out: list[str] = []
+    for ch in spelled:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
         else:
-            out.append(_check_code(item))
-    return tuple(out)
+            out.append(ch)
+    return "".join(out)
+
+
+def _cyclic_strip(spelled: str) -> str:
+    """Strip mutually inverse first/last letters of a freely reduced spelling."""
+    i, j = 0, len(spelled)
+    while j - i >= 2 and spelled[i] == spelled[j - 1].swapcase():
+        i += 1
+        j -= 1
+    return spelled[i:j]
+
+
+def _inverse(spelled: str) -> str:
+    return spelled[::-1].swapcase()
 
 
 def free_reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
-    """Cancel adjacent mutually inverse letters until none remain."""
+    """Cancel adjacent mutually inverse letter codes until none remain."""
     if type(codes) in (tuple, list) and (not codes or min(codes) > 0):
         return tuple(codes)  # no inverse letters, nothing to cancel
     out: list[int] = []
@@ -123,19 +142,8 @@ def free_reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cyclic_reduce_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """Strip mutually inverse first/last letters of a freely reduced word."""
-    i, j = 0, len(codes)
-    while j - i >= 2 and codes[i] == -codes[j - 1]:
-        i += 1
-        j -= 1
-    return codes[i:j]
-
-
 def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least rotation under the fixed letter order."""
-    if len(codes) <= 1:
-        return tuple(codes)
     return _unspell(_least_rotation(_spell(codes)))
 
 
@@ -168,6 +176,11 @@ def _least_rotation(spelled: str) -> str:
     return spelled[i:] + spelled[:i]
 
 
+def _cyclic_spelling(spelled: str) -> str:
+    """The spelling a `CyclicWord` keeps for a word given by any spelling."""
+    return _least_rotation(_cyclic_strip(_free_reduce(spelled)))
+
+
 def _spell(codes: tuple[int, ...]) -> str:
     return "".join(map(_SPELLING.__getitem__, codes))
 
@@ -177,14 +190,9 @@ def _unspell(spelled: str) -> tuple[int, ...]:
     return tuple(map(_CODE_OF_CHAR.__getitem__, spelled))
 
 
-def _positive_codes(spelled: bytes) -> tuple[int, ...]:
-    """The codes of a spelled word of positive letters, given as bytes."""
-    return tuple(spelled.translate(_POSITIVE_CODES))
-
-
-def _caret(codes: tuple[int, ...]) -> str:
+def _caret(spelled: str) -> str:
     """Caret notation: x^3 for a run of three x, x^-1 for one X, x^-2 for two."""
-    text = _spell(codes)
+    text = spelled
     for pair, run, prefix in _RUN_PASSES:
         if pair in text:
             parts = run.split(text)
@@ -195,122 +203,111 @@ def _caret(codes: tuple[int, ...]) -> str:
     return text or "1"
 
 
-class Word:
-    """A freely reduced word.  Immutable; concatenation reduces."""
+class _SpelledWord:
+    """What `Word` and `CyclicWord` share: one spelling, and the views of it."""
 
-    __slots__ = ("_codes",)
-
-    def __init__(self, letters=()):
-        object.__setattr__(self, "_codes", free_reduce_codes(_coerce_codes(letters)))
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        return self._codes
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(
-            Letter(_CODE_SYMBOLS[abs(c)], 1 if c > 0 else -1) for c in self._codes
-        )
-
-    def spell(self) -> str:
-        return _spell(self._codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self._codes == other._codes
-
-    def __hash__(self) -> int:
-        return hash(("Word", self._codes))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self._codes + _coerce_codes(other))
-
-    def __invert__(self) -> "Word":
-        return Word(tuple(-c for c in reversed(self._codes)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return (~self) ** (-n)
-        return Word(self._codes * n)
-
-    def __str__(self) -> str:
-        return _caret(self._codes)
-
-    def __repr__(self) -> str:
-        return f"Word({_caret(self._codes)!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-
-class CyclicWord:
-    """A cyclically reduced word up to rotation, stored canonically."""
-
-    __slots__ = ("_codes",)
-
-    def __init__(self, letters=()):
-        codes = cyclic_reduce_codes(free_reduce_codes(_coerce_codes(letters)))
-        object.__setattr__(self, "_codes", least_rotation(codes))
+    __slots__ = ("_spelled",)
 
     @classmethod
-    def _of_reduced_spelling(cls, spelled: str) -> "CyclicWord":
-        """The cyclic word of a spelled word that is already cyclically reduced.
-
-        Skips the reductions of __init__ and takes the least rotation
-        directly on the text.
-        """
+    def _of_spelling(cls, spelled: str):
+        """The word of a spelling already in the class's reduced form, as is."""
         word = object.__new__(cls)
-        object.__setattr__(word, "_codes", _unspell(_least_rotation(spelled)))
+        object.__setattr__(word, "_spelled", spelled)
         return word
 
     @property
     def codes(self) -> tuple[int, ...]:
-        return self._codes
+        return _unspell(self._spelled)
 
     @property
     def letters(self) -> tuple[Letter, ...]:
-        return Word(self._codes).letters
-
-    def rotations(self) -> Iterator[tuple[int, ...]]:
-        n = len(self._codes)
-        for i in range(max(n, 1)):
-            yield self._codes[i:] + self._codes[:i]
-
-    def to_word(self) -> Word:
-        return Word(self._codes)
-
-    def spell(self) -> str:
-        return _spell(self._codes)
+        return tuple(Letter(ch.lower(), 1 if ch.islower() else -1) for ch in self._spelled)
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return len(self._spelled)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicWord) and self._codes == other._codes
+        return type(other) is type(self) and self._spelled == other._spelled
 
     def __hash__(self) -> int:
-        return hash(("CyclicWord", self._codes))
-
-    def __str__(self) -> str:
-        return _caret(self._codes)
+        return hash((type(self).__name__, self._spelled))
 
     def __repr__(self) -> str:
-        return f"CyclicWord({_caret(self._codes)!r})"
+        return f"{type(self).__name__}({_caret(self._spelled)!r})"
 
     def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Word(_SpelledWord):
+    """A freely reduced word.  Immutable; concatenation reduces."""
+
+    __slots__ = ()
+
+    def __init__(self, letters=()):
+        object.__setattr__(self, "_spelled", _free_reduce(_coerce_spelling(letters)))
+
+    def spell(self) -> str:
+        return self._spelled
+
+    def __mul__(self, other: "Word") -> "Word":
+        return _word(self._spelled + _coerce_spelling(other))
+
+    def __invert__(self) -> "Word":
+        return Word._of_spelling(_inverse(self._spelled))
+
+    def __pow__(self, n: int) -> "Word":
+        if n < 0:
+            return (~self) ** (-n)
+        return _word(self._spelled * n)
+
+    def __str__(self) -> str:
+        return _caret(self._spelled)
+
+
+class CyclicWord(_SpelledWord):
+    """A cyclically reduced word up to rotation, kept as its least rotation."""
+
+    __slots__ = ()
+
+    def __init__(self, letters=()):
+        object.__setattr__(self, "_spelled", _cyclic_spelling(_coerce_spelling(letters)))
+
+    @classmethod
+    def _of_reduced_spelling(cls, spelled: str) -> "CyclicWord":
+        """The cyclic word of a spelled word that is already cyclically reduced."""
+        return cls._of_spelling(_least_rotation(spelled))
+
+    def rotations(self) -> Iterator[tuple[int, ...]]:
+        codes = self.codes
+        return (codes[i:] + codes[:i] for i in range(max(len(codes), 1)))
+
+    def to_word(self) -> Word:
+        return Word._of_spelling(self._spelled)
+
+    def spell(self) -> str:
+        return self._spelled
+
+    def __str__(self) -> str:
+        return _caret(self._spelled)
+
+
+def _word(spelled: str) -> Word:
+    """The `Word` of any spelling."""
+    return Word._of_spelling(_free_reduce(spelled))
 
 
 WordLike = Union[Word, CyclicWord, Iterable]
+
+
+def _like(w: WordLike, spelled: str):
+    """The word of a spelling: a `CyclicWord` if w is one, else a `Word`."""
+    if isinstance(w, CyclicWord):
+        return CyclicWord._of_spelling(_cyclic_spelling(spelled))
+    return _word(spelled)
 
 
 def reduce(letters: WordLike) -> Word:
@@ -330,62 +327,40 @@ def cyclically_equal(u: WordLike, v: WordLike) -> bool:
 
 def invert(w: WordLike):
     """w^-1: reversed sequence with all signs flipped.  Type-preserving."""
-    codes = _coerce_codes(w)
-    inv = tuple(-c for c in reversed(codes))
-    return CyclicWord(inv) if isinstance(w, CyclicWord) else Word(inv)
+    return _like(w, _inverse(_coerce_spelling(w)))
 
 
 def reverse(w: WordLike):
     """The reverse word: reversed sequence, signs kept.  Type-preserving."""
-    codes = _coerce_codes(w)
-    rev = tuple(reversed(codes))
-    return CyclicWord(rev) if isinstance(w, CyclicWord) else Word(rev)
+    return _like(w, _coerce_spelling(w)[::-1])
 
 
 def swap_generators(w: WordLike, symbols: tuple[str, str] = ("z", "y")):
     """Apply the automorphism exchanging the two symbols of the alphabet."""
-    a, b = (_SYMBOL_CODES[s] for s in symbols)
-    codes = _coerce_codes(w)
-    used = {abs(c) for c in codes}
-    if not used <= {a, b}:
+    a, b = symbols
+    spelled = _coerce_spelling(w)
+    if not set(spelled.lower()) <= {a, b}:
         raise ValueError(f"word is not over the alphabet {symbols}")
-    table = {a: b, -a: -b, b: a, -b: -a}
-    swapped = tuple(table[c] for c in codes)
-    return CyclicWord(swapped) if isinstance(w, CyclicWord) else Word(swapped)
+    swap = str.maketrans(a + a.upper() + b + b.upper(), b + b.upper() + a + a.upper())
+    return _like(w, spelled.translate(swap))
 
 
 def abelianize(w: WordLike) -> tuple[int, int]:
     """Signed exponent sums (first symbol, y) where the first symbol is x or z."""
-    first = 0
-    second = 0
-    bases = set()
-    for c in _coerce_codes(w):
-        s = 1 if c > 0 else -1
-        if abs(c) == 2:
-            second += s
-        else:
-            bases.add(abs(c))
-            first += s
-    if len(bases) > 1:
+    spelled = _coerce_spelling(w)
+    count = spelled.count
+    if (count("x") or count("X")) and (count("z") or count("Z")):
         raise MixedAlphabetError("word mixes x and z; no two-letter alphabet applies")
-    return (first, second)
+    return (count("x") - count("X") + count("z") - count("Z"), count("y") - count("Y"))
 
 
 def substitute(w: WordLike, z_image: WordLike) -> Word:
     """Homomorphic image with z mapped to the given word and y fixed."""
-    image = Word(z_image).codes
-    image_inv = tuple(-c for c in reversed(image))
-    out: list[int] = []
-    for c in _coerce_codes(w):
-        if c == 3:
-            out.extend(image)
-        elif c == -3:
-            out.extend(image_inv)
-        elif abs(c) == 2:
-            out.append(c)
-        else:
-            raise ValueError("substitution input must be a word over z and y")
-    return Word(out)
+    image = Word(z_image)._spelled
+    spelled = _coerce_spelling(w)
+    if "x" in spelled or "X" in spelled:
+        raise ValueError("substitution input must be a word over z and y")
+    return _word(spelled.translate({ord("z"): image, ord("Z"): _inverse(image)}))
 
 
 def _over_the_cap(text: str, offset: int) -> WordParseError:
@@ -402,7 +377,8 @@ def parse_word(text: str) -> Word:
     """
     if text.strip() == "1":
         return Word()
-    codes: list[int] = []
+    runs: list[str] = []
+    letters = 0
     i = 0
     n = len(text)
     while i < n:
@@ -410,10 +386,8 @@ def parse_word(text: str) -> Word:
         if ch.isspace():
             i += 1
             continue
-        low = ch.lower()
-        if low not in _SYMBOL_CODES:
+        if ch not in _CODE_OF_CHAR:
             raise WordParseError(text, i, "a generator letter (x, y, z, X, Y or Z)")
-        code = _SYMBOL_CODES[low] * (1 if ch.islower() else -1)
         i += 1
         exp = 1
         exp_at = i
@@ -436,9 +410,10 @@ def parse_word(text: str) -> Word:
                 raise _over_the_cap(text, exp_at)
             exp = int(digits or "0")
             if text[i] == "-":
-                code = -code
+                ch = ch.swapcase()
             i = k
-        if len(codes) + exp > MAX_WORD_LETTERS:
+        letters += exp
+        if letters > MAX_WORD_LETTERS:
             raise _over_the_cap(text, exp_at)
-        codes.extend([code] * exp)
-    return Word(codes)
+        runs.append(ch * exp)
+    return _word("".join(runs))

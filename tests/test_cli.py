@@ -324,6 +324,35 @@ def test_sweep_witness_refuses_bounds_below_the_first_disconnected_pair(capsys):
     assert code == 0 and "1 subjects, 0 failures" in out
 
 
+def test_sequence_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch, capsys):
+    """p = 3162 is the first p with p(p+1) > MAX_WORD_LETTERS: its bound is
+    refused before the first subject, and 3161 starts the sweep."""
+    from goeritz import sweeps
+    from goeritz.sequences import InvalidParameters
+
+    class Started(Exception):
+        pass
+
+    made = []
+
+    def make_params(p, q):
+        made.append((p, q))
+        raise Started
+
+    monkeypatch.setattr(sweeps, "make_params", make_params)
+    for check in ("symmetry", "four-primitives"):
+        with pytest.raises(InvalidParameters, match="at most 3161.* 10000000 letters"):
+            sweeps.run_sweep(check, 3162)
+        assert made == [], check
+        code, out, err = run(capsys, "sweep", check, "--max-p", "3162")
+        assert code == 2 and out == "" and "at most 3161" in err, check
+        assert made == [], check
+        with pytest.raises(Started):
+            sweeps.run_sweep(check, 3161)
+        assert made == [(2, 1)], check
+        made.clear()
+
+
 def test_hostile_p_is_refused_before_anything_is_made():
     """A sequence, shell, report or witness past the letter cap exits 2
     with an error and no output.  Each runs in a child process whose

@@ -1,0 +1,274 @@
+"""The spelled `Word` and `CyclicWord` against the code-tuple versions they replaced.
+
+`Word` and `CyclicWord` store their spelling over xXyYzZ.  They used to
+store a tuple of integer letter codes: `_coerce_codes` read the input,
+`free_reduce_codes` and `cyclic_reduce_codes` reduced it, `least_rotation`
+rotated it, and the word operations below worked letter code by letter
+code.  Those versions are kept here verbatim as the references, and the
+other tests that build code tuples import them from here.  A last test
+checks that the CLI's hot paths never build a code tuple.
+"""
+
+import importlib
+from itertools import product
+
+import pytest
+
+import goeritz
+from goeritz import cli, words
+from goeritz.words import (
+    CyclicWord,
+    Letter,
+    MixedAlphabetError,
+    Word,
+    _caret,
+    _spell,
+    abelianize,
+    free_reduce_codes,
+    invert,
+    least_rotation,
+    reverse,
+    substitute,
+    swap_generators,
+)
+
+# --- the code-tuple versions, verbatim
+
+_SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
+_CODE_SYMBOLS = {1: "x", 2: "y", 3: "z"}
+_VALID_CODES = frozenset(c for code in _CODE_SYMBOLS for c in (code, -code))
+
+# Spelled positive words as bytes (b"xyz") to their codes (1, 2, 3).
+_POSITIVE_CODES = bytes.maketrans(b"xyz", b"\x01\x02\x03")
+
+
+def _check_code(code: int) -> int:
+    if not isinstance(code, int) or abs(code) not in _CODE_SYMBOLS:
+        raise ValueError(f"not a letter code: {code!r}")
+    return code
+
+
+def _coerce_codes(letters) -> tuple[int, ...]:
+    if isinstance(letters, (Word, CyclicWord)):
+        return letters.codes
+    # plain int codes, checked at C level; anything else goes item by item
+    if (
+        type(letters) in (tuple, list)
+        and set(map(type, letters)) <= {int}
+        and _VALID_CODES.issuperset(letters)
+    ):
+        return tuple(letters)
+    out = []
+    for item in letters:
+        if isinstance(item, Letter):
+            if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1):
+                raise ValueError(f"bad letter {item!r}")
+            out.append(item.code)
+        else:
+            out.append(_check_code(item))
+    return tuple(out)
+
+
+def cyclic_reduce_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip mutually inverse first/last letters of a freely reduced word."""
+    i, j = 0, len(codes)
+    while j - i >= 2 and codes[i] == -codes[j - 1]:
+        i += 1
+        j -= 1
+    return codes[i:j]
+
+
+def _positive_codes(spelled: bytes) -> tuple[int, ...]:
+    """The codes of a spelled word of positive letters, given as bytes."""
+    return tuple(spelled.translate(_POSITIVE_CODES))
+
+
+def old_word_codes(letters) -> tuple[int, ...]:
+    """What Word(letters).codes was."""
+    return free_reduce_codes(_coerce_codes(letters))
+
+
+def old_cyclic_codes(letters) -> tuple[int, ...]:
+    """What CyclicWord(letters).codes was."""
+    return least_rotation(cyclic_reduce_codes(free_reduce_codes(_coerce_codes(letters))))
+
+
+def _old_like(w, codes):
+    """What `CyclicWord(codes) if isinstance(w, CyclicWord) else Word(codes)`
+    was, as its type and its codes."""
+    codes = free_reduce_codes(codes)
+    if isinstance(w, CyclicWord):
+        return CyclicWord, least_rotation(cyclic_reduce_codes(codes))
+    return Word, codes
+
+
+def old_invert(w):
+    codes = _coerce_codes(w)
+    inv = tuple(-c for c in reversed(codes))
+    return _old_like(w, inv)
+
+
+def old_reverse(w):
+    codes = _coerce_codes(w)
+    rev = tuple(reversed(codes))
+    return _old_like(w, rev)
+
+
+def old_swap_generators(w, symbols=("z", "y")):
+    a, b = (_SYMBOL_CODES[s] for s in symbols)
+    codes = _coerce_codes(w)
+    used = {abs(c) for c in codes}
+    if not used <= {a, b}:
+        raise ValueError(f"word is not over the alphabet {symbols}")
+    table = {a: b, -a: -b, b: a, -b: -a}
+    swapped = tuple(table[c] for c in codes)
+    return _old_like(w, swapped)
+
+
+def old_abelianize(w):
+    first = 0
+    second = 0
+    bases = set()
+    for c in _coerce_codes(w):
+        s = 1 if c > 0 else -1
+        if abs(c) == 2:
+            second += s
+        else:
+            bases.add(abs(c))
+            first += s
+    if len(bases) > 1:
+        raise MixedAlphabetError("word mixes x and z; no two-letter alphabet applies")
+    return (first, second)
+
+
+def old_substitute(w, z_image):
+    image = old_word_codes(z_image)
+    image_inv = tuple(-c for c in reversed(image))
+    out = []
+    for c in _coerce_codes(w):
+        if c == 3:
+            out.extend(image)
+        elif c == -3:
+            out.extend(image_inv)
+        elif abs(c) == 2:
+            out.append(c)
+        else:
+            raise ValueError("substitution input must be a word over z and y")
+    return Word, free_reduce_codes(out)
+
+
+# --- agreement
+
+
+def _reduced_sequences(letters, max_len):
+    """Every freely reduced sequence of up to max_len of the letter codes."""
+    layer = [()]
+    for _ in range(max_len + 1):
+        yield from layer
+        layer = [tup + (c,) for tup in layer for c in letters if not tup or tup[-1] != -c]
+
+
+def _results(f, inputs, *args):
+    """f(w, *args) for each w: the type and codes of a word, any other result
+    as it is, and ValueError for a raised ValueError."""
+    out = []
+    for w in inputs:
+        try:
+            result = f(w, *args)
+        except ValueError:
+            result = ValueError
+        out.append((type(result), result.codes) if isinstance(result, (Word, CyclicWord)) else result)
+    return out
+
+
+def _assert_agreement(inputs, symbols, image):
+    """Word, CyclicWord and str of each code sequence, and the word
+    operations, against the code-tuple references.
+
+    invert, abelianize and substitute read the sequence as given, reverse
+    its CyclicWord and swap_generators its Word, so both result types of
+    the type-preserving operations are checked.
+    """
+    words = list(map(Word, inputs))
+    cyclics = list(map(CyclicWord, inputs))
+    word_codes = list(map(old_word_codes, inputs))
+    cyclic_codes = [least_rotation(cyclic_reduce_codes(codes)) for codes in word_codes]
+    assert [word.codes for word in words] == word_codes
+    assert [cyclic.codes for cyclic in cyclics] == cyclic_codes
+    # str was _caret of the code tuple's spelling
+    assert list(map(str, words)) == [_caret(_spell(codes)) for codes in word_codes]
+    assert list(map(str, cyclics)) == [_caret(_spell(codes)) for codes in cyclic_codes]
+    for new, old, form, args in (
+        (invert, old_invert, inputs, ()),
+        (reverse, old_reverse, cyclics, ()),
+        (swap_generators, old_swap_generators, words, (symbols,)),
+        (abelianize, old_abelianize, inputs, ()),
+        (substitute, old_substitute, inputs, (image,)),
+    ):
+        assert _results(new, form, *args) == _results(old, form, *args), new.__name__
+
+
+def test_spelled_words_agree_with_the_code_tuples_over_each_alphabet():
+    """Every reduced word of up to 9 letters over {x, y} and over {z, y}."""
+    for letters, symbols, image in (
+        ((1, -1, 2, -2), ("x", "y"), Word((1, 2))),
+        ((3, -3, 2, -2), ("z", "y"), Word((2, -3, 2, 2))),
+    ):
+        _assert_agreement(list(_reduced_sequences(letters, 9)), symbols, image)
+
+
+def test_spelled_words_agree_with_the_code_tuples_on_all_six_letters():
+    """Every sequence of up to 6 of the six letters, reduced or not."""
+    inputs = [codes for n in range(7) for codes in product((1, -1, 2, -2, 3, -3), repeat=n)]
+    _assert_agreement(inputs, ("x", "y"), Word((3, -2)))
+
+
+def test_constructors_coerce_every_input_as_before():
+    inputs = [
+        [Letter("x", 1), 2, Letter("y", -1)],
+        (Letter("z", -1), Letter("z", 1), -2),
+        [True, 2, -2, -1],
+        Word((1, 2, -1)),
+        CyclicWord((2, 1, -2, 2)),
+    ]
+    for letters in inputs:
+        assert Word(letters).codes == old_word_codes(letters)
+        assert CyclicWord(letters).codes == old_cyclic_codes(letters)
+    for bad in ([1.0], (0,), [4], ["x"], "xy", [Letter("w", 1)], [Letter("x", 2)]):
+        with pytest.raises(ValueError) as new:
+            Word(bad)
+        with pytest.raises(ValueError) as old:
+            _coerce_codes(bad)
+        assert str(new.value) == str(old.value), bad
+
+
+# --- the hot paths
+
+_MODULES = ("cli", "classify", "farey", "presentations", "primitivity", "report",
+            "sequences", "shells", "snf", "sweeps", "words")
+
+
+def test_cli_hot_paths_build_no_code_tuples(monkeypatch, capsys):
+    """Words are parsed, decided and written as spellings: no free
+    reduction over codes and no spelling-to-codes step runs."""
+    calls = []
+    modules = [goeritz, *(importlib.import_module(f"goeritz.{name}") for name in _MODULES)]
+    for name in ("free_reduce_codes", "_unspell"):
+        original = getattr(words, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    for argv in (
+        ["primitive", "xY^200xY^201", "--json"],
+        ["primitive", "--method", "whitehead", "--trace", "xy^40xy^41"],
+        ["witness", "1001", "17", "--json"],
+        ["sweep", "witness", "--max-p", "60", "--json"],
+    ):
+        assert cli.main(argv) in (0, 1), argv
+        assert capsys.readouterr().out
+        assert calls == [], argv

@@ -36,13 +36,14 @@ from goeritz.words import (
     _spell,
     _unspell,
     abelianize,
-    cyclic_reduce_codes,
     cyclically_equal,
     free_reduce_codes,
     invert,
     parse_word,
     swap_generators,
 )
+
+from test_code_tuples import cyclic_reduce_codes
 
 
 def w(text):

@@ -13,13 +13,14 @@ from goeritz.sequences import (
 )
 from goeritz.words import (
     Word,
-    _positive_codes,
     abelianize,
     cyclically_equal,
     parse_word,
     reverse,
     swap_generators,
 )
+
+from test_code_tuples import _positive_codes
 
 
 def sequence_word(p: int, qbar: int, j: int) -> Word:

@@ -13,7 +13,9 @@ from goeritz.shells import (
     intersection_number,
     shell_primitive_indices,
 )
-from goeritz.words import Word, _positive_codes, abelianize, parse_word, substitute
+from goeritz.words import Word, abelianize, parse_word, substitute
+
+from test_code_tuples import _positive_codes
 from test_sequences import sequence_word
 
 

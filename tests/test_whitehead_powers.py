@@ -26,12 +26,12 @@ from goeritz.primitivity import (
 from goeritz.words import (
     MixedAlphabetError,
     Word,
-    _coerce_codes,
     _spell,
-    cyclic_reduce_codes,
     free_reduce_codes,
     parse_word,
 )
+
+from test_code_tuples import _coerce_codes, cyclic_reduce_codes
 
 FIXED = settings(
     derandomize=True,
