@@ -46,6 +46,7 @@ from .primitivity import (
 from .report import (
     SEQUENCE_CLASS,
     params_dict,
+    report_sections,
     sequence_rows,
     structure_dict,
     witness_dict,
@@ -54,7 +55,7 @@ from .report import (
     write_shell_json,
 )
 from .sequences import InvalidParameters, check_sequence_size, make_params, primitive_indices
-from .shells import DiskClass, ShellKind, build_shell, intersection_number
+from .shells import DiskClass, Shell, ShellKind, intersection_number, shell_rows
 from .sweeps import DEFAULT_BOUNDS, run_sweep
 from .words import MixedAlphabetError, WordParseError, parse_word
 
@@ -148,18 +149,17 @@ def cmd_shell(args) -> int:
     if args.json:
         write_shell_json(params, kind, sys.stdout.write)
         return 0
-    shell = build_shell(params, kind)
+    rows = list(shell_rows(params, kind))  # held, for the width of the word column
+    # the shell without its entries: its label and the closed-form meets
+    shell = Shell(params=params, kind=kind, slope=kind.slope(params), entries=())
     p = params.p
     print(f"{shell.label()} for {params} (kind {kind.value})")
-    width = max(len(e.text) for e in shell.entries)
+    width = max(len(text) for _, text, _ in rows)
     print(f"  {'j':>3}  {'word':<{width}}  {'class':<13}  meets next  meets next+1")
-    for e in shell.entries:
-        meet1 = intersection_number(shell, e.index, e.index + 1) if e.index + 1 <= p else "-"
-        meet2 = intersection_number(shell, e.index, e.index + 2) if e.index + 2 <= p else "-"
-        print(
-            f"  {e.index:>3}  {e.text:<{width}}  {e.disk_class.value:<13}  "
-            f"{meet1!s:>10}  {meet2!s:>12}"
-        )
+    for j, text, cls in rows:
+        meet1 = intersection_number(shell, j, j + 1) if j + 1 <= p else "-"
+        meet2 = intersection_number(shell, j, j + 2) if j + 2 <= p else "-"
+        print(f"  {j:>3}  {text:<{width}}  {cls.value:<13}  {meet1!s:>10}  {meet2!s:>12}")
     return 0
 
 
@@ -254,10 +254,7 @@ def cmd_report(args) -> int:
     if args.json:
         write_report_json(params, sys.stdout.write)
         return 0
-    check_sequence_size(params.p)
-    structure = classify(params)
-    trace = None if params.connected else nonconnectivity_witness(params)
-    pres = goeritz_presentation(params) if params.connected else None
+    structure, trace, pres, _ = report_sections(params)
     print(f"report for {params}")
     print(
         f"  p = {params.p}, q = {params.q}, q' = {params.q_prime}, r = {params.r}, "

@@ -1,11 +1,18 @@
-"""Full per-(p,q) report: sequence, shells, structure, witness or presentation."""
+"""Full per-(p,q) report: sequence, shells, structure, witness or presentation.
+
+The streamed writers are the one source of the JSON of `report`,
+`sequence` and `shell`; `report_dict` is the parse of what
+`write_report_json` writes.  `report_sections` decides a report's
+sections and `shells.shell_rows` classes each shell entry, for the
+writers, the CLI's text and the library objects alike.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from json import dumps
+from json import dumps, loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .classify import ComplexStructureReport, classify
 from .farey import ReplacementTrace, nonconnectivity_witness
@@ -29,15 +36,7 @@ from .sequences import (
     primitive_indices,
     spelled_sequence,
 )
-from .shells import (
-    DiskClass,
-    Shell,
-    ShellKind,
-    _shell_texts,
-    build_shell,
-    disk_class,
-    shell_primitive_indices,
-)
+from .shells import DiskClass, Shell, ShellKind, build_shell, disk_class, shell_rows
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,33 @@ class FullReport:
     amalgam: Optional[AmalgamDecomposition]
 
 
+class ReportSections(NamedTuple):
+    """The sections of a report after its sequence and shells, in the
+    order of `FullReport`'s last fields."""
+
+    structure: ComplexStructureReport
+    witness: Optional[ReplacementTrace]
+    presentation: Optional[GroupPresentation]
+    amalgam: Optional[AmalgamDecomposition]
+
+
+def report_sections(params: PqParams) -> ReportSections:
+    """Refuse a sequence past the letter cap, then classify: the witness
+    when the complex is disconnected, else the presentation and amalgam."""
+    check_sequence_size(params.p)
+    structure = classify(params)
+    if params.connected:
+        return ReportSections(
+            structure, None, goeritz_presentation(params), amalgam_decomposition(params)
+        )
+    return ReportSections(structure, nonconnectivity_witness(params), None, None)
+
+
 def build_report(p: int, q: int) -> FullReport:
     params = make_params(p, q)
-    connected = params.connected
-    return FullReport(
-        params=params,
-        sequence=pq_sequence(params),
-        shells=tuple(build_shell(params, kind) for kind in ShellKind),
-        structure=classify(params),
-        witness=None if connected else nonconnectivity_witness(params),
-        presentation=goeritz_presentation(params) if connected else None,
-        amalgam=amalgam_decomposition(params) if connected else None,
-    )
+    sections = report_sections(params)
+    shells = tuple(build_shell(params, kind) for kind in ShellKind)
+    return FullReport(params, pq_sequence(params), shells, *sections)
 
 
 def params_dict(params: PqParams) -> dict:
@@ -129,51 +143,22 @@ def witness_dict(trace: ReplacementTrace) -> dict:
     }
 
 
-def shell_dict(shell: Shell) -> dict:
-    return {
-        "kind": shell.kind.value,
-        "slope": shell.slope,
-        "entries": [
-            {
-                "index": e.index,
-                "word": e.text,
-                "class": e.disk_class.value,
-            }
-            for e in shell.entries
-        ],
-    }
-
-
 def report_dict(report: FullReport) -> dict:
-    seq = report.sequence
-    out = {
-        "params": params_dict(report.params),
-        "sequence": {
-            "words": list(seq.spellings),
-            "primitive_indices": sorted(seq.primitive_indices),
-        },
-        "shells": [shell_dict(s) for s in report.shells],
-        "structure": structure_dict(report.structure),
-        "witness": witness_dict(report.witness) if report.witness else None,
-        "presentation": presentation_dict(report.presentation)
-        if report.presentation
-        else None,
-        "amalgam": amalgam_dict(report.amalgam) if report.amalgam else None,
-    }
-    if report.presentation is not None:
-        out["abelianization"] = abelianization_dict(abelianize_presentation(report.presentation))
-    return out
+    """The dict `report --json` is the dump of: the parse of what
+    `write_report_json` writes for `report.params`."""
+    chunks: list[str] = []
+    write_report_json(report.params, chunks.append)
+    return loads("".join(chunks))
 
 
 # --- streamed JSON
 #
 # The writers below print what json.dumps(..., ensure_ascii=False,
-# indent=2) prints for `report_dict`, `shell_dict` and the `sequence`
-# rows, byte for byte, plus the closing newline.  The nesting is written
-# by hand and each sequence word or shell entry from one template, as it
-# is made, so no more than one word is held: O(p) memory, not the
-# Theta(p^2) of the dicts.  Sections of bounded size go through
-# json.dumps, re-indented to their depth.
+# indent=2) prints, plus the closing newline.  The nesting is written by
+# hand and each sequence word or shell entry from one template, as it is
+# made, so no more than one word is held: O(p) memory, although the
+# output runs to Theta(p^2) characters.  Sections of bounded size go
+# through json.dumps, re-indented to their depth.
 
 Write = Callable[[str], object]
 
@@ -198,18 +183,15 @@ def _pads(depth: int) -> tuple[str, ...]:
 
 
 def _write_shell(params: PqParams, kind: ShellKind, depth: int, write: Write) -> None:
-    """`shell_dict(build_shell(params, kind))` as an object nested `depth`
-    levels deep, one entry at a time."""
-    p = params.p
-    slope = kind.slope(params)
-    primitive = shell_primitive_indices(params, kind)
+    """One shell as an object nested `depth` levels deep, one entry at a time."""
     pad, pad1, pad2, pad3 = _pads(depth)
-    write(f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {slope},{pad1}"entries": [')
+    write(f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {kind.slope(params)},'
+          f'{pad1}"entries": [')
     sep = ""
-    for j, text in enumerate(_shell_texts(p, slope)):
+    for j, text, cls in shell_rows(params, kind):
         write(
             f'{sep}{pad2}{{{pad3}"index": {j},{pad3}"word": "{text}",'
-            f'{pad3}"class": {_QUOTED_CLASS[disk_class(j, p, primitive)]}{pad2}}}'
+            f'{pad3}"class": {_QUOTED_CLASS[cls]}{pad2}}}'
         )
         sep = ","
     write(f"{pad1}]{pad}}}")
@@ -261,19 +243,19 @@ def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
 
 
 def write_report_json(params: PqParams, write: Write) -> None:
-    """What `report --json` prints: `report_dict(build_report(p, q))`,
-    with the sequence and shells written as they are made."""
-    check_sequence_size(params.p)
+    """What `report --json` prints: the params, the sequence and the
+    shells, written as they are made, then the sections of
+    `report_sections` (and the abelianization of a presentation)."""
     # the bounded sections, made before anything is written
-    tail = {"structure": structure_dict(classify(params)), "witness": None, "presentation": None,
-            "amalgam": None}
-    if params.connected:
-        pres = goeritz_presentation(params)
-        tail["presentation"] = presentation_dict(pres)
-        tail["amalgam"] = amalgam_dict(amalgam_decomposition(params))
+    structure, witness, pres, amalgam = report_sections(params)
+    tail = {
+        "structure": structure_dict(structure),
+        "witness": None if witness is None else witness_dict(witness),
+        "presentation": None if pres is None else presentation_dict(pres),
+        "amalgam": None if amalgam is None else amalgam_dict(amalgam),
+    }
+    if pres is not None:
         tail["abelianization"] = abelianization_dict(abelianize_presentation(pres))
-    else:
-        tail["witness"] = witness_dict(nonconnectivity_witness(params))
 
     write(f'{{\n  "params": {_json(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
     sep = '\n      "'

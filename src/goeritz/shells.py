@@ -18,7 +18,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator
 
-from .sequences import PqParams, spelled_sequence
+from .sequences import PqParams, check_sequence_size, spelled_sequence
 from .words import Word
 
 
@@ -139,17 +139,25 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
         yield lead + "".join(blocks)
 
 
+def shell_rows(params: PqParams, kind: ShellKind) -> Iterator[tuple[int, str, DiskClass]]:
+    """(j, the caret text of E_j, its class), one entry of the (p, q-bar)-shell
+    at a time; a shell past the letter cap is refused at the first."""
+    p = params.p
+    check_sequence_size(p)
+    primitive = shell_primitive_indices(params, kind)
+    for j, text in enumerate(_shell_texts(p, kind.slope(params))):
+        yield j, text, disk_class(j, p, primitive)
+
+
 def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:
     """All p+1 entries of a (p, q-bar)-shell with words and classes."""
-    p = params.p
     slope = kind.slope(params)
-    primitive = shell_primitive_indices(params, kind)
-    entries = []
-    texts = _shell_texts(p, slope)
-    for j, (text, spelled) in enumerate(zip(texts, spelled_sequence(p, slope))):
-        cls = disk_class(j, p, primitive)
-        entries.append(ShellEntry(index=j, text=text, spelled=spelled, disk_class=cls))
-    return Shell(params=params, kind=kind, slope=slope, entries=tuple(entries))
+    rows = zip(shell_rows(params, kind), spelled_sequence(params.p, slope))
+    entries = tuple(
+        ShellEntry(index=j, text=text, spelled=spelled, disk_class=cls)
+        for (j, text, cls), spelled in rows
+    )
+    return Shell(params=params, kind=kind, slope=slope, entries=entries)
 
 
 def intersection_number(shell: Shell, i: int, j: int) -> int:

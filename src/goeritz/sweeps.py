@@ -271,20 +271,27 @@ def sweep_dispatch_totality(max_p: int) -> SweepResult:
     return SweepResult("dispatch-totality", max_p, count, tuple(failures))
 
 
-# Each check with its default bound and the least bound that leaves
-# something to check: one letter for the word-level checks, p = 2 for the
-# p-level ones, and p = 12 for the witness sweep, whose first disconnected
-# pair is (12, 5).
+# Each check with its default bound, the least bound that leaves something
+# to check (one letter for the word-level checks, p = 2 for the p-level
+# ones, p = 12 for the witness sweep, whose first disconnected pair is
+# (12, 5)) and the largest bound it takes, or None.  The largest is the
+# last p before a subject passes MAX_WORD_LETTERS, so that such a bound is
+# refused up front, not when the sweep reaches it: the last p with
+# p(p+1) <= MAX_WORD_LETTERS where each pair makes its sequence, and 631
+# where each disconnected pair makes its witness trace, the first trace
+# past the cap being that of (632, 253), with 10,075,164 letters.
+_SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
+_WITNESS_P = 631
 _CHECKS = {
-    "four-primitives": (sweep_four_primitives, 40, 2),
-    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1),
-    "filter-soundness": (sweep_filter_soundness, 12, 1),
-    "witness": (sweep_witness, 120, 12),
-    "symmetry": (sweep_symmetry, 40, 2),
-    "dispatch-totality": (sweep_dispatch_totality, 60, 2),
+    "four-primitives": (sweep_four_primitives, 40, 2, _SEQUENCE_P),
+    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1, None),
+    "filter-soundness": (sweep_filter_soundness, 12, 1, None),
+    "witness": (sweep_witness, 120, 12, _WITNESS_P),
+    "symmetry": (sweep_symmetry, 40, 2, _SEQUENCE_P),
+    "dispatch-totality": (sweep_dispatch_totality, 60, 2, _WITNESS_P),
 }
 
-DEFAULT_BOUNDS = {check: default for check, (_, default, _) in _CHECKS.items()}
+DEFAULT_BOUNDS = {check: default for check, (_, default, _, _) in _CHECKS.items()}
 
 
 def run_sweep(check: str, bound: int | None = None) -> SweepResult:
@@ -294,19 +301,15 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
         raise ValueError(
             f"unknown check {check!r}; choose from {', '.join(sorted(_CHECKS))}"
         )
-    sweep, default, least = _CHECKS[check]
+    sweep, default, least, most = _CHECKS[check]
     if bound is None:
         bound = default
     if bound < least:
         # a smaller bound leaves nothing to check, and the sweep would pass vacuously
         raise InvalidParameters(f"the {check} bound must be at least {least}, got {bound}")
-    if check in ("four-primitives", "symmetry"):
-        # each pair makes its sequence of p(p+1) letters: a bound past the
-        # cap is refused now, not when the sweep reaches it
-        most = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
-        if bound > most:
-            raise InvalidParameters(
-                f"the {check} bound must be at most {most}, the largest p whose sequence "
-                f"has at most {MAX_WORD_LETTERS} letters, got {bound}"
-            )
+    if most is not None and bound > most:
+        raise InvalidParameters(
+            f"the {check} bound must be at most {most}, got {bound}: a larger bound "
+            f"reaches a subject of more than {MAX_WORD_LETTERS} letters"
+        )
     return sweep(bound)

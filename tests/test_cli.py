@@ -353,6 +353,55 @@ def test_sequence_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch
         made.clear()
 
 
+def test_witness_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch, capsys):
+    """(632, 253) is the first pair whose witness trace passes
+    MAX_WORD_LETTERS, found here from the Farey label totals without
+    spelling a word.  So the witness and dispatch-totality sweeps, which
+    make every disconnected pair's trace, take p = 631 and refuse 632
+    before the first subject, not 100 s into the sweep."""
+    from goeritz import sweeps
+    from goeritz.farey import _schedule, continued_fraction, seed_labels, solve_replacement_equation
+    from goeritz.sequences import InvalidParameters, make_params
+    from goeritz.words import MAX_WORD_LETTERS
+
+    def first_pair_past_the_cap():
+        for p, q in sweeps.coprime_pairs(1000):  # in the sweeps' order
+            params = make_params(p, q)
+            if params.connected:
+                continue
+            s, t = solve_replacement_equation(params)
+            labels = _schedule(seed_labels(params), continued_fraction(s, t + 1), params)
+            # the word of label (d, e) is (xy^q)^d x y^e
+            letters = sum((q + 1) * label.d + 1 + label.e for _, label, _ in labels)
+            if letters > MAX_WORD_LETTERS:
+                return p, q, letters
+
+    assert first_pair_past_the_cap() == (632, 253, 10_075_164)
+    for check in ("witness", "dispatch-totality"):
+        assert sweeps._CHECKS[check][3] == 631, check
+
+    class Started(Exception):
+        pass
+
+    made = []
+
+    def refusing_make_params(p, q):
+        made.append((p, q))
+        raise Started
+
+    monkeypatch.setattr(sweeps, "make_params", refusing_make_params)
+    for check in ("witness", "dispatch-totality"):
+        with pytest.raises(InvalidParameters, match="at most 631.* 10000000 letters"):
+            sweeps.run_sweep(check, 632)
+        code, out, err = run(capsys, "sweep", check, "--max-p", "632")
+        assert code == 2 and out == "" and "at most 631" in err, check
+        assert made == [], check
+        with pytest.raises(Started):
+            sweeps.run_sweep(check, 631)
+        assert made == [(2, 1)], check
+        made.clear()
+
+
 def test_hostile_p_is_refused_before_anything_is_made():
     """A sequence, shell, report or witness past the letter cap exits 2
     with an error and no output.  Each runs in a child process whose

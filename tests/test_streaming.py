@@ -3,16 +3,20 @@
 Their `--json` output must stay byte for byte what
 `json.dumps(<dict>, ensure_ascii=False, indent=2)` printed of the dicts
 they stand for, and their text output what it was when it was read off
-those dicts; the dicts and the text renderings they replaced are kept
-here as the reference.  The inputs are every coprime pair with p <= 60
-and every `report` pair of the benchmark's verify-long passes, seeds 1-3.
-Streamed, `report 3000 7` holds O(p), not the Theta(p^2) of the dicts.
+those dicts; the dict builders and the text renderings they replaced
+are kept here as the reference, apart from the package's own
+`report_dict`, which is the parse of the stream.  The inputs are every
+coprime pair with p <= 60 and every `report` pair of the benchmark's
+verify-long passes, seeds 1-3.  Streamed, `report 3000 7` holds O(p),
+not the Theta(p^2) of the dicts, and the verbs build neither the
+report nor a shell or sequence object.
 """
 
 import importlib.util
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,11 +25,24 @@ import pytest
 
 import goeritz
 from goeritz import cli
-from goeritz.presentations import render
+from goeritz.presentations import (
+    abelianization_dict,
+    abelianize_presentation,
+    amalgam_dict,
+    presentation_dict,
+    render,
+)
 from goeritz.primitivity import is_primitive_whitehead
-from goeritz.report import build_report, params_dict, report_dict, shell_dict
+from goeritz.report import (
+    FullReport,
+    build_report,
+    params_dict,
+    report_dict,
+    structure_dict,
+    witness_dict,
+)
 from goeritz.sequences import make_params, pq_sequence
-from goeritz.shells import ShellKind, build_shell
+from goeritz.shells import Shell, ShellKind, build_shell
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
@@ -61,6 +78,42 @@ def run(capsys):
 
 
 # --- the references: what the verbs printed before they streamed
+
+
+def shell_dict(shell: Shell) -> dict:
+    return {
+        "kind": shell.kind.value,
+        "slope": shell.slope,
+        "entries": [
+            {
+                "index": e.index,
+                "word": e.text,
+                "class": e.disk_class.value,
+            }
+            for e in shell.entries
+        ],
+    }
+
+
+def reference_report_dict(report: FullReport) -> dict:
+    seq = report.sequence
+    out = {
+        "params": params_dict(report.params),
+        "sequence": {
+            "words": list(seq.spellings),
+            "primitive_indices": sorted(seq.primitive_indices),
+        },
+        "shells": [shell_dict(s) for s in report.shells],
+        "structure": structure_dict(report.structure),
+        "witness": witness_dict(report.witness) if report.witness else None,
+        "presentation": presentation_dict(report.presentation)
+        if report.presentation
+        else None,
+        "amalgam": amalgam_dict(report.amalgam) if report.amalgam else None,
+    }
+    if report.presentation is not None:
+        out["abelianization"] = abelianization_dict(abelianize_presentation(report.presentation))
+    return out
 
 
 def _sequence_class(j: int, seq) -> str:
@@ -111,7 +164,7 @@ def reference_sequence_text(p: int, q: int, verify: bool) -> str:
 
 def reference_report_text(p: int, q: int) -> str:
     report = build_report(p, q)
-    d = report_dict(report)
+    d = reference_report_dict(report)
     params = report.params
     lines = [
         f"report for {params}",
@@ -146,8 +199,14 @@ def test_the_inputs_cover_both_kinds_of_complex():
 def test_report_json_is_the_dump_of_report_dict(run):
     for p, q in PAIRS:
         assert run("report", p, q, "--json") == (
-            0, dumped(report_dict(build_report(p, q))), ""
+            0, dumped(reference_report_dict(build_report(p, q))), ""
         ), (p, q)
+
+
+def test_report_dict_is_the_parse_of_the_stream():
+    for p, q in SMALL[::7] + VERIFY_LONG[::7]:
+        report = build_report(p, q)
+        assert report_dict(report) == reference_report_dict(report), (p, q)
 
 
 def test_report_text_is_the_summary_of_report_dict(run):
@@ -192,6 +251,43 @@ def test_a_refused_stream_writes_nothing(run):
                  ("report", 6, 4, "--json"), ("shell", 9, 3, "--json")):
         code, out, err = run(*argv)
         assert (code, out) == (2, "") and err.startswith("error: "), argv
+
+
+# --- the hot path
+
+
+def test_the_verbs_build_no_report_shell_or_sequence_object(run, monkeypatch):
+    """`report`, `shell` and `sequence` read the writers and the row
+    generators only: the library objects and `report_dict` stay off
+    their path, in text and in JSON.  Each is patched wherever a goeritz
+    module holds it."""
+    modules = [goeritz] + [
+        importlib.import_module(f"goeritz.{m.name}") for m in pkgutil.iter_modules(goeritz.__path__)
+    ]
+    called = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for original in (build_report, report_dict, build_shell, pq_sequence):
+        replacement = recording(original.__name__, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+    for p, q in ((12, 5), (13, 3)):  # disconnected, connected
+        for json_flag in ((), ("--json",)):
+            for argv in (("report", p, q), ("sequence", p, q), ("sequence", p, q, "--verify"),
+                         *(("shell", p, q, "--kind", kind.value) for kind in ShellKind)):
+                code, out, _ = run(*argv, *json_flag)
+                assert code == 0 and out and called == [], (argv, json_flag, called)
+    # the patches took: a library caller reaches them
+    goeritz.build_report(12, 5)
+    assert sorted(called) == ["build_report"] + ["build_shell"] * 4 + ["pq_sequence"]
 
 
 # --- memory
