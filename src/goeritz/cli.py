@@ -149,14 +149,14 @@ def cmd_shell(args) -> int:
     if args.json:
         write_shell_json(params, kind, sys.stdout.write)
         return 0
-    rows = list(shell_rows(params, kind))  # held, for the width of the word column
+    # a first pass for the width of the word column, so no row is held
+    width = max(len(text) for _, text, _ in shell_rows(params, kind))
     # the shell without its entries: its label and the closed-form meets
     shell = Shell(params=params, kind=kind, slope=kind.slope(params), entries=())
     p = params.p
     print(f"{shell.label()} for {params} (kind {kind.value})")
-    width = max(len(text) for _, text, _ in rows)
     print(f"  {'j':>3}  {'word':<{width}}  {'class':<13}  meets next  meets next+1")
-    for j, text, cls in rows:
+    for j, text, cls in shell_rows(params, kind):
         meet1 = intersection_number(shell, j, j + 1) if j + 1 <= p else "-"
         meet2 = intersection_number(shell, j, j + 2) if j + 2 <= p else "-"
         print(f"  {j:>3}  {text:<{width}}  {cls.value:<13}  {meet1!s:>10}  {meet2!s:>12}")

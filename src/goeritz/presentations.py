@@ -4,9 +4,10 @@ Emits, for connected primitive disk complexes: the disk and pair
 stabilizer presentations, the decomposition as a chain of vertex
 stabilizers amalgamated over edge stabilizers (one factor per
 quotient-graph vertex, read off the case's row of classify.CASES), and
-the presentation of the whole group derived from that amalgam.  Relator words use
-signed indices into the generator list, so the rank-two word machinery
-carries over syntactically to any number of generators.
+the presentation of the whole group derived from that amalgam.  A relator
+is a word in the generators' names, a tuple of (name, +1 or -1) letters;
+the generators are numbered only where GAP and the Smith normal form need
+indices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Optional, Union
 from .classify import CaseData, CaseTag, DisconnectedComplexError, case_data
 from .sequences import PqParams
 from .snf import invariant_factors
-from .words import free_reduce_codes
 
 _GREEK = {
     "alpha": "α",
@@ -62,9 +62,13 @@ class Generator:
     description: str = ""
 
 
+# A relator: (generator name, +1 or -1) letters, freely reduced.
+Relator = tuple[tuple[str, int], ...]
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators with geometric glosses, relators as signed index words.
+    """Generators with geometric glosses, relators as words in their names.
 
     A presentation either carries its own generators and relators or is
     a direct sum of summands; flatten() turns a direct sum into a single
@@ -73,24 +77,21 @@ class GroupPresentation:
     """
 
     generators: tuple[Generator, ...] = ()
-    relators: tuple[tuple[int, ...], ...] = ()
+    relators: tuple[Relator, ...] = ()
     summands: tuple["GroupPresentation", ...] = ()
 
     def __post_init__(self):
         if self.summands and (self.generators or self.relators):
             raise ValueError("a direct sum carries no generators of its own")
-        n = len(self.generators)
+        names = {g.name for g in self.generators}
         for rel in self.relators:
-            if any(c == 0 or abs(c) > n for c in rel):
+            if any(name not in names for name, _ in rel):
                 raise ValueError(f"relator {rel} uses undeclared generators")
 
     def all_generators(self) -> tuple[Generator, ...]:
         if not self.summands:
             return self.generators
-        out: list[Generator] = []
-        for part in self.summands:
-            out.extend(part.all_generators())
-        return tuple(out)
+        return tuple(g for part in self.summands for g in part.all_generators())
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.all_generators())
@@ -101,64 +102,48 @@ class GroupPresentation:
         if not self.summands:
             return self
         parts = [part.flatten() for part in self.summands]
-        gens: list[Generator] = []
-        relators: list[tuple[int, ...]] = []
-        offsets = []
-        for part in parts:
-            offsets.append(len(gens))
-            gens.extend(part.generators)
-        for part, off in zip(parts, offsets):
-            shift = lambda c: c + off if c > 0 else c - off
-            relators.extend(tuple(shift(c) for c in rel) for rel in part.relators)
+        relators = [rel for part in parts for rel in part.relators]
         for i, left in enumerate(parts):
-            for j in range(i + 1, len(parts)):
-                for gi in range(len(left.generators)):
-                    for gj in range(len(parts[j].generators)):
-                        g = offsets[i] + gi + 1
-                        h = offsets[j] + gj + 1
-                        relators.append((g, h, -g, -h))
-        return GroupPresentation(tuple(gens), tuple(relators))
+            for right in parts[i + 1:]:
+                for g in left.generators:
+                    for h in right.generators:
+                        relators.append(((g.name, 1), (h.name, 1), (g.name, -1), (h.name, -1)))
+        return GroupPresentation(self.all_generators(), tuple(relators))
 
-    def named_relators(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        """Relators as (generator name, exponent sign) sequences."""
-        names = self.generator_names()
-        out = []
-        for part, rels in self._relator_blocks():
-            part_names = part.generator_names()
-            for rel in rels:
-                out.append(tuple((part_names[abs(c) - 1], 1 if c > 0 else -1) for c in rel))
-        return tuple(out)
-
-    def _relator_blocks(self):
+    def named_relators(self) -> tuple[Relator, ...]:
+        """The relators; a direct sum's are its summands' in turn."""
         if not self.summands:
-            return [(self, self.relators)]
-        blocks = []
-        for part in self.summands:
-            blocks.extend(part._relator_blocks())
-        return blocks
+            return self.relators
+        return tuple(rel for part in self.summands for rel in part.named_relators())
 
 
 def presentation(
     gens: list[tuple[str, str]], relators: list[list[tuple[str, int]]]
 ) -> GroupPresentation:
-    """Build a presentation from (name, gloss) pairs and name/exponent relators."""
-    generators = tuple(Generator(name, desc) for name, desc in gens)
-    index = {g.name: i + 1 for i, g in enumerate(generators)}
+    """Build a presentation from (name, gloss) pairs and name/exponent
+    relators, each expanded into letters and freely reduced."""
+    declared = {name for name, _ in gens}
     rels = []
     for rel in relators:
-        codes: list[int] = []
+        word: list[tuple[str, int]] = []
         for name, exp in rel:
-            code = index[name] if exp > 0 else -index[name]
-            codes.extend([code] * abs(exp))
-        rels.append(free_reduce_codes(codes))
-    return GroupPresentation(generators, tuple(rels))
+            if name not in declared:  # checked here too, as its letters may cancel
+                raise ValueError(f"relator {rel} uses undeclared generators")
+            sign = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                if word and word[-1] == (name, -sign):
+                    word.pop()
+                else:
+                    word.append((name, sign))
+        rels.append(tuple(word))
+    return GroupPresentation(tuple(Generator(name, desc) for name, desc in gens), tuple(rels))
 
 
 def direct_sum(*summands: GroupPresentation) -> GroupPresentation:
     return GroupPresentation(summands=tuple(summands))
 
 
-def _word_display(rel: tuple[tuple[str, int], ...]) -> str:
+def _word_display(rel: Relator) -> str:
     """Unicode rendering; a proper power of a block renders as (block)^k."""
     n = len(rel)
     for period in range(2, n):
@@ -192,9 +177,7 @@ def _presentation_text(pres: GroupPresentation) -> str:
     if pres.summands:
         return " ⊕ ".join(_presentation_text(part) for part in pres.summands)
     gens = ", ".join(display_name(g.name) for g in pres.generators)
-    rels = ", ".join(
-        _word_display(rel) for rel in pres.named_relators()
-    )
+    rels = ", ".join(_word_display(rel) for rel in pres.relators)
     return f"⟨{gens} | {rels}⟩" if rels else f"⟨{gens} | −⟩"
 
 
@@ -206,32 +189,31 @@ def presentation_dict(pres: GroupPresentation) -> dict:
             {"name": g.name, "display": display_name(g.name), "description": g.description}
             for g in pres.generators
         ],
-        "relators": [_ascii_word(rel) for rel in pres.named_relators()],
+        "relators": [_ascii_word(rel) for rel in pres.relators],
     }
 
 
-def _ascii_word(rel: tuple[tuple[str, int], ...]) -> str:
+def _ascii_word(rel: Relator, symbols: Optional[dict[str, str]] = None) -> str:
+    """ASCII rendering, each name written as its symbol if a map is given."""
     parts = []
     for (name, sign), n in _runs(rel):
         exp = n * sign
-        parts.append(name if exp == 1 else f"{name}^{exp}")
+        sym = symbols[name] if symbols else name
+        parts.append(sym if exp == 1 else f"{sym}^{exp}")
     return "*".join(parts) if parts else "1"
 
 
-def _gap_relator(rel: tuple[int, ...]) -> str:
-    parts = []
-    for c, n in _runs(rel):
-        exp = n if c > 0 else -n
-        parts.append(f"F.{abs(c)}" if exp == 1 else f"F.{abs(c)}^{exp}")
-    return "*".join(parts)
+def _gap_relators(flat: GroupPresentation, free: str = "F") -> str:
+    """The GAP list of a flat presentation's relators over the free group `free`."""
+    symbols = {g.name: f"{free}.{i}" for i, g in enumerate(flat.generators, start=1)}
+    rels = ", ".join(_ascii_word(rel, symbols) for rel in flat.relators)
+    return f"[ {rels} ]" if rels else "[ ]"
 
 
 def _gap_script(pres: GroupPresentation) -> str:
     flat = pres.flatten()
     names = ", ".join(f'"{gap_name(g.name)}"' for g in flat.generators)
-    rels = ", ".join(_gap_relator(rel) for rel in flat.relators)
-    relator_list = f"[ {rels} ]" if rels else "[ ]"
-    return f"F := FreeGroup( {names} );;\nrelators := {relator_list};;"
+    return f"F := FreeGroup( {names} );;\nrelators := {_gap_relators(flat)};;"
 
 
 class StabilizerKind(Enum):
@@ -297,11 +279,9 @@ def stabilizer_presentation(kind: StabilizerKind, params: PqParams) -> GroupPres
         )
     if kind is StabilizerKind.VERTEX:
         return _vertex_stab()
-    if kind is StabilizerKind.EDGE_UNORDERED:
-        return _alpha()
     if kind is StabilizerKind.PAIR_EXCHANGEABLE:
         return _pair_stab()
-    return _alpha()
+    return _alpha()  # an unordered edge, or a pair that cannot be exchanged
 
 
 def _require_presentable(params: PqParams) -> None:
@@ -372,12 +352,12 @@ def _edge(label: str, left: AmalgamFactor, right: AmalgamFactor) -> AmalgamEdge:
         return AmalgamEdge(label, None, left.label, right.label)
     alpha, rest = left.presentation.summands
     theirs = right.presentation.generator_names()
-    kept = [(g.name, g.description) for g in rest.generators if g.name in theirs]
-    shared = ["alpha"] + [name for name, _ in kept]
-    relators = [rel for rel in rest.named_relators() if all(n in shared for n, _ in rel)]
+    kept = tuple(g for g in rest.generators if g.name in theirs)
+    shared = ["alpha"] + [g.name for g in kept]
+    relators = tuple(rel for rel in rest.relators if all(n in shared for n, _ in rel))
     return AmalgamEdge(
         label,
-        direct_sum(alpha, presentation(kept, relators)) if kept else alpha,
+        direct_sum(alpha, GroupPresentation(kept, relators)) if kept else alpha,
         left.label,
         right.label,
         tuple((g, g, g) for g in shared),
@@ -413,22 +393,20 @@ def _amalgamated_product(am: AmalgamDecomposition) -> GroupPresentation:
     generators, sorted by name and glossed as in the first factor that
     declares them, and the union of their relators: an edge relator,
     present in both factors of its edge, is kept once, and the relators
-    are stably sorted by the index of their first generator.
+    are stably sorted by the name of their first generator.
     """
-    glosses: dict[str, str] = {}
-    relators: dict[tuple[tuple[str, int], ...], None] = {}
+    generators: dict[str, Generator] = {}
+    relators: dict[Relator, None] = {}
     for factor in am.factors:
         rest = factor.presentation.summands[1]
         for g in rest.generators:
-            glosses.setdefault(g.name, g.description)
-        relators.update(dict.fromkeys(rest.named_relators()))
-    names = sorted(glosses)
-    index = {name: i for i, name in enumerate(names)}
+            generators.setdefault(g.name, g)
+        relators.update(dict.fromkeys(rest.relators))
     return direct_sum(
         _alpha(),
-        presentation(
-            [(name, glosses[name]) for name in names],
-            sorted(relators, key=lambda rel: index[rel[0][0]]),
+        GroupPresentation(
+            tuple(generators[name] for name in sorted(generators)),
+            tuple(sorted(relators, key=lambda rel: rel[0][0])),
         ),
     )
 
@@ -452,14 +430,14 @@ def abelianize_presentation(pres: GroupPresentation) -> Abelianization:
     """Invariant factors of the abelianized presentation, via integer
     Smith normal form of the relator exponent matrix."""
     flat = pres.flatten()
-    n = len(flat.generators)
+    index = {g.name: i for i, g in enumerate(flat.generators)}
     rows = []
     for rel in flat.relators:
-        row = [0] * n
-        for c in rel:
-            row[abs(c) - 1] += 1 if c > 0 else -1
+        row = [0] * len(index)
+        for name, sign in rel:
+            row[index[name]] += sign
         rows.append(row)
-    torsion, free_rank = invariant_factors(rows, n)
+    torsion, free_rank = invariant_factors(rows, len(index))
     return Abelianization(torsion=torsion, free_rank=free_rank)
 
 
@@ -515,9 +493,8 @@ def _amalgam_gap(am: AmalgamDecomposition) -> str:
             continue
         flat = factor.presentation.flatten()
         names = ", ".join(f'"{gap_name(g.name)}{i}"' for g in flat.generators)
-        rels = ", ".join(_gap_relator(rel).replace("F.", f"F{i}.") for rel in flat.relators)
         lines.append(f"F{i} := FreeGroup( {names} );;")
-        lines.append(f"relators{i} := [ {rels} ];;")
+        lines.append(f"relators{i} := {_gap_relators(flat, f'F{i}')};;")
     return "\n".join(lines)
 
 

@@ -274,18 +274,23 @@ def sweep_dispatch_totality(max_p: int) -> SweepResult:
 # Each check with its default bound, the least bound that leaves something
 # to check (one letter for the word-level checks, p = 2 for the p-level
 # ones, p = 12 for the witness sweep, whose first disconnected pair is
-# (12, 5)) and the largest bound it takes, or None.  The largest is the
-# last p before a subject passes MAX_WORD_LETTERS, so that such a bound is
+# (12, 5)) and the largest bound it takes.  The largest is the last p
+# before a subject passes MAX_WORD_LETTERS, so that such a bound is
 # refused up front, not when the sweep reaches it: the last p with
 # p(p+1) <= MAX_WORD_LETTERS where each pair makes its sequence, and 631
 # where each disconnected pair makes its witness trace, the first trace
-# past the cap being that of (632, 253), with 10,075,164 letters.
+# past the cap being that of (632, 253), with 10,075,164 letters.  For the
+# word-level checks it is the last length whose necklaces, which the
+# enumerator builds, total at most MAX_WORD_LETTERS letters: by Burnside,
+# sum over n <= N, d | n of phi(n/d) W(d), with W(d) = 2^d closed words over
+# z, y and 3^d + 2 + (-1)^d cyclically reduced ones over x, y.  That is 22
+# (8,393,924 letters; 23 has 16,782,576) and 14 (7,178,492; 15 has 21,528,032).
 _SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
 _WITNESS_P = 631
 _CHECKS = {
     "four-primitives": (sweep_four_primitives, 40, 2, _SEQUENCE_P),
-    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1, None),
-    "filter-soundness": (sweep_filter_soundness, 12, 1, None),
+    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1, 22),
+    "filter-soundness": (sweep_filter_soundness, 12, 1, 14),
     "witness": (sweep_witness, 120, 12, _WITNESS_P),
     "symmetry": (sweep_symmetry, 40, 2, _SEQUENCE_P),
     "dispatch-totality": (sweep_dispatch_totality, 60, 2, _WITNESS_P),
@@ -307,9 +312,11 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
     if bound < least:
         # a smaller bound leaves nothing to check, and the sweep would pass vacuously
         raise InvalidParameters(f"the {check} bound must be at least {least}, got {bound}")
-    if most is not None and bound > most:
+    if bound > most:
+        # a word-level check has the least bound 1
+        reach = "necklaces totalling" if least == 1 else "a subject of"
         raise InvalidParameters(
             f"the {check} bound must be at most {most}, got {bound}: a larger bound "
-            f"reaches a subject of more than {MAX_WORD_LETTERS} letters"
+            f"reaches {reach} more than {MAX_WORD_LETTERS} letters"
         )
     return sweep(bound)

@@ -10,11 +10,13 @@ the same presentation apart from the generator glosses listed in
 GLOSS_CHANGES, which now come from the amalgam factors.
 """
 
+import hashlib
 import math
 
 import pytest
 
 from goeritz.classify import (
+    CASES,
     CaseTag,
     CommonDualRule,
     ComplexStructureReport,
@@ -22,12 +24,14 @@ from goeritz.classify import (
     EdgeOrbit,
     EdgeOrbitInfo,
     QuotientGraph,
+    case_data,
     case_tag,
     classify,
     edge_orbits,
     quotient_graph,
     vertex_orbits,
 )
+from goeritz.cli import main
 from goeritz.presentations import (
     AmalgamDecomposition,
     AmalgamEdge,
@@ -442,3 +446,43 @@ def test_amalgam_and_presentation_match_the_reference_tables():
 def test_amalgam_refuses_disconnected():
     with pytest.raises(DisconnectedComplexError, match="not covered"):
         amalgam_decomposition(make_params(12, 5))
+
+
+# SHA-256 of the stdout of `presentation p q --format FMT --amalgam
+# --abelianization`, one pair per connected row of CASES.  Recorded from the
+# output of the index-relator renderer, so a change to the renderer cannot
+# move both sides of this comparison.
+PRESENTATION_DIGESTS = {
+    ((2, 1), "text"): "ee4b0bde06c3da380c40b163741d0e2a16d632d853e01d7167d2db0970dfc427",
+    ((2, 1), "json"): "0824bc6b21263dba3707910fbf73ae812db39e55a6c269cc985cb121e3aa6081",
+    ((2, 1), "gap"): "a5f98e8028bc550750594a71e6be877008468efd27f627361692ce081891a57e",
+    ((3, 1), "text"): "19df01e89fbcb045b95a9aff9430639e13bd64a0a1b006cc1231f5fadd279208",
+    ((3, 1), "json"): "4fb224bb025c96ca59d5a4d7ef86b7d867a42f6c285691f1944a6ac5a9a412a8",
+    ((3, 1), "gap"): "a8a16c0df28e0b237394648ccdd6c007af6172a6aa024c56379433b2cc5b7b2e",
+    ((4, 1), "text"): "7e2f91960780128f1d88466e19164872b65d51e17e7a09762d7985710137c26f",
+    ((4, 1), "json"): "44eb39f3d926e49369982060184c94808104bf5c10ded60ef05a1ea6902b6574",
+    ((4, 1), "gap"): "b8e3b6f5cd28f52b9ff664c5ee7013ab8fe3448a845ad2b2e6c4dc0ed0a9ba7b",
+    ((8, 3), "text"): "6a26c50bdb6d24318418602a97d50faf986f5f118831bef5e4754dc7430f551a",
+    ((8, 3), "json"): "2e69ac359d834c42d04ba44727a852c23f5154a1c1aa2c71075921554f2408fc",
+    ((8, 3), "gap"): "fba36c3d9fc7c26d5d55e93d8f6eb48e5a09466e78cfa9018bfff3b42b5aa9e4",
+    ((10, 3), "text"): "62c9372982d09e407bc9565928fa8b9e8a68b8cae164e2b777b869f4a3cb1af5",
+    ((10, 3), "json"): "504e8df0e1911fd2c360d02e26ecf31762af03930140358156b3f833339a1a69",
+    ((10, 3), "gap"): "c89d4e649743083a39e3e4bdd6d1da4768d3f50bc272a16ad8ec9c6c42b642e2",
+    ((5, 2), "text"): "d7a1b3cfa624473e95750d8ea401828cfa21564177cb7e160db125a907b1b442",
+    ((5, 2), "json"): "f101269a6273c255fb4a82f5703cef3b2cbd024650f5214106144aca7bdfb0dc",
+    ((5, 2), "gap"): "1ad77d85e9f18fe997efcfc1dc0465fed0229b388a3b112da091991fecffd9f9",
+    ((7, 2), "text"): "d7ef91105580eba2b5bbaeaafbed965c433b68773cd9c92f0372253a079dbc2e",
+    ((7, 2), "json"): "98efaa810050f736e6e8bfea3b01ac8aa78e00fd9145d96add58a4842ac24127",
+    ((7, 2), "gap"): "d3aa1412b36830f3f8f0216c7fe7641ce1856576ce8dff15c4caad15c8549150",
+}
+
+
+def test_presentation_output_matches_its_recorded_digests(capsys):
+    pairs = {pair for pair, _ in PRESENTATION_DIGESTS}
+    connected_rows = {row for row in CASES.values() if row.tag is not CaseTag.DISCONNECTED}
+    assert {case_data(make_params(p, q)) for p, q in pairs} == connected_rows
+    for ((p, q), fmt), digest in PRESENTATION_DIGESTS.items():
+        argv = ["presentation", str(p), str(q), "--format", fmt, "--amalgam", "--abelianization"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (p, q, fmt)

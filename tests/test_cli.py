@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -174,6 +175,26 @@ def test_shell_kinds(capsys):
     code, out, _ = run(capsys, "shell", "10", "3", "--kind", "pq", "--json")
     data = json.loads(out)
     assert data["shell"]["slope"] == 7
+
+
+def test_text_shell_holds_no_row():
+    """The text shell takes the width of its word column from a first pass
+    over the rows and prints on a second, so it holds O(p), not the
+    Theta(p^2) letters of all p + 1 words (6.4 MB at p = 2000 when it held
+    them).  Stdout goes to the null device, so no capture holds it either."""
+    import contextlib
+    import os
+    import tracemalloc
+
+    main(["shell", "5", "2", "--json"])  # the parser is built once, outside the measure
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["shell", "2000", "7"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_witness_12_5(capsys):
@@ -400,6 +421,68 @@ def test_witness_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch,
             sweeps.run_sweep(check, 631)
         assert made == [(2, 1)], check
         made.clear()
+
+
+def test_word_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch, capsys):
+    """The word-level sweeps take the last length whose necklaces total at
+    most MAX_WORD_LETTERS letters, counted here by Burnside's lemma: the
+    necklaces of n letters total sum over d | n of phi(n/d) W(d) letters,
+    W(d) being the closed words of d letters (2^d positive words over z, y;
+    3^d + 2 + (-1)^d cyclically reduced words over x, y).  A larger bound
+    is refused before the enumerator is called."""
+    from goeritz import sweeps
+    from goeritz.sequences import InvalidParameters
+    from goeritz.words import MAX_WORD_LETTERS
+
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+    def necklace_letters(closed_words, max_len):
+        return sum(
+            phi(n // d) * closed_words(d)
+            for n in range(1, max_len + 1)
+            for d in range(1, n + 1)
+            if n % d == 0
+        )
+
+    def last_length(closed_words):
+        n = 1
+        while necklace_letters(closed_words, n + 1) <= MAX_WORD_LETTERS:
+            n += 1
+        return n
+
+    positive = lambda d: 2**d
+    reduced = lambda d: 3**d + 2 + (-1) ** d
+    for n in (8, 10):
+        assert necklace_letters(positive, n) == sum(map(len, sweeps._necklaces("zy", n)))
+        assert necklace_letters(reduced, n) == sum(map(len, sweeps._necklaces("xXyY", n)))
+    assert necklace_letters(positive, 22) == 8_393_924
+    assert necklace_letters(reduced, 14) == 7_178_492
+    caps = {"oz-vs-whitehead": (positive, "positive_cyclic_words"),
+            "filter-soundness": (reduced, "reduced_cores")}
+
+    class Started(Exception):
+        pass
+
+    for check, (closed_words, enumerator) in caps.items():
+        most = last_length(closed_words)
+        assert (check, most) in {("oz-vs-whitehead", 22), ("filter-soundness", 14)}
+        assert sweeps._CHECKS[check][3] == most
+        calls = []
+
+        def counting_enumerator(max_len):
+            calls.append(max_len)
+            raise Started
+
+        monkeypatch.setattr(sweeps, enumerator, counting_enumerator)
+        with pytest.raises(InvalidParameters, match=f"at most {most}.* 10000000 letters"):
+            sweeps.run_sweep(check, most + 1)
+        code, out, err = run(capsys, "sweep", check, "--max-p", str(most + 1))
+        assert code == 2 and out == "" and f"at most {most}" in err, check
+        assert calls == [], check
+        with pytest.raises(Started):
+            sweeps.run_sweep(check, most)
+        assert calls == [most], check
 
 
 def test_hostile_p_is_refused_before_anything_is_made():

@@ -420,7 +420,10 @@ def test_presentation_builder_validates():
     from goeritz.presentations import Generator, GroupPresentation
 
     with pytest.raises(ValueError, match="undeclared"):
-        GroupPresentation(generators=(Generator("a"),), relators=((3,),))
+        GroupPresentation(generators=(Generator("a"),), relators=((("b", 1),),))
+    for relator in ([("b", 1)], [("a", 1), ("b", 1), ("b", -1)]):
+        with pytest.raises(ValueError, match="undeclared"):
+            presentation([("a", "")], [relator])
     leaf = presentation([("a", "")], [[("a", 2)]])
     with pytest.raises(ValueError, match="direct sum"):
         GroupPresentation(
