@@ -25,11 +25,15 @@ from .words import (
 from .primitivity import (
     FilterOutcome,
     FilterVerdict,
+    PrimitivityCertificate,
     WhiteheadAutomorphism,
+    check_certificate,
+    is_primitive_cmz,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
     oz_canonical_word,
+    primitivity_certificate,
     whitehead_reduce_step,
 )
 from .sequences import (

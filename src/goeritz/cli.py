@@ -1,10 +1,13 @@
 """Command line front end.
 
-`primitive` decides with the Whitehead oracle (`--method auto`, the
-default, or `whitehead`).  The positive-word normal form (`--method oz`)
-and the non-primitivity filter (`--method filter`) are independent
-checks on it, run on request and by the `oz-vs-whitehead` and
-`filter-soundness` sweeps.
+`primitive --method auto` (the default) decides with the certified
+Euclid reduction of Cohen, Metzler and Zimmermann, as `sequence --verify`
+and `witness` do: every primitive verdict is rebuilt from its
+certificate before it is printed.  The Whitehead oracle (`--method
+whitehead`), the positive-word normal form (`--method oz`) and the
+non-primitivity filter (`--method filter`) are independent checks on
+it, run on request and by the `cmz-vs-whitehead`, `four-primitives`,
+`oz-vs-whitehead`, `filter-soundness` and `witness` sweeps.
 
 Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
 2 invalid input, 3 sweep found failures, 4 verdict: inconclusive (the
@@ -38,6 +41,8 @@ from .presentations import (
 )
 from .primitivity import (
     FilterOutcome,
+    cmz_trace,
+    is_primitive_cmz,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
@@ -66,11 +71,12 @@ def _print_json(data) -> None:
 
 def cmd_primitive(args) -> int:
     word = parse_word(args.word)
-    method = "whitehead" if args.method == "auto" else args.method
+    method = "cmz" if args.method == "auto" else args.method
     verdict = None
     outcome = None
     chain = []
     filter_verdict = None
+    failure = None
 
     if method == "filter":
         filter_verdict = nonprimitivity_filter(word)
@@ -85,6 +91,11 @@ def cmd_primitive(args) -> int:
                 "use --method whitehead"
             )
         verdict = is_primitive_positive(word)
+    elif method == "cmz" and args.trace:
+        certificate, chain = cmz_trace(word)
+        verdict, failure = certificate.primitive, certificate.failure
+    elif method == "cmz":
+        verdict = is_primitive_cmz(word)
     elif args.trace:
         verdict, chain = whitehead_trace(word)
     else:
@@ -99,6 +110,8 @@ def cmd_primitive(args) -> int:
         }
         if args.trace and chain:
             data["trace"] = [{"move": str(a), "word": str(w)} for a, w in chain]
+        if failure is not None:
+            data["failed_condition"] = failure
         _print_json(data)
     else:
         print(f"word: {word}")
@@ -111,6 +124,8 @@ def cmd_primitive(args) -> int:
             if chain:
                 for i, (auto, image) in enumerate(chain, start=1):
                     print(f"  step {i}: {auto} => {image}")
+            if failure is not None:
+                print(f"  failed condition: {failure}")
             if filter_verdict is not None and filter_verdict.witness is not None:
                 wit = filter_verdict.witness
                 print(
@@ -132,11 +147,11 @@ def cmd_sequence(args) -> int:
         f"connected = {'yes' if params.connected else 'no'}"
     )
     mismatch = 0
-    for j, word, cls, oracle in sequence_rows(params, args.verify):
+    for j, word, cls, verdict in sequence_rows(params, args.verify):
         line = f"  {j:>3}  {word}  {SEQUENCE_CLASS[cls]}"
         if args.verify:
-            line += f"  oracle={'primitive' if oracle else 'not-primitive'}"
-            mismatch += oracle != (cls is DiskClass.PRIMITIVE)
+            line += f"  oracle={'primitive' if verdict else 'not-primitive'}"
+            mismatch += verdict != (cls is DiskClass.PRIMITIVE)
         print(line)
     if args.verify:
         print(f"oracle agreement: {'ok' if mismatch == 0 else f'{mismatch} mismatches'}")
@@ -168,7 +183,7 @@ def cmd_witness(args) -> int:
     trace = nonconnectivity_witness(params)
     data = witness_dict(trace)
     for row, step in zip(data["disks"], trace.disks):
-        row["primitive"] = is_primitive_whitehead(step.word)
+        row["primitive"] = is_primitive_cmz(step.word)
     if args.json:
         _print_json({"params": params_dict(params), "witness": data})
         return 0
@@ -327,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("sequence", help="the (p,q)-sequence of words")
     _add_pq(p_seq)
-    p_seq.add_argument("--verify", action="store_true", help="run the oracle on every word")
+    p_seq.add_argument(
+        "--verify", action="store_true", help="decide every word with the certified test"
+    )
     p_seq.add_argument("--json", action="store_true")
     p_seq.set_defaults(func=cmd_sequence)
 

@@ -1,16 +1,21 @@
-"""Primitivity of elements of the rank-two free group, by three routes.
+"""Primitivity of elements of the rank-two free group, by four routes.
 
-* the Whitehead-algorithm oracle, the decision: greedily shorten the
-  cyclic word with powers of Whitehead automorphisms; by peak reduction
-  a primitive element admits a strictly shortening automorphism
-  whenever its cyclic length exceeds one, so the terminal length decides,
+* the certified Euclid reduction of Cohen, Metzler and Zimmermann, the
+  decision every verb prints: make the cyclic word positive, then
+  shorten it with x -> x y^-k until one generator is gone; it returns a
+  certificate, and `check_certificate` re-checks that certificate with
+  code of its own,
+* the Whitehead-algorithm oracle: greedily shorten the cyclic word with
+  powers of Whitehead automorphisms; by peak reduction a primitive
+  element admits a strictly shortening automorphism whenever its cyclic
+  length exceeds one, so the terminal length decides,
 * the Osborne-Zieschang normal form for words with positive letters only,
 * a quick sound-but-partial filter that can certify non-primitivity.
 
-The last two are independent checks on the oracle.  All three take a
-word, a tuple of letter codes or a spelling over x, X, y, Y, z, Z, and
-read it through `_rank2_spelling`; z is treated as the first generator
-in place of x.
+The last three are independent checks on the first, run on request and
+by the sweeps.  All four take a word, a tuple of letter codes or a
+spelling over x, X, y, Y, z, Z, and read it through `_rank2_spelling`;
+z is treated as the first generator in place of x.
 """
 
 from __future__ import annotations
@@ -496,6 +501,185 @@ def is_primitive_positive(w) -> bool:
         spelled, m, n = spelled.translate(_SWAP_XY), n, m
     form = _normal_form(m, n)
     return spelled in form + form  # a word of its length is a rotation of it
+
+
+# The conditions under which the Euclid reduction finds a word not primitive.
+MIXED_SIGNS = "mixed signs"
+REPEATED_LETTER = "repeated rarer letter"
+SHORT_RUN = "run shorter than k"
+NOT_UNIMODULAR = "non-unimodular abelianization"
+
+
+class PrimitivityCertificate(NamedTuple):
+    """How the Euclid reduction decided a word.
+
+    `flips` names the generators whose sign is flipped to make the
+    cyclically reduced word positive.  Each step (swapped, k) exchanges x
+    and y if `swapped` and then applies x -> x y^-k, which deletes k y's
+    after each x of a positive word whose x's are isolated and followed by
+    at least k y's.  A primitive word's steps end on the one letter
+    `letter`; any other word's stop where the condition `failure` holds.
+    """
+
+    primitive: bool
+    flips: str
+    steps: tuple[tuple[bool, int], ...]
+    letter: Optional[str] = None
+    failure: Optional[str] = None
+
+
+def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
+    """The decision of `primitivity_certificate`; each automorphism it
+    applies is appended to `moves`, if given, as (label, spelled image)."""
+    word = _cyclic_core(_rank2_spelling(w))
+    if ("x" in word and "X" in word) or ("y" in word and "Y" in word):
+        return PrimitivityCertificate(False, "", (), failure=MIXED_SIGNS)
+    flips = "x" * ("X" in word) + "y" * ("Y" in word)
+    if flips:
+        # with one sign per generator, lowering the case is the sign flip
+        word = word.lower()
+        if moves is not None:
+            images = ("X" if "x" in flips else "x", "Y" if "y" in flips else "y")
+            moves.append((f"x -> {_caret(images[0])}, y -> {_caret(images[1])}", word))
+    steps = []
+    while True:
+        a, b = word.count("x"), word.count("y")
+        if not a or not b:
+            break
+        swapped = a > b
+        if swapped:
+            word, a, b = word.translate(_SWAP_XY), b, a
+            if moves is not None:
+                moves.append(("x -> y, y -> x", word))
+        # x is now the rarer letter; start the word at an x
+        start = word.index("x")
+        word = word[start:] + word[:start]
+        if "xx" in word or word[-1] == "x":
+            return PrimitivityCertificate(False, flips, tuple(steps), failure=REPEATED_LETTER)
+        k = b // a
+        image = word.replace("x" + "y" * k, "x")
+        if len(word) - len(image) < k * a:
+            return PrimitivityCertificate(False, flips, tuple(steps), failure=SHORT_RUN)
+        word = image
+        steps.append((swapped, k))
+        if moves is not None:
+            moves.append((f"x -> {_caret('x' + 'Y' * k)}", word))
+    if len(word) != 1:
+        return PrimitivityCertificate(False, flips, tuple(steps), failure=NOT_UNIMODULAR)
+    return PrimitivityCertificate(True, flips, tuple(steps), letter=word)
+
+
+def primitivity_certificate(w) -> PrimitivityCertificate:
+    """Decide primitivity by the Euclid reduction of Cohen, Metzler and
+    Zimmermann ("What does a basis of F(a,b) look like?", Math. Ann.
+    1981), which extends the Osborne-Zieschang normal form to all words.
+
+    A cyclically reduced primitive word uses each generator with one sign
+    only; flip the signs so it is positive.  Then, x being the rarer
+    letter, a positive primitive word has its x's isolated and its y-runs
+    of lengths n and n+1 with n = #y // #x (the normal form), and the
+    automorphism x -> x y^-n deletes n y's after each x: a shorter
+    positive word, primitive exactly when the first is.  The word is
+    primitive exactly when the steps end on one letter.  Each step
+    deletes at least a quarter of the letters, with C-level string
+    operations, so the decision takes O(n) time.
+
+    w is a word, a tuple of letter codes or a spelling over x, X, y, Y,
+    z, Z; any other character raises ValueError.
+    """
+    return _euclid_reduction(w, None)
+
+
+def check_certificate(w, certificate: PrimitivityCertificate) -> None:
+    """Raise RuntimeError unless `certificate` proves its verdict on w.
+
+    Shares no code with the decision past reading w.  A primitive verdict
+    is checked by rebuilding w, as a cyclic word, from its letter with
+    the inverse steps (x -> x y^k, the swaps, the sign flips): an
+    automorphic image of a generator is primitive.  Any other verdict is
+    checked by replaying the steps, each of which must be the Euclid step
+    and delete k y's after every x, up to the stated condition.
+    """
+    stack = []  # w freely reduced, then stripped of inverse ends
+    for c in _rank2_spelling(w):
+        if stack and stack[-1] == c.swapcase():
+            stack.pop()
+        else:
+            stack.append(c)
+    lo, hi = 0, len(stack)
+    while hi - lo > 1 and stack[lo] == stack[hi - 1].swapcase():
+        lo, hi = lo + 1, hi - 1
+    core = "".join(stack[lo:hi])
+    flip = str.maketrans({c: c.swapcase() for c in certificate.flips + certificate.flips.upper()})
+    swap = str.maketrans("xy", "yx")
+
+    def wrong(why):
+        raise RuntimeError(f"the primitivity certificate of {core or '1'!r} is wrong: {why}")
+
+    if any(type(k) is not int or k < 1 for _, k in certificate.steps):
+        wrong("a step has no exponent k >= 1")
+    if certificate.primitive:
+        if certificate.letter not in ("x", "y") or certificate.failure is not None:
+            wrong("a primitive verdict must end on one letter")
+        word = certificate.letter
+        for swapped, k in reversed(certificate.steps):
+            if len(word) + k * word.count("x") > len(core):
+                wrong("its steps rebuild a word longer than w")
+            word = word.replace("x", "x" + "y" * k)
+            word = word.translate(swap) if swapped else word
+        word = word.translate(flip)
+        if len(word) != len(core) or core not in word + word:
+            wrong(f"its steps rebuild {word!r}")
+        return
+    if certificate.failure == MIXED_SIGNS:
+        if certificate.flips or certificate.steps or not any(
+            g in core and g.upper() in core for g in "xy"
+        ):
+            wrong("no generator occurs with both signs")
+        return
+    word = core.translate(flip)
+    if certificate.letter is not None or "X" in word or "Y" in word:
+        wrong("its sign flips leave the word not positive")
+    for i in range(len(certificate.steps) + 1):
+        a, b = word.count("x"), word.count("y")
+        if not a or not b:
+            break
+        swapped = a > b
+        if swapped:
+            word, a, b = word.translate(swap), b, a
+        start, k = word.index("x"), b // a
+        word = word[start:] + word[:start]
+        image = word.replace("x" + "y" * k, "x")
+        deleted = len(word) - len(image)
+        if i == len(certificate.steps):
+            held = {REPEATED_LETTER: "xx" in word + "x", SHORT_RUN: deleted < k * a}
+            if not held.get(certificate.failure):
+                wrong(f"{certificate.failure!r} does not hold where the steps end")
+            return
+        if certificate.steps[i] != (swapped, k) or deleted != k * a:
+            wrong(f"step {i + 1} is not the Euclid step ({swapped}, {k})")
+        word = image
+    if i != len(certificate.steps) or certificate.failure != NOT_UNIMODULAR or len(word) == 1:
+        wrong(f"the steps end on {word!r}, where {certificate.failure!r} does not hold")
+
+
+def is_primitive_cmz(w) -> bool:
+    """The certified decision: `primitivity_certificate`, with the
+    certificate of every primitive verdict checked before it is returned."""
+    certificate = primitivity_certificate(w)
+    if certificate.primitive:
+        check_certificate(w, certificate)
+    return certificate.primitive
+
+
+def cmz_trace(w) -> tuple[PrimitivityCertificate, list[tuple[str, CyclicWord]]]:
+    """The certificate, checked whatever its verdict, and the automorphisms
+    of its reduction (sign flips, swaps, Euclid steps), each with the
+    cyclic word it leaves, in the shape of `whitehead_trace`'s chain."""
+    moves: list = []
+    certificate = _euclid_reduction(w, moves)
+    check_certificate(w, certificate)
+    return certificate, [(label, CyclicWord._of_reduced_spelling(image)) for label, image in moves]
 
 
 class FilterOutcome(Enum):

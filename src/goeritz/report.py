@@ -26,7 +26,7 @@ from .presentations import (
     goeritz_presentation,
     presentation_dict,
 )
-from .primitivity import is_primitive_whitehead
+from .primitivity import is_primitive_cmz
 from .sequences import (
     PqParams,
     PqSequence,
@@ -208,31 +208,31 @@ def write_shell_json(params: PqParams, kind: ShellKind, write: Write) -> None:
 def sequence_rows(
     params: PqParams, verify: bool
 ) -> Iterator[tuple[int, str, DiskClass, Optional[bool]]]:
-    """(j, w_j, class, the oracle's verdict on w_j if `verify` else None),
+    """(j, w_j, class, the certified verdict on w_j if `verify` else None),
     one word of the (p,q)-sequence at a time."""
     p = params.p
     primitive = primitive_indices(params)
     for j, spelled in enumerate(spelled_sequence(p, params.q)):
         word = spelled.decode("ascii")
-        yield j, word, disk_class(j, p, primitive), is_primitive_whitehead(word) if verify else None
+        yield j, word, disk_class(j, p, primitive), is_primitive_cmz(word) if verify else None
 
 
 def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
-    """What `sequence --json` prints; returns how many oracle verdicts
+    """What `sequence --json` prints; returns how many certified verdicts
     differ from the classes (0 without `verify`)."""
     check_sequence_size(params.p)
     write(f'{{\n  "params": {_json(params_dict(params), 1)},\n  "rows": [')
     _, pad1, pad2, pad3 = _pads(1)
     mismatch = 0
     sep = ""
-    for j, word, cls, oracle in sequence_rows(params, verify):
+    for j, word, cls, verdict in sequence_rows(params, verify):
         row = (
             f'{sep}{pad1}{{{pad2}"j": {j},{pad2}"word": "{word}",'
             f'{pad2}"class": {_QUOTED_SEQUENCE_CLASS[cls]}'
         )
         if verify:
-            row += f',{pad2}"oracle_primitive": {"true" if oracle else "false"}'
-            mismatch += oracle != (cls is DiskClass.PRIMITIVE)
+            row += f',{pad2}"oracle_primitive": {"true" if verdict else "false"}'
+            mismatch += verdict != (cls is DiskClass.PRIMITIVE)
         write(f"{row}{pad1}}}")
         sep = ","
     write("\n  ]")

@@ -20,9 +20,11 @@ from .farey import ConnectedComplexError, nonconnectivity_witness
 from .presentations import amalgam_decomposition, goeritz_presentation
 from .primitivity import (
     FilterOutcome,
+    check_certificate,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
+    primitivity_certificate,
     _symmetry_variants,
 )
 from .sequences import InvalidParameters, make_params, pq_sequence, verify_symmetry
@@ -55,10 +57,21 @@ def coprime_pairs(max_p: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
+# The largest word length each enumerator takes: the last length whose
+# necklaces, which the enumerator builds, total at most MAX_WORD_LETTERS
+# letters.  By Burnside, the necklaces of n letters total sum over d | n
+# of phi(n/d) W(d) letters, with W(d) = 2^d closed words over z, y and
+# 3^d + 2 + (-1)^d cyclically reduced ones over x, y.  That is 22
+# (8,393,924 letters; 23 has 16,782,576) and 14 (7,178,492; 15 has
+# 21,528,032).
+POSITIVE_WORD_CAP = 22
+REDUCED_WORD_CAP = 14
+
+
 def _necklaces(letters: str, max_len: int) -> Iterator[str]:
     """The necklaces of 1..max_len letters over `letters`, ranked in the
     order given, with no letter next to its inverse, cyclically; spelled,
-    in lexicographic order.
+    in lexicographic order.  None when max_len < 1.
 
     The Fredricksen-Kessler-Maiorana recursion, walked depth first with
     a stack: a prenecklace w of t letters whose longest Lyndon prefix has
@@ -69,7 +82,7 @@ def _necklaces(letters: str, max_len: int) -> Iterator[str]:
     keeps that pair; the wrap pair is checked on each necklace.
     """
     from_letter = {letter: letters[i:] for i, letter in enumerate(letters)}
-    stack = [(letter, 1) for letter in reversed(letters)]
+    stack = [(letter, 1) for letter in reversed(letters)] if max_len >= 1 else []
     while stack:
         word, p = stack.pop()
         t = len(word)
@@ -84,21 +97,37 @@ def _necklaces(letters: str, max_len: int) -> Iterator[str]:
                 stack.append((word + same, p))
 
 
+def _capped(max_len: int, cap: int) -> None:
+    """Refuse a word length past an enumerator's cap, before any word is made."""
+    if max_len > cap:
+        raise InvalidParameters(
+            f"the word length must be at most {cap}, got {max_len}: longer necklaces "
+            f"total more than {MAX_WORD_LETTERS} letters"
+        )
+
+
 def positive_cyclic_words(max_len: int) -> Iterator[str]:
-    """Canonical rotations of all positive words over {z, y}, lengths 1..max_len, spelled."""
+    """Canonical rotations of all positive words over {z, y}, lengths 1..max_len, spelled.
+
+    A length past POSITIVE_WORD_CAP raises InvalidParameters here, at the call."""
+    _capped(max_len, POSITIVE_WORD_CAP)
     return _necklaces("zy", max_len)
 
 
 def reduced_cores(max_len: int) -> Iterator[str]:
     """One representative per cyclic core class, up to the symmetries the
     filter and the oracle share: rotation, inversion and the y sign flip.
-    It is the least string among the least rotations of the four variants."""
+    It is the least string among the least rotations of the four variants.
+
+    A length past REDUCED_WORD_CAP raises InvalidParameters here, at the call."""
+    _capped(max_len, REDUCED_WORD_CAP)
     # the necklaces over x < X < y < Y are the least rotations of the
     # cyclically reduced words
-    for word in _necklaces("xXyY", max_len):
-        _, *others = _symmetry_variants(word)
-        if all(word <= _least_rotation(other) for other in others):
-            yield word
+    return (
+        word
+        for word in _necklaces("xXyY", max_len)
+        if all(word <= _least_rotation(other) for other in _symmetry_variants(word)[1:])
+    )
 
 
 def sweep_four_primitives(max_p: int) -> SweepResult:
@@ -146,6 +175,27 @@ def sweep_filter_soundness(max_len: int) -> SweepResult:
                 SweepFailure(str(Word._of_spelling(word)), "filter fired on an oracle-primitive word")
             )
     return SweepResult("filter-soundness", max_len, count, tuple(failures))
+
+
+def sweep_cmz_vs_whitehead(max_len: int) -> SweepResult:
+    """The certified decision, its checker and the oracle on every
+    cyclically reduced necklace: no symmetry reduction, which could hide
+    a decider that breaks a symmetry."""
+    failures = []
+    count = 0
+    for word in _necklaces("xXyY", max_len):
+        count += 1
+        certificate = primitivity_certificate(word)
+        by_oracle = is_primitive_whitehead(word)
+        try:
+            check_certificate(word, certificate)
+            if certificate.primitive == by_oracle:
+                continue
+            detail = f"certified decision says {certificate.primitive}, oracle says {by_oracle}"
+        except RuntimeError as exc:
+            detail = str(exc)
+        failures.append(SweepFailure(str(CyclicWord._of_reduced_spelling(word)), detail))
+    return SweepResult("cmz-vs-whitehead", max_len, count, tuple(failures))
 
 
 def sweep_witness(max_p: int) -> SweepResult:
@@ -280,17 +330,14 @@ def sweep_dispatch_totality(max_p: int) -> SweepResult:
 # p(p+1) <= MAX_WORD_LETTERS where each pair makes its sequence, and 631
 # where each disconnected pair makes its witness trace, the first trace
 # past the cap being that of (632, 253), with 10,075,164 letters.  For the
-# word-level checks it is the last length whose necklaces, which the
-# enumerator builds, total at most MAX_WORD_LETTERS letters: by Burnside,
-# sum over n <= N, d | n of phi(n/d) W(d), with W(d) = 2^d closed words over
-# z, y and 3^d + 2 + (-1)^d cyclically reduced ones over x, y.  That is 22
-# (8,393,924 letters; 23 has 16,782,576) and 14 (7,178,492; 15 has 21,528,032).
+# word-level checks it is the cap of the enumerator they walk.
 _SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
 _WITNESS_P = 631
 _CHECKS = {
     "four-primitives": (sweep_four_primitives, 40, 2, _SEQUENCE_P),
-    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1, 22),
-    "filter-soundness": (sweep_filter_soundness, 12, 1, 14),
+    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1, POSITIVE_WORD_CAP),
+    "filter-soundness": (sweep_filter_soundness, 12, 1, REDUCED_WORD_CAP),
+    "cmz-vs-whitehead": (sweep_cmz_vs_whitehead, 12, 1, REDUCED_WORD_CAP),
     "witness": (sweep_witness, 120, 12, _WITNESS_P),
     "symmetry": (sweep_symmetry, 40, 2, _SEQUENCE_P),
     "dispatch-totality": (sweep_dispatch_totality, 60, 2, _WITNESS_P),

@@ -1,0 +1,177 @@
+"""The certified Euclid decision against the Whitehead oracle, and its checker.
+
+The decision must agree with the oracle on every word it is shown, and
+`check_certificate` must accept every certificate the decision makes and
+refuse a tampered one.  The long words are seeded automorphic images
+made by the benchmark's own generator, loaded from `bench/workloads.py`.
+"""
+
+import importlib.util
+import random
+from itertools import product
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from goeritz import sweeps
+from goeritz.primitivity import (
+    MIXED_SIGNS,
+    NOT_UNIMODULAR,
+    REPEATED_LETTER,
+    SHORT_RUN,
+    PrimitivityCertificate,
+    check_certificate,
+    cmz_trace,
+    is_primitive_cmz,
+    is_primitive_whitehead,
+    primitivity_certificate,
+)
+from goeritz.words import _spell, cyclic_reduce, invert, parse_word
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+FIXED = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def test_agrees_with_the_oracle_on_every_word_up_to_seven_letters():
+    """Every word over x, X, y, Y and z, Z, y, Y, reduced or not."""
+    checked = 0
+    for n in range(8):
+        for letters in product("xXyY", repeat=n):
+            spelled = "".join(letters)
+            for word in (spelled, spelled.replace("x", "z").replace("X", "Z")):
+                certificate = primitivity_certificate(word)
+                check_certificate(word, certificate)
+                assert certificate.primitive is is_primitive_whitehead(word), word
+                assert is_primitive_cmz(word) is certificate.primitive, word
+            checked += 1
+    assert checked == 21845
+
+
+@FIXED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.sampled_from(((1,), *workloads._NONPRIMITIVE_BASES)),
+    lo=st.integers(200, 700),
+)
+def test_agrees_with_the_oracle_on_long_automorphic_images(seed, base, lo):
+    word = _spell(workloads.automorphic_image(base, lo, lo + 100, random.Random(seed)))
+    assert 200 <= len(word) <= 800
+    certificate = primitivity_certificate(word)
+    check_certificate(word, certificate)
+    assert certificate.primitive is is_primitive_whitehead(word) is (base == (1,))
+
+
+def test_the_failed_conditions():
+    cases = {
+        "xyXY": MIXED_SIGNS,
+        "x^2y^2": REPEATED_LETTER,
+        "xyxy^3": SHORT_RUN,
+        "XyXy^2Xy^3": SHORT_RUN,
+        "x^2": NOT_UNIMODULAR,
+        "xyxy": NOT_UNIMODULAR,
+        "": NOT_UNIMODULAR,
+    }
+    for text, failure in cases.items():
+        certificate = primitivity_certificate(parse_word(text))
+        assert not certificate.primitive and certificate.failure == failure, text
+        assert certificate.letter is None
+        check_certificate(parse_word(text), certificate)
+    assert primitivity_certificate("XyXyyXyyy").flips == "x"
+    assert primitivity_certificate("xYYY") == PrimitivityCertificate(True, "y", ((False, 3),), "x")
+    assert primitivity_certificate("Y") == PrimitivityCertificate(True, "y", (), "y")
+
+
+def _tampered(certificate: PrimitivityCertificate):
+    """Every certificate one edit away: a k off by one, a step dropped,
+    the verdict flipped."""
+    steps = certificate.steps
+    for i, (swapped, k) in enumerate(steps):
+        for wrong_k in (k - 1, k + 1):
+            yield certificate._replace(steps=steps[:i] + ((swapped, wrong_k),) + steps[i + 1 :])
+        yield certificate._replace(steps=steps[:i] + steps[i + 1 :])
+    yield certificate._replace(primitive=not certificate.primitive)
+
+
+def test_the_checker_refuses_every_tampered_certificate():
+    tampered = 0
+    for word in sweeps._necklaces("xXyY", 10):
+        certificate = primitivity_certificate(word)
+        for forged in _tampered(certificate):
+            with pytest.raises(RuntimeError, match="certificate .* is wrong"):
+                check_certificate(word, forged)
+            tampered += 1
+    assert tampered > 10_000
+
+
+def test_the_checker_refuses_a_verdict_on_another_word():
+    primitive = primitivity_certificate("xyxyy")
+    with pytest.raises(RuntimeError, match="rebuild"):
+        check_certificate("xyxyyxyy", primitive)
+    not_primitive = primitivity_certificate("xxyy")
+    for other in ("xyxy", "xyXY"):
+        with pytest.raises(RuntimeError):
+            check_certificate(other, not_primitive)
+
+
+def test_is_primitive_cmz_raises_on_a_forged_primitive_verdict(monkeypatch):
+    """A decision that goes wrong is caught by the checker under python -O too:
+    `is_primitive_cmz` raises RuntimeError on a forged primitive verdict."""
+    from goeritz import primitivity
+
+    monkeypatch.setattr(
+        primitivity, "primitivity_certificate",
+        lambda w: PrimitivityCertificate(True, "", ((False, 1),), "x"),
+    )
+    assert primitivity.is_primitive_cmz("yx")  # rebuilt from x by x -> xy
+    with pytest.raises(RuntimeError, match="rebuild"):
+        primitivity.is_primitive_cmz("xxyy")
+
+
+def _apply(label: str, word):
+    """The automorphism named by a trace label, applied to a cyclic word."""
+    images = dict(part.split(" -> ") for part in label.split(", "))
+    table = {}
+    for g in "xy":
+        image = parse_word(images.get(g, g))
+        table[g], table[g.upper()] = image.spell(), invert(image).spell()
+    return cyclic_reduce(parse_word(word.spell().translate(str.maketrans(table))))
+
+
+def test_each_trace_move_takes_its_word_to_the_next():
+    for word in ("xyxy^2xy^2", "XyXy^2Xy^3", "xY^7xY^8", "x^2y^2", "yx^3yx^4yx^3", "z^-1yz^-1y^2"):
+        certificate, chain = cmz_trace(parse_word(word))
+        assert certificate == primitivity_certificate(parse_word(word))
+        image = cyclic_reduce(parse_word(word.replace("z", "x")))
+        for label, after in chain:
+            image = _apply(label, image)
+            assert image == after, (word, label)
+        assert len(chain) == (certificate.flips != "") + sum(
+            1 + swapped for swapped, _ in certificate.steps
+        )
+        if certificate.primitive:
+            assert image.spell() == certificate.letter
+
+
+def test_the_cmz_sweep_counts_every_necklace_and_reports_a_wrong_decision(monkeypatch):
+    result = sweeps.run_sweep("cmz-vs-whitehead", 8)
+    assert result.passed and result.subjects == sum(1 for _ in sweeps._necklaces("xXyY", 8))
+    assert sweeps._CHECKS["cmz-vs-whitehead"][3] == sweeps.REDUCED_WORD_CAP
+    honest = sweeps.primitivity_certificate
+    monkeypatch.setattr(
+        sweeps, "primitivity_certificate",
+        lambda w: honest(w)._replace(primitive=not honest(w).primitive),
+    )
+    result = sweeps.run_sweep("cmz-vs-whitehead", 4)
+    assert len(result.failures) == result.subjects
+    assert all("is wrong" in f.detail for f in result.failures)

@@ -19,7 +19,7 @@ def test_primitive_auto_positive(capsys):
     assert "method: oz" in out and "primitive: yes" in out
     code, out, _ = run(capsys, "primitive", "zyyzyyzy")
     assert code == 0
-    assert "method: whitehead" in out and "primitive: yes" in out
+    assert "method: cmz" in out and "primitive: yes" in out
 
 
 def test_primitive_auto_filter_hit(capsys):
@@ -28,7 +28,7 @@ def test_primitive_auto_filter_hit(capsys):
     assert "method: filter" in out and "primitive: no" in out
     code, out, _ = run(capsys, "primitive", "x y x Y")
     assert code == 1
-    assert "method: whitehead" in out and "primitive: no" in out
+    assert "method: cmz" in out and "primitive: no" in out
 
 
 def test_primitive_whitehead_with_trace(capsys):
@@ -63,22 +63,66 @@ def test_primitive_json(capsys):
     code, out, _ = run(capsys, "primitive", "x x y y", "--json")
     assert code == 1
     data = json.loads(out)
-    assert data["primitive"] is False and data["method"] == "whitehead"
+    assert data["primitive"] is False and data["method"] == "cmz"
 
 
-def test_primitive_auto_is_one_oracle_call(capsys, monkeypatch):
+def test_primitive_auto_is_one_certified_call(capsys, monkeypatch):
     def boom(*args):
-        raise AssertionError("auto must call the Whitehead oracle only")
+        raise AssertionError("auto must call the certified decision only")
 
-    monkeypatch.setattr("goeritz.cli.nonprimitivity_filter", boom)
-    monkeypatch.setattr("goeritz.cli.is_primitive_positive", boom)
+    for name in ("is_primitive_whitehead", "whitehead_trace", "nonprimitivity_filter",
+                 "is_primitive_positive"):
+        monkeypatch.setattr(f"goeritz.cli.{name}", boom)
     monkeypatch.setattr(Word, "letters", property(boom))
     # a positive word, a word the filter fires on, a mixed-sign primitive
     for text, expected in (("zyyzyyzy", 0), ("x y x Y", 1), ("xY^150xY^151", 0)):
         for extra in ((), ("--trace",), ("--json",)):
             code, out, _ = run(capsys, "primitive", text, *extra)
             assert code == expected, (text, extra)
-            assert "whitehead" in out, (text, extra)
+            assert "cmz" in out, (text, extra)
+
+
+def test_primitive_auto_trace_prints_the_certificate(capsys):
+    code, out, _ = run(capsys, "primitive", "xyxy^2", "--trace")
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        "  step 1: x -> xy^-1 => x^2y",
+        "  step 2: x -> y, y -> x => xy^2",
+        "  step 3: x -> xy^-2 => x",
+    ]
+    code, out, _ = run(capsys, "primitive", "XyXy^2Xy^3", "--trace", "--json")
+    data = json.loads(out)
+    assert code == 1 and data["method"] == "cmz" and data["primitive"] is False
+    assert data["trace"][0] == {"move": "x -> x^-1, y -> y", "word": "xyxy^2xy^3"}
+    assert data["failed_condition"] == "run shorter than k"
+    code, out, _ = run(capsys, "primitive", "x^2y^2", "--trace")
+    assert code == 1 and out.endswith("  failed condition: repeated rarer letter\n")
+    code, out, _ = run(capsys, "primitive", "x^2y^2", "--json")
+    assert "failed_condition" not in json.loads(out)
+
+
+def test_sequence_and_witness_never_call_the_oracle(capsys, monkeypatch):
+    """`sequence --verify` and `witness` decide with the certified test;
+    the oracle is patched to raise in every goeritz module that holds it."""
+    import importlib
+    import pkgutil
+
+    import goeritz
+    from goeritz.primitivity import is_primitive_whitehead
+
+    def boom(*args):
+        raise AssertionError("the oracle is off the verbs' path")
+
+    for info in pkgutil.iter_modules(goeritz.__path__):
+        module = importlib.import_module(f"goeritz.{info.name}")
+        if vars(module).get("is_primitive_whitehead") is is_primitive_whitehead:
+            monkeypatch.setattr(module, "is_primitive_whitehead", boom)
+    monkeypatch.setattr(goeritz, "is_primitive_whitehead", boom)
+    for argv in (("sequence", "60", "7", "--verify", "--json"), ("witness", "60", "7", "--json")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out), argv
+    with pytest.raises(AssertionError, match="off the verbs' path"):
+        goeritz.primitivity.is_primitive_whitehead("xy")
 
 
 def test_parse_error_exit_code(capsys):

@@ -21,6 +21,7 @@ from goeritz.primitivity import (
     _power,
     _power_step,
     _rank2_spelling,
+    is_primitive_cmz,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
@@ -479,7 +480,8 @@ def test_deciders_take_every_input_form():
             forms = [tup, z_codes, spelled, spelled.translate(to_z)]
             if free_reduce_codes(tup) == tup:
                 forms += [Word(tup), Word(z_codes)]
-            for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead):
+            for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead,
+                           is_primitive_cmz):
                 expected = _outcome(decide, tup)
                 assert [_outcome(decide, form) for form in forms] == [expected] * len(forms), (
                     decide.__name__,
@@ -495,7 +497,8 @@ def test_deciders_take_every_input_form():
 
 
 def test_deciders_raise_the_same_errors():
-    for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead):
+    for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead,
+                   is_primitive_cmz):
         for mixed in ("xzy", (1, 3, 2), Word((1, 3, 2))):
             with pytest.raises(MixedAlphabetError, match="mixes x and z"):
                 decide(mixed)

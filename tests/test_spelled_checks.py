@@ -15,6 +15,7 @@ import dataclasses
 import math
 from itertools import product
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from goeritz import sweeps
@@ -329,6 +330,25 @@ def test_reduced_core_counts():
     assert sum(1 for _ in sweeps.reduced_cores(8)) == 385
     assert sum(1 for _ in sweeps.reduced_cores(11)) == 6574
     assert sum(1 for _ in sweeps.reduced_cores(12)) == 17805
+
+
+def test_enumerators_refuse_lengths_below_one_and_past_their_cap_at_the_call():
+    """A bound below 1 yields nothing; a bound past the cap raises when the
+    enumerator is called, before the FKM stack is walked.  The sweeps read
+    the same caps."""
+    from goeritz.sequences import InvalidParameters
+
+    for enumerator, cap in ((sweeps.positive_cyclic_words, 22), (sweeps.reduced_cores, 14)):
+        for bound in (0, -1, -10**9):
+            assert list(enumerator(bound)) == [], (enumerator.__name__, bound)
+        for bound in (cap + 1, 2000, 10**18):
+            with pytest.raises(InvalidParameters, match=f"at most {cap}, got {bound}"):
+                enumerator(bound)
+        enumerator(cap)  # a lazy enumerator: nothing is made until it is read
+    assert (sweeps.POSITIVE_WORD_CAP, sweeps.REDUCED_WORD_CAP) == (22, 14)
+    assert sweeps._CHECKS["oz-vs-whitehead"][3] == sweeps.POSITIVE_WORD_CAP
+    assert sweeps._CHECKS["filter-soundness"][3] == sweeps.REDUCED_WORD_CAP
+    assert sweeps._CHECKS["cmz-vs-whitehead"][3] == sweeps.REDUCED_WORD_CAP
 
 
 # --- the symmetry check

@@ -363,5 +363,5 @@ def test_a_lone_1_parses_as_the_empty_word(capsys):
             parse_word(text)
     # `primitive 1` decides the empty word as `primitive ''` does
     assert main(["primitive", "1"]) == main(["primitive", ""]) == 1
-    first, second = capsys.readouterr().out.split("method: whitehead\n", 1)[0], None
+    first, second = capsys.readouterr().out.split("method: cmz\n", 1)[0], None
     assert first == "word: 1\n"
