@@ -7,7 +7,10 @@ certificate before it is printed.  The Whitehead oracle (`--method
 whitehead`), the positive-word normal form (`--method oz`) and the
 non-primitivity filter (`--method filter`) are independent checks on
 it, run on request and by the `cmz-vs-whitehead`, `four-primitives`,
-`oz-vs-whitehead`, `filter-soundness` and `witness` sweeps.
+`oz-vs-whitehead`, `filter-soundness` and `witness` sweeps.  The
+`sequence --verify` labels `oracle=`, `oracle agreement` and, in JSON,
+`"oracle_primitive"` carry the certified decision's verdicts; they keep
+the names they had when the oracle decided there.
 
 Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
 2 invalid input, 3 sweep found failures, 4 verdict: inconclusive (the
@@ -192,7 +195,6 @@ def cmd_witness(args) -> int:
         f"s = {trace.s}, t = {trace.t}, s/(t+1) = {trace.s}/{trace.t + 1}, "
         f"continued fraction {list(trace.cf)}"
     )
-    width = max(len(r["word"]) for r in data["disks"])
     print(f"  {'step':>4}  {'tag':<4}  {'fraction':<8}  {'d':>3}  {'e':>3}  {'primitive':<9}  word")
     for row in data["disks"]:
         print(

@@ -2,6 +2,8 @@
 
 Each named check machine-verifies one invariant against the independent
 Whitehead oracle or against exact arithmetic, reporting every failure.
+`run_sweep` is the one loop over subjects; `_CHECKS` gives each check its
+subjects and a test that yields the details of what fails for a subject.
 The word-level sweeps enumerate distinct cyclic cores: the filter and
 the oracle depend only on the cyclic core of a word (both reduce first
 and are rotation-invariant), so canonical representatives cover all
@@ -27,8 +29,8 @@ from .primitivity import (
     primitivity_certificate,
     _symmetry_variants,
 )
-from .sequences import InvalidParameters, make_params, pq_sequence, verify_symmetry
-from .words import MAX_WORD_LETTERS, CyclicWord, Word, _least_rotation
+from .sequences import InvalidParameters, PqParams, make_params, pq_sequence, verify_symmetry
+from .words import MAX_WORD_LETTERS, _caret, _least_rotation
 
 
 @dataclass(frozen=True)
@@ -130,230 +132,178 @@ def reduced_cores(max_len: int) -> Iterator[str]:
     )
 
 
-def sweep_four_primitives(max_p: int) -> SweepResult:
-    failures = []
-    count = 0
-    for p, q in coprime_pairs(max_p):
-        count += 1
-        seq = pq_sequence(make_params(p, q))
-        oracle = {j for j, spelling in enumerate(seq.spellings) if is_primitive_whitehead(spelling)}
-        if oracle != set(seq.primitive_indices):
-            failures.append(
-                SweepFailure(
-                    f"({p},{q})",
-                    f"oracle says {sorted(oracle)}, expected {sorted(seq.primitive_indices)}",
-                )
-            )
-    return SweepResult("four-primitives", max_p, count, tuple(failures))
+def _pairs(max_p: int) -> Iterator[PqParams]:
+    """The parameters of each coprime pair up to max_p, made as the sweep reaches it."""
+    return (make_params(p, q) for p, q in coprime_pairs(max_p))
 
 
-def sweep_oz_vs_whitehead(max_len: int) -> SweepResult:
-    failures = []
-    count = 0
-    for word in positive_cyclic_words(max_len):
-        count += 1
-        by_form = is_primitive_positive(word)
-        by_oracle = is_primitive_whitehead(word)
-        if by_form != by_oracle:
-            failures.append(
-                SweepFailure(
-                    str(CyclicWord._of_reduced_spelling(word)),
-                    f"normal form says {by_form}, oracle says {by_oracle}",
-                )
-            )
-    return SweepResult("oz-vs-whitehead", max_len, count, tuple(failures))
+def _pair_name(params: PqParams) -> str:
+    return f"({params.p},{params.q})"
 
 
-def sweep_filter_soundness(max_len: int) -> SweepResult:
-    failures = []
-    count = 0
-    for word in reduced_cores(max_len):
-        count += 1
-        verdict = nonprimitivity_filter(word)
-        if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(word):
-            failures.append(
-                SweepFailure(str(Word._of_spelling(word)), "filter fired on an oracle-primitive word")
-            )
-    return SweepResult("filter-soundness", max_len, count, tuple(failures))
+def _four_primitives(params: PqParams) -> Iterator[str]:
+    seq = pq_sequence(params)
+    oracle = {j for j, spelling in enumerate(seq.spellings) if is_primitive_whitehead(spelling)}
+    if oracle != set(seq.primitive_indices):
+        yield f"oracle says {sorted(oracle)}, expected {sorted(seq.primitive_indices)}"
 
 
-def sweep_cmz_vs_whitehead(max_len: int) -> SweepResult:
+def _oz_vs_whitehead(word: str) -> Iterator[str]:
+    by_form = is_primitive_positive(word)
+    by_oracle = is_primitive_whitehead(word)
+    if by_form != by_oracle:
+        yield f"normal form says {by_form}, oracle says {by_oracle}"
+
+
+def _filter_soundness(word: str) -> Iterator[str]:
+    verdict = nonprimitivity_filter(word)
+    if verdict.outcome is FilterOutcome.NOT_PRIMITIVE and is_primitive_whitehead(word):
+        yield "filter fired on an oracle-primitive word"
+
+
+def _cmz_vs_whitehead(word: str) -> Iterator[str]:
     """The certified decision, its checker and the oracle on every
     cyclically reduced necklace: no symmetry reduction, which could hide
-    a decider that breaks a symmetry."""
-    failures = []
-    count = 0
-    for word in _necklaces("xXyY", max_len):
-        count += 1
-        certificate = primitivity_certificate(word)
-        by_oracle = is_primitive_whitehead(word)
-        try:
-            check_certificate(word, certificate)
-            if certificate.primitive == by_oracle:
-                continue
-            detail = f"certified decision says {certificate.primitive}, oracle says {by_oracle}"
-        except RuntimeError as exc:
-            detail = str(exc)
-        failures.append(SweepFailure(str(CyclicWord._of_reduced_spelling(word)), detail))
-    return SweepResult("cmz-vs-whitehead", max_len, count, tuple(failures))
+    a decider that breaks a symmetry.  A certificate the checker refuses
+    raises RuntimeError, which the runner reports."""
+    certificate = primitivity_certificate(word)
+    by_oracle = is_primitive_whitehead(word)
+    check_certificate(word, certificate)
+    if certificate.primitive != by_oracle:
+        yield f"certified decision says {certificate.primitive}, oracle says {by_oracle}"
 
 
-def sweep_witness(max_p: int) -> SweepResult:
-    failures = []
-    count = 0
-    for p, q in coprime_pairs(max_p):
-        params = make_params(p, q)
-        if params.connected:
+def _witness(params: PqParams) -> Iterator[str]:
+    trace = nonconnectivity_witness(params)
+    final = trace.disks[-1]
+    if final.label.e != params.q + 1:
+        yield f"final e = {final.label.e} != q+1"
+        return
+    if not is_primitive_whitehead(final.word):
+        yield "final disk is not oracle-primitive"
+    d0 = trace.disks[0]
+    d1 = next(s for s in trace.disks if s.tag in ("L", "R"))
+    for name, step in (("D0", d0), ("D1", d1)):
+        if is_primitive_whitehead(step.word):
+            yield f"{name} is oracle-primitive"
+    for step in trace.disks:
+        if not step.label.matches_closed_form(params):
+            yield f"label {step.label.fraction} breaks the closed form"
+        if step.tag != "seed" and step.label.e < 1:
+            yield f"step word not positive: e = {step.label.e}"
+    # the fractions must walk a mediant path of Farey edges to s/(t+1)
+    for step in trace.disks:
+        if step.pair_before is None:
             continue
-        count += 1
-        subject = f"({p},{q})"
-        trace = nonconnectivity_witness(params)
-        final = trace.disks[-1]
-        if final.label.e != q + 1:
-            failures.append(SweepFailure(subject, f"final e = {final.label.e} != q+1"))
-            continue
-        if not is_primitive_whitehead(final.word):
-            failures.append(SweepFailure(subject, "final disk is not oracle-primitive"))
-        d0 = trace.disks[0]
-        d1 = next(s for s in trace.disks if s.tag in ("L", "R"))
-        for name, step in (("D0", d0), ("D1", d1)):
-            if is_primitive_whitehead(step.word):
-                failures.append(SweepFailure(subject, f"{name} is oracle-primitive"))
-        for step in trace.disks:
-            if not step.label.matches_closed_form(params):
-                failures.append(
-                    SweepFailure(subject, f"label {step.label.fraction} breaks the closed form")
-                )
-            if step.tag != "seed" and step.label.e < 1:
-                failures.append(
-                    SweepFailure(subject, f"step word not positive: e = {step.label.e}")
-                )
-        # the fractions must walk a mediant path of Farey edges to s/(t+1)
-        for step in trace.disks:
-            if step.pair_before is None:
-                continue
-            left, right = step.pair_before
-            if abs(left.a * right.b - right.a * left.b) != 1:
-                failures.append(SweepFailure(subject, "pair is not a Farey edge"))
-            if (step.label.a, step.label.b) != (left.a + right.a, left.b + right.b):
-                failures.append(SweepFailure(subject, "fraction is not the mediant"))
-        if (final.label.a, final.label.b) != (trace.s, trace.t + 1):
-            failures.append(SweepFailure(subject, "final fraction is not s/(t+1)"))
-    return SweepResult("witness", max_p, count, tuple(failures))
+        left, right = step.pair_before
+        if abs(left.a * right.b - right.a * left.b) != 1:
+            yield "pair is not a Farey edge"
+        if (step.label.a, step.label.b) != (left.a + right.a, left.b + right.b):
+            yield "fraction is not the mediant"
+    if (final.label.a, final.label.b) != (trace.s, trace.t + 1):
+        yield "final fraction is not s/(t+1)"
 
 
-def sweep_symmetry(max_p: int) -> SweepResult:
-    failures = []
-    count = 0
-    for p, q in coprime_pairs(max_p):
-        count += 1
-        if not verify_symmetry(pq_sequence(make_params(p, q))):
-            failures.append(SweepFailure(f"({p},{q})", "reversal symmetry fails"))
-    return SweepResult("symmetry", max_p, count, tuple(failures))
+def _symmetry(params: PqParams) -> Iterator[str]:
+    if not verify_symmetry(pq_sequence(params)):
+        yield "reversal symmetry fails"
 
 
-def sweep_dispatch_totality(max_p: int) -> SweepResult:
+def _dispatch_totality(params: PqParams) -> Iterator[str]:
     """Structural cross-consistency: connectivity criterion agreement,
     dimension against triples, sigma generators against exchangeable
     pair factors, and factor counts against the quotient graph."""
-    failures = []
-    count = 0
-    for p, q in coprime_pairs(max_p):
-        count += 1
-        subject = f"({p},{q})"
-        params = make_params(p, q)
-        structure = classify(params)
-
-        try:
-            pres = goeritz_presentation(params)
-            pres_defined = True
-        except DisconnectedComplexError:
-            pres, pres_defined = None, False
-        try:
-            nonconnectivity_witness(params)
-            witness_defined = True
-        except ConnectedComplexError:
-            witness_defined = False
-        if pres_defined != structure.connected or witness_defined == structure.connected:
-            failures.append(
-                SweepFailure(
-                    subject,
-                    f"connected={structure.connected} but presentation defined="
-                    f"{pres_defined}, witness defined={witness_defined}",
-                )
-            )
-            continue
-        two_dim = structure.dimension == 2
-        if structure.connected and two_dim != (q == 2 or p == 2 * q + 1):
-            failures.append(SweepFailure(subject, "dimension disagrees with the triple criterion"))
-        if two_dim != (structure.triple_exists and structure.connected):
-            failures.append(SweepFailure(subject, "dimension-2 and triple existence disagree"))
-        if not structure.connected:
-            continue
-        amalgam = amalgam_decomposition(params)
-        expected_factors = structure.quotient_graph.vertex_count
-        if len(amalgam.factors) != expected_factors:
-            failures.append(
-                SweepFailure(
-                    subject,
-                    f"{len(amalgam.factors)} factors but quotient graph "
-                    f"{structure.quotient_graph.value}",
-                )
-            )
-        if len(amalgam.edges) != expected_factors - 1:
-            failures.append(SweepFailure(subject, "edge count is not factor count - 1"))
-        sigma_gens = sum(1 for n in pres.generator_names() if n.startswith("sigma"))
-        sigma_factors = sum(
-            1
-            for f in amalgam.factors
-            if f.presentation is not None
-            and any(n.startswith("sigma") for n in f.presentation.generator_names())
+    structure = classify(params)
+    try:
+        pres = goeritz_presentation(params)
+        pres_defined = True
+    except DisconnectedComplexError:
+        pres, pres_defined = None, False
+    try:
+        nonconnectivity_witness(params)
+        witness_defined = True
+    except ConnectedComplexError:
+        witness_defined = False
+    if pres_defined != structure.connected or witness_defined == structure.connected:
+        yield (
+            f"connected={structure.connected} but presentation defined="
+            f"{pres_defined}, witness defined={witness_defined}"
         )
-        if sigma_gens != sigma_factors:
-            failures.append(
-                SweepFailure(
-                    subject,
-                    f"{sigma_gens} sigma generators but {sigma_factors} exchangeable pair factors",
-                )
-            )
-        if quotient_graph(params) is not structure.quotient_graph:
-            failures.append(SweepFailure(subject, "quotient graph mismatch"))
-    return SweepResult("dispatch-totality", max_p, count, tuple(failures))
+        return
+    two_dim = structure.dimension == 2
+    if structure.connected and two_dim != (params.q == 2 or params.p == 2 * params.q + 1):
+        yield "dimension disagrees with the triple criterion"
+    if two_dim != (structure.triple_exists and structure.connected):
+        yield "dimension-2 and triple existence disagree"
+    if not structure.connected:
+        return
+    amalgam = amalgam_decomposition(params)
+    expected_factors = structure.quotient_graph.vertex_count
+    if len(amalgam.factors) != expected_factors:
+        yield f"{len(amalgam.factors)} factors but quotient graph {structure.quotient_graph.value}"
+    if len(amalgam.edges) != expected_factors - 1:
+        yield "edge count is not factor count - 1"
+    sigma_gens = sum(1 for n in pres.generator_names() if n.startswith("sigma"))
+    sigma_factors = sum(
+        1
+        for f in amalgam.factors
+        if f.presentation is not None
+        and any(n.startswith("sigma") for n in f.presentation.generator_names())
+    )
+    if sigma_gens != sigma_factors:
+        yield f"{sigma_gens} sigma generators but {sigma_factors} exchangeable pair factors"
+    if quotient_graph(params) is not structure.quotient_graph:
+        yield "quotient graph mismatch"
 
 
-# Each check with its default bound, the least bound that leaves something
-# to check (one letter for the word-level checks, p = 2 for the p-level
-# ones, p = 12 for the witness sweep, whose first disconnected pair is
-# (12, 5)) and the largest bound it takes.  The largest is the last p
-# before a subject passes MAX_WORD_LETTERS, so that such a bound is
+# Each check with its per-subject test, its default bound, the least bound
+# that leaves something to check (one letter for the word-level checks,
+# p = 2 for the p-level ones, p = 12 for the witness sweep, whose first
+# disconnected pair is (12, 5)), the largest bound it takes, its subjects
+# up to a bound and the name of a failing subject.  The largest is the
+# last p before a subject passes MAX_WORD_LETTERS, so that such a bound is
 # refused up front, not when the sweep reaches it: the last p with
 # p(p+1) <= MAX_WORD_LETTERS where each pair makes its sequence, and 631
 # where each disconnected pair makes its witness trace, the first trace
 # past the cap being that of (632, 253), with 10,075,164 letters.  For the
-# word-level checks it is the cap of the enumerator they walk.
+# word-level checks it is the cap of the enumerator they walk.  The
+# subjects look make_params and the enumerators up when the sweep runs, so
+# that a caller who replaces those module names (to trace or to fault
+# them) is heard.  A word is named in caret notation, as Word prints it.
 _SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
 _WITNESS_P = 631
 _CHECKS = {
-    "four-primitives": (sweep_four_primitives, 40, 2, _SEQUENCE_P),
-    "oz-vs-whitehead": (sweep_oz_vs_whitehead, 14, 1, POSITIVE_WORD_CAP),
-    "filter-soundness": (sweep_filter_soundness, 12, 1, REDUCED_WORD_CAP),
-    "cmz-vs-whitehead": (sweep_cmz_vs_whitehead, 12, 1, REDUCED_WORD_CAP),
-    "witness": (sweep_witness, 120, 12, _WITNESS_P),
-    "symmetry": (sweep_symmetry, 40, 2, _SEQUENCE_P),
-    "dispatch-totality": (sweep_dispatch_totality, 60, 2, _WITNESS_P),
+    "four-primitives": (_four_primitives, 40, 2, _SEQUENCE_P, _pairs, _pair_name),
+    "oz-vs-whitehead": (
+        _oz_vs_whitehead, 14, 1, POSITIVE_WORD_CAP, lambda n: positive_cyclic_words(n), _caret
+    ),
+    "filter-soundness": (
+        _filter_soundness, 12, 1, REDUCED_WORD_CAP, lambda n: reduced_cores(n), _caret
+    ),
+    "cmz-vs-whitehead": (
+        _cmz_vs_whitehead, 12, 1, REDUCED_WORD_CAP, lambda n: _necklaces("xXyY", n), _caret
+    ),
+    "witness": (
+        _witness, 120, 12, _WITNESS_P,
+        lambda n: (params for params in _pairs(n) if not params.connected), _pair_name,
+    ),
+    "symmetry": (_symmetry, 40, 2, _SEQUENCE_P, _pairs, _pair_name),
+    "dispatch-totality": (_dispatch_totality, 60, 2, _WITNESS_P, _pairs, _pair_name),
 }
 
-DEFAULT_BOUNDS = {check: default for check, (_, default, _, _) in _CHECKS.items()}
+DEFAULT_BOUNDS = {check: row[1] for check, row in _CHECKS.items()}
 
 
 def run_sweep(check: str, bound: int | None = None) -> SweepResult:
     """Run one named check up to the given bound (a maximal p, or a maximal
-    word length for the word-level checks)."""
+    word length for the word-level checks).  A subject whose self-check
+    raises RuntimeError (the witness trace, the certificate checker) fails
+    with that error, after what its test yielded before, and the sweep goes on."""
     if check not in _CHECKS:
         raise ValueError(
             f"unknown check {check!r}; choose from {', '.join(sorted(_CHECKS))}"
         )
-    sweep, default, least, most = _CHECKS[check]
+    test, default, least, most, subjects, name = _CHECKS[check]
     if bound is None:
         bound = default
     if bound < least:
@@ -366,4 +316,13 @@ def run_sweep(check: str, bound: int | None = None) -> SweepResult:
             f"the {check} bound must be at most {most}, got {bound}: a larger bound "
             f"reaches {reach} more than {MAX_WORD_LETTERS} letters"
         )
-    return sweep(bound)
+    failures = []
+    count = 0
+    for subject in subjects(bound):
+        count += 1
+        try:
+            for detail in test(subject):
+                failures.append(SweepFailure(name(subject), detail))
+        except RuntimeError as exc:
+            failures.append(SweepFailure(name(subject), str(exc)))
+    return SweepResult(check, bound, count, tuple(failures))

@@ -281,13 +281,6 @@ class CyclicWord(_SpelledWord):
         """The cyclic word of a spelled word that is already cyclically reduced."""
         return cls._of_spelling(_least_rotation(spelled))
 
-    def rotations(self) -> Iterator[tuple[int, ...]]:
-        codes = self.codes
-        return (codes[i:] + codes[:i] for i in range(max(len(codes), 1)))
-
-    def to_word(self) -> Word:
-        return Word._of_spelling(self._spelled)
-
     def spell(self) -> str:
         return self._spelled
 
