@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from .classify import DisconnectedComplexError, classify
 from .farey import ConnectedComplexError, nonconnectivity_witness
+from .jsontext import dumps
 from .presentations import (
     abelianization_dict,
     abelianize_presentation,
@@ -69,7 +69,9 @@ from .words import MixedAlphabetError, WordParseError, parse_word
 
 
 def _print_json(data) -> None:
-    print(json.dumps(data, ensure_ascii=False, indent=2, sort_keys=False))
+    # one write, newline included: a reader that stops after the JSON
+    # (`grep -q`) must not make a second write fail on unbuffered stdout
+    sys.stdout.write(dumps(data) + "\n")
 
 
 def cmd_primitive(args) -> int:

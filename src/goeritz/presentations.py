@@ -13,13 +13,13 @@ indices.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from typing import Optional, Union
 
 from .classify import CaseData, CaseTag, DisconnectedComplexError, case_data
+from .jsontext import dumps
 from .sequences import PqParams
 from .snf import invariant_factors
 
@@ -44,12 +44,16 @@ _GAP_NAMES = {
 }
 
 
+# Both are pure functions of a generator name, cached: the package names
+# about a dozen generators, and renders each of them many times over.
+@functools.lru_cache(maxsize=256)
 def display_name(name: str) -> str:
     stem = name.rstrip("12")
     suffix = name[len(stem):]
     return _GREEK.get(stem, stem) + "".join(_SUBSCRIPTS[ch] for ch in suffix)
 
 
+@functools.lru_cache(maxsize=256)
 def gap_name(name: str) -> str:
     stem = name.rstrip("12")
     suffix = name[len(stem):]
@@ -506,12 +510,12 @@ def render(obj: Union[GroupPresentation, AmalgamDecomposition], fmt: str = "text
         if fmt == "text":
             return _presentation_text(obj)
         if fmt == "json":
-            return json.dumps(presentation_dict(obj), ensure_ascii=False, indent=2)
+            return dumps(presentation_dict(obj))
         return _gap_script(obj)
     if isinstance(obj, AmalgamDecomposition):
         if fmt == "text":
             return _amalgam_text(obj)
         if fmt == "json":
-            return json.dumps(amalgam_dict(obj), ensure_ascii=False, indent=2)
+            return dumps(amalgam_dict(obj))
         return _amalgam_gap(obj)
     raise TypeError(f"cannot render {type(obj).__name__}")

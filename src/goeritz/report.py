@@ -10,12 +10,13 @@ writers, the CLI's text and the library objects alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from json import dumps, loads
+from json import loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .classify import ComplexStructureReport, classify
 from .farey import ReplacementTrace, nonconnectivity_witness
+from .jsontext import dumps
 from .presentations import (
     AmalgamDecomposition,
     GroupPresentation,
@@ -158,7 +159,7 @@ def report_dict(report: FullReport) -> dict:
 # hand and each sequence word or shell entry from one template, as it is
 # made, so no more than one word is held: O(p) memory, although the
 # output runs to Theta(p^2) characters.  Sections of bounded size go
-# through json.dumps, re-indented to their depth.
+# through jsontext.dumps, which writes them at their depth.
 
 Write = Callable[[str], object]
 
@@ -168,13 +169,10 @@ SEQUENCE_CLASS = {
     DiskClass.PRIMITIVE: "primitive",
     DiskClass.NEITHER: "other",
 }
-_QUOTED_CLASS = {cls: _quote(cls.value) for cls in DiskClass}
+# keyed by the plain value: an Enum member hashes through a Python-level
+# __hash__, at about three times the cost of a str lookup, on every row
+_QUOTED_CLASS = {cls.value: _quote(cls.value) for cls in DiskClass}
 _QUOTED_SEQUENCE_CLASS = {cls: _quote(label) for cls, label in SEQUENCE_CLASS.items()}
-
-
-def _json(value, depth: int) -> str:
-    """`value` as json.dumps(..., indent=2) writes it inside `depth` levels of nesting."""
-    return dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _pads(depth: int) -> tuple[str, ...]:
@@ -191,7 +189,7 @@ def _write_shell(params: PqParams, kind: ShellKind, depth: int, write: Write) ->
     for j, text, cls in shell_rows(params, kind):
         write(
             f'{sep}{pad2}{{{pad3}"index": {j},{pad3}"word": "{text}",'
-            f'{pad3}"class": {_QUOTED_CLASS[cls]}{pad2}}}'
+            f'{pad3}"class": {_QUOTED_CLASS[cls._value_]}{pad2}}}'
         )
         sep = ","
     write(f"{pad1}]{pad}}}")
@@ -200,7 +198,7 @@ def _write_shell(params: PqParams, kind: ShellKind, depth: int, write: Write) ->
 def write_shell_json(params: PqParams, kind: ShellKind, write: Write) -> None:
     """What `shell --json` prints: the params and one shell."""
     check_sequence_size(params.p)
-    write(f'{{\n  "params": {_json(params_dict(params), 1)},\n  "shell": ')
+    write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "shell": ')
     _write_shell(params, kind, 1, write)
     write("\n}\n")
 
@@ -221,7 +219,7 @@ def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     """What `sequence --json` prints; returns how many certified verdicts
     differ from the classes (0 without `verify`)."""
     check_sequence_size(params.p)
-    write(f'{{\n  "params": {_json(params_dict(params), 1)},\n  "rows": [')
+    write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "rows": [')
     _, pad1, pad2, pad3 = _pads(1)
     mismatch = 0
     sep = ""
@@ -257,12 +255,12 @@ def write_report_json(params: PqParams, write: Write) -> None:
     if pres is not None:
         tail["abelianization"] = abelianization_dict(abelianize_presentation(pres))
 
-    write(f'{{\n  "params": {_json(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
+    write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
     sep = '\n      "'
     for spelled in spelled_sequence(params.p, params.q):
         write(sep + spelled.decode("ascii") + '"')
         sep = ',\n      "'
-    indices = _json(sorted(primitive_indices(params)), 2)
+    indices = dumps(sorted(primitive_indices(params)), 2)
     write(f'\n    ],\n    "primitive_indices": {indices}\n  }},\n  "shells": [')
     sep = "\n    "
     for kind in ShellKind:
@@ -270,5 +268,5 @@ def write_report_json(params: PqParams, write: Write) -> None:
         _write_shell(params, kind, 2, write)
         sep = ",\n    "
     write("\n  ]")
-    write("".join(f",\n  {_quote(key)}: {_json(value, 1)}" for key, value in tail.items()))
+    write("".join(f",\n  {_quote(key)}: {dumps(value, 1)}" for key, value in tail.items()))
     write("\n}\n")

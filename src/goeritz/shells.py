@@ -99,10 +99,6 @@ class Shell:
         return f"({self.params.p}, {self.slope})-shell"
 
 
-def _y_run(k: int) -> str:
-    return "" if k == 0 else "y" if k == 1 else f"y^{k}"
-
-
 def _shell_texts(p: int, qbar: int) -> Iterator[str]:
     """The caret texts of the shell words of the (p, qbar)-sequence.
 
@@ -115,27 +111,30 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
     of the changed tokens are joined again, so a word costs a join of
     O(sqrt(p)) strings, not of p.
     """
+    # xruns[k]: the token x y^k; xruns[k][1:] is the leading run y^k
+    xruns = ["x", "xy"] + [f"xy^{k}" for k in range(2, p + 1)]
     tokens = [""] * p  # the token of each z position, "" at a y
     size = isqrt(p) + 1
     blocks = [""] * (p // size + 1)  # blocks[b]: tokens[b*size:(b+1)*size] joined
     zs: list[int] = []  # the z positions, sorted
-    lead = _y_run(p)
+    lead = xruns[p][1:]
     yield lead
     for j in range(p):
         t = j * qbar % p
         at = bisect(zs, t)
         end = zs[at] if at < len(zs) else p
-        changed = {t // size}
+        tokens[t] = xruns[end - t]
+        b = t // size
         if at:
             owner = zs[at - 1]
-            tokens[owner] = "x" + _y_run(t - owner)
-            changed.add(owner // size)
+            tokens[owner] = xruns[t - owner]
+            ob = owner // size
+            if ob != b:
+                blocks[ob] = "".join(tokens[ob * size:(ob + 1) * size])
         else:
-            lead = _y_run(t)
-        tokens[t] = "x" + _y_run(end - t)
+            lead = xruns[t][1:]
+        blocks[b] = "".join(tokens[b * size:(b + 1) * size])
         zs.insert(at, t)
-        for b in changed:
-            blocks[b] = "".join(tokens[b * size:(b + 1) * size])
         yield lead + "".join(blocks)
 
 

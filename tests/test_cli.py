@@ -657,3 +657,40 @@ def test_a_reader_that_goes_away_ends_the_command_quietly_with_141():
     child.stderr.close()
     assert child.wait(timeout=60) == 141
     assert head.startswith(b'{\n  "params": {') and err == b""
+
+
+class _Recorder:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["primitive", "xY^20xY^21", "--json"],
+        ["primitive", "xy^2xy^3", "--json", "--method", "whitehead", "--trace"],
+        ["witness", "12", "5", "--json"],
+        ["classify", "10", "3", "--json"],
+        ["presentation", "10", "3", "--format", "json", "--amalgam", "--abelianization"],
+        ["sweep", "symmetry", "--max-p", "8", "--json"],
+    ],
+)
+def test_json_output_of_bounded_size_is_one_write(monkeypatch, argv):
+    """A reader that stops after the JSON (`... --json | grep -q`) must
+    not make a second write fail on an unbuffered stdout."""
+    import sys
+
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    main(argv)
+    assert len(recorder.writes) == 1 and recorder.writes[0].endswith("}\n")
+    json.loads(recorder.writes[0])
