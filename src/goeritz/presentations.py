@@ -8,6 +8,14 @@ the presentation of the whole group derived from that amalgam.  A relator
 is a word in the generators' names, a tuple of (name, +1 or -1) letters;
 the generators are numbered only where GAP and the Smith normal form need
 indices.
+
+The group depends on (p, q) only through its row of classify.CASES, so
+the presentations and amalgams are built once per row and shared: seven
+objects serve every connected pair.  Each frozen presentation and amalgam
+keeps a memo of what is derived from it, so its renders, its flattening
+and its abelianization are computed once per object, however many pairs
+ask; the Smith normal form cross-check still runs, once, on every
+presentation object that is emitted.
 """
 
 from __future__ import annotations
@@ -70,8 +78,36 @@ class Generator:
 Relator = tuple[tuple[str, int], ...]
 
 
+class _Memoized:
+    """A per-object memo of the results derived from a frozen dataclass.
+
+    `_memo` is a dict that functools.cached_property stores straight in
+    the instance's __dict__, so the dataclass stays frozen and its
+    field-based ==, hash, fields() and replace() are unchanged; a copy
+    made with dataclasses.replace() starts with an empty memo.  flatten(),
+    render() and abelianize_presentation() read it first and fill it on a
+    miss.  The objects are shared per row of classify.CASES, so a test
+    that injects a fault into invariant_factors or a render helper must
+    use a fresh dataclasses.replace() copy: a shared object may already
+    hold the honest answer.
+    """
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _remembered(self, key: str, make):
+        """make(self), computed on the first call for `key` only."""
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = make(self)
+            return value
+
+
 @dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Memoized):
     """Generators with geometric glosses, relators as words in their names.
 
     A presentation either carries its own generators and relators or is
@@ -102,9 +138,13 @@ class GroupPresentation:
 
     def flatten(self) -> "GroupPresentation":
         """Single presentation: union of generators and relators plus
-        commutators between generators of different summands."""
+        commutators between generators of different summands; built once
+        per object."""
         if not self.summands:
             return self
+        return self._remembered("flatten", GroupPresentation._flattened)
+
+    def _flattened(self) -> "GroupPresentation":
         parts = [part.flatten() for part in self.summands]
         relators = [rel for part in parts for rel in part.relators]
         for i, left in enumerate(parts):
@@ -314,7 +354,7 @@ class AmalgamEdge:
 
 
 @dataclass(frozen=True)
-class AmalgamDecomposition:
+class AmalgamDecomposition(_Memoized):
     factors: tuple[AmalgamFactor, ...]
     edges: tuple[AmalgamEdge, ...]
     note: str = ""
@@ -432,7 +472,12 @@ class Abelianization:
 
 def abelianize_presentation(pres: GroupPresentation) -> Abelianization:
     """Invariant factors of the abelianized presentation, via integer
-    Smith normal form of the relator exponent matrix."""
+    Smith normal form of the relator exponent matrix; computed once per
+    presentation object."""
+    return pres._remembered("abelianization", _abelianization)
+
+
+def _abelianization(pres: GroupPresentation) -> Abelianization:
     flat = pres.flatten()
     index = {g.name: i for i, g in enumerate(flat.generators)}
     rows = []
@@ -502,20 +547,23 @@ def _amalgam_gap(am: AmalgamDecomposition) -> str:
     return "\n".join(lines)
 
 
+# format -> (renderer of a presentation, renderer of an amalgam)
+_RENDERERS = {
+    "text": (_presentation_text, _amalgam_text),
+    "json": (lambda pres: dumps(presentation_dict(pres)), lambda am: dumps(amalgam_dict(am))),
+    "gap": (_gap_script, _amalgam_gap),
+}
+
+
 def render(obj: Union[GroupPresentation, AmalgamDecomposition], fmt: str = "text") -> str:
-    """Render a presentation or an amalgam as text, JSON or a GAP script."""
+    """Render a presentation or an amalgam as text, JSON or a GAP script;
+    each format is rendered once per object."""
     if fmt not in ("text", "json", "gap"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(obj, GroupPresentation):
-        if fmt == "text":
-            return _presentation_text(obj)
-        if fmt == "json":
-            return dumps(presentation_dict(obj))
-        return _gap_script(obj)
-    if isinstance(obj, AmalgamDecomposition):
-        if fmt == "text":
-            return _amalgam_text(obj)
-        if fmt == "json":
-            return dumps(amalgam_dict(obj))
-        return _amalgam_gap(obj)
-    raise TypeError(f"cannot render {type(obj).__name__}")
+        make = _RENDERERS[fmt][0]
+    elif isinstance(obj, AmalgamDecomposition):
+        make = _RENDERERS[fmt][1]
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    return obj._remembered(fmt, make)

@@ -50,7 +50,8 @@ class PqParams:
 
 def make_params(p: int, q: int) -> PqParams:
     """Validate and normalize (p, q); computes q', r, m and connectivity."""
-    if not isinstance(p, int) or not isinstance(q, int):
+    # bool is an int subclass, but L(5, True) is no lens space
+    if not (isinstance(p, int) and isinstance(q, int)) or isinstance(p, bool) or isinstance(q, bool):
         raise InvalidParameters("p and q must be integers")
     if p < 2:
         raise InvalidParameters(f"p must be at least 2, got p = {p}")

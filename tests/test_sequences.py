@@ -77,6 +77,12 @@ def test_make_params_validation_messages():
         make_params(1, 1)
 
 
+def test_make_params_refuses_booleans():
+    for p, q in ((5, True), (True, 1), (3, False)):
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            make_params(p, q)
+
+
 def test_q_prime_definition_and_involution():
     for p, q in coprime_pairs(40):
         params = make_params(p, q)
