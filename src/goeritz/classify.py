@@ -3,10 +3,10 @@
 The complex is connected (and then contractible) exactly when p is +1
 or -1 modulo q.  Connected complexes are trees except when q = 2 or
 p = 2q + 1, where they are 2-dimensional.  Every fact that depends on
-the case of (p, q) sits in one row of CASES, picked by case_data: the
-clause of the structure classification (the case tag), the edge and
-simplex types, the orbit data, the quotient graph, and the shape of the
-amalgam from which the Goeritz group is presented.
+the case of (p, q) sits in one row of CASES, picked by case_data, or
+follows from the row in classify: the dimension and triple existence
+from the simplex types, the vertex orbits from the vertex transitivity,
+and the quotient graph from the amalgam, one vertex per factor.
 """
 
 from __future__ import annotations
@@ -109,19 +109,16 @@ class Factor:
 
 @dataclass(frozen=True, eq=False)
 class CaseData:
-    """Every fact about the complex and the Goeritz group that depends on
-    (p, q) only through its row of CASES.  Rows are the singletons of
-    CASES, so they compare and hash by identity."""
+    """Every independent fact about the complex and the Goeritz group that
+    depends on (p, q) only through its row of CASES.  Rows are the
+    singletons of CASES, so they compare and hash by identity."""
 
     tag: CaseTag
+    transitive: Optional[bool]  # q^2 = 1 mod p; None when disconnected
     edge_types: frozenset[int]
     simplex_types: frozenset[int]
-    dimension: int
-    triple_exists: bool
     common_dual_rule: CommonDualRule
-    vertex_orbits: Optional[int]
     edge_orbits: Optional[EdgeOrbitInfo]
-    quotient_graph: QuotientGraph
     factors: tuple[Factor, ...] = ()  # the amalgam chain, one per quotient vertex
     edges: tuple[str, ...] = ()  # labels; edges[i] joins factors[i] and factors[i + 1]
     note: str = ""
@@ -141,32 +138,30 @@ _THREE_EDGE_ORBITS = EdgeOrbitInfo(
     3, (EdgeOrbit("{E, D}", False), EdgeOrbit("{E, E1}", True), EdgeOrbit("{D, D1}", True))
 )
 
-# Keyed by case tag and vertex transitivity (q^2 = 1 mod p; None when the
-# complex is disconnected).  Only T1c occurs with both transitivities.
-CASES: dict[tuple[CaseTag, Optional[bool]], CaseData] = {
-    (CaseTag.T1A, True): CaseData(
-        CaseTag.T1A, frozenset({2}), frozenset(), 1, False, CommonDualRule(True, 2),
-        1, _ONE_EDGE_ORBIT, QuotientGraph.SINGLE_EDGE,
+# CASES is keyed by case tag and vertex transitivity, both read off the
+# row.  Only T1c occurs with both transitivities.
+_ROWS = (
+    CaseData(
+        CaseTag.T1A, True, frozenset({2}), frozenset(), CommonDualRule(True, 2), _ONE_EDGE_ORBIT,
         factors=(Factor("G(E u D)", "absorbed", "{E, D}"), Factor("G(E)", "absorbed", "E")),
         edges=("G(E, D)",),
         note="p = 2: the pair stabilizers are special and are absorbed "
         "into the flat presentation table",
     ),
-    (CaseTag.T1B, True): CaseData(
-        CaseTag.T1B, frozenset({1}), frozenset(), 1, False, CommonDualRule(True, 1),
-        1, _ONE_EDGE_ORBIT, QuotientGraph.SINGLE_EDGE,
+    CaseData(
+        CaseTag.T1B, True, frozenset({1}), frozenset(), CommonDualRule(True, 1), _ONE_EDGE_ORBIT,
         factors=(_pair("E", "D"), _disk("E")),
         edges=("G(E, D)",),
     ),
-    (CaseTag.T1C, True): CaseData(
-        CaseTag.T1C, frozenset({0, 1}), frozenset(), 1, False, CommonDualRule(False, 1),
-        1, _TWO_EDGE_ORBITS, QuotientGraph.PATH3,
+    CaseData(
+        CaseTag.T1C, True, frozenset({0, 1}), frozenset(), CommonDualRule(False, 1),
+        _TWO_EDGE_ORBITS,
         factors=(_pair("E", "D", "sigma1"), _disk("E"), _pair("E", "E1", "sigma2")),
         edges=("G(E, D)", "G(E, E1)"),
     ),
-    (CaseTag.T1C, False): CaseData(
-        CaseTag.T1C, frozenset({0, 1}), frozenset(), 1, False, CommonDualRule(False, 1),
-        2, _THREE_EDGE_ORBITS, QuotientGraph.PATH4,
+    CaseData(
+        CaseTag.T1C, False, frozenset({0, 1}), frozenset(), CommonDualRule(False, 1),
+        _THREE_EDGE_ORBITS,
         factors=(
             _pair("D", "D1", "sigma1"),
             _disk("D", "beta1", "gamma1"),
@@ -175,29 +170,28 @@ CASES: dict[tuple[CaseTag, Optional[bool]], CaseData] = {
         ),
         edges=("G(D, D1)", "G(E, D)", "G(E, E1)"),
     ),
-    (CaseTag.T2A, True): CaseData(
-        CaseTag.T2A, frozenset({1}), frozenset({3}), 2, True, CommonDualRule(True, 1),
-        1, _ONE_EDGE_ORBIT, QuotientGraph.SINGLE_EDGE,
+    CaseData(
+        CaseTag.T2A, True, frozenset({1}), frozenset({3}), CommonDualRule(True, 1), _ONE_EDGE_ORBIT,
         factors=(Factor("G(E u E1 u E2)", "triple", "E, E1, E2", ("delta", "gamma")), _disk("E")),
         edges=("G(E, E1 u E2)",),
     ),
-    (CaseTag.T2B, False): CaseData(
-        CaseTag.T2B, frozenset({0, 1}), frozenset({1}), 2, True, CommonDualRule(False, 1),
-        2, _THREE_EDGE_ORBITS, QuotientGraph.SINGLE_EDGE,
+    CaseData(
+        CaseTag.T2B, False, frozenset({0, 1}), frozenset({1}), CommonDualRule(False, 1),
+        _THREE_EDGE_ORBITS,
         factors=(_disk("E", "beta1", "gamma1"), _disk("D", "beta2", "gamma2")),
         edges=("G(E, D)",),
     ),
-    (CaseTag.T2C, False): CaseData(
-        CaseTag.T2C, frozenset({0, 1}), frozenset({1}), 2, True, CommonDualRule(False, 1),
-        2, _THREE_EDGE_ORBITS, QuotientGraph.PATH3,
+    CaseData(
+        CaseTag.T2C, False, frozenset({0, 1}), frozenset({1}), CommonDualRule(False, 1),
+        _THREE_EDGE_ORBITS,
         factors=(_disk("D", "beta1", "gamma1"), _disk("E", "beta2", "gamma2"), _pair("E", "E1")),
         edges=("G(E, D)", "G(E, E1)"),
     ),
-    (CaseTag.DISCONNECTED, None): CaseData(
-        CaseTag.DISCONNECTED, frozenset({0, 1}), frozenset(), 1, False, CommonDualRule(False, 1),
-        None, None, QuotientGraph.NOT_APPLICABLE,
+    CaseData(
+        CaseTag.DISCONNECTED, None, frozenset({0, 1}), frozenset(), CommonDualRule(False, 1), None
     ),
-}
+)
+CASES = {(row.tag, row.transitive): row for row in _ROWS}
 
 
 def case_data(params: PqParams) -> CaseData:
@@ -230,7 +224,7 @@ def case_tag(params: PqParams) -> CaseTag:
 def vertex_orbits(params: PqParams) -> int:
     """1 when q^2 = 1 mod p (the action is vertex-transitive), else 2."""
     _require_connected(params)
-    return case_data(params).vertex_orbits
+    return classify(params).vertex_orbits
 
 
 def edge_orbits(params: PqParams) -> EdgeOrbitInfo:
@@ -246,7 +240,10 @@ def edge_orbits(params: PqParams) -> EdgeOrbitInfo:
 def quotient_graph(params: PqParams) -> QuotientGraph:
     """Shape of the quotient of the Bass-Serre tree by the group action."""
     _require_connected(params)
-    return case_data(params).quotient_graph
+    return classify(params).quotient_graph
+
+
+_QUOTIENT_GRAPHS = {graph.vertex_count: graph for graph in QuotientGraph}
 
 
 def classify(params: PqParams) -> ComplexStructureReport:
@@ -255,15 +252,15 @@ def classify(params: PqParams) -> ComplexStructureReport:
     return ComplexStructureReport(
         params=params,
         connected=params.connected,
-        dimension=row.dimension,
+        dimension=2 if row.simplex_types else 1,
         case_tag=row.tag,
         edge_types_present=row.edge_types,
         simplex_types_present=row.simplex_types,
-        triple_exists=row.triple_exists,
+        triple_exists=bool(row.simplex_types),
         common_dual_rule=row.common_dual_rule,
-        vertex_orbits=row.vertex_orbits,
+        vertex_orbits=None if row.transitive is None else 1 if row.transitive else 2,
         edge_orbits=row.edge_orbits,
-        quotient_graph=row.quotient_graph,
+        quotient_graph=_QUOTIENT_GRAPHS[len(row.factors) or None],
     )
 
 

@@ -12,10 +12,10 @@ indices.
 The group depends on (p, q) only through its row of classify.CASES, so
 the presentations and amalgams are built once per row and shared: seven
 objects serve every connected pair.  Each frozen presentation and amalgam
-keeps a memo of what is derived from it, so its renders, its flattening
-and its abelianization are computed once per object, however many pairs
-ask; the Smith normal form cross-check still runs, once, on every
-presentation object that is emitted.
+keeps a memo of what is derived from it (the only cache of renders), so
+its renders, its flattening and its abelianization are computed once per
+object, however many pairs ask; the Smith normal form cross-check still
+runs, once, on every presentation object that is emitted.
 """
 
 from __future__ import annotations
@@ -52,16 +52,12 @@ _GAP_NAMES = {
 }
 
 
-# Both are pure functions of a generator name, cached: the package names
-# about a dozen generators, and renders each of them many times over.
-@functools.lru_cache(maxsize=256)
 def display_name(name: str) -> str:
     stem = name.rstrip("12")
     suffix = name[len(stem):]
     return _GREEK.get(stem, stem) + "".join(_SUBSCRIPTS[ch] for ch in suffix)
 
 
-@functools.lru_cache(maxsize=256)
 def gap_name(name: str) -> str:
     stem = name.rstrip("12")
     suffix = name[len(stem):]
@@ -197,14 +193,8 @@ def _word_display(rel: Relator) -> str:
     return _run_display(rel)
 
 
-@functools.lru_cache(maxsize=256)
 def _runs(rel: tuple) -> tuple[tuple[object, int], ...]:
-    """Each run of equal consecutive letters of a relator, as (letter, length).
-
-    Cached: the presentations of all (p, q) share a few dozen distinct
-    relators of two to six letters, on which a call costs more than its
-    letters.
-    """
+    """Each run of equal consecutive letters of a relator, as (letter, length)."""
     return tuple((letter, len(list(run))) for letter, run in groupby(rel))
 
 

@@ -243,16 +243,6 @@ def _pair_counts(spelled: str) -> list[int]:
     return counts
 
 
-def predicted_length_changes(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """Cyclic length change of each type II move on a cyclically reduced word.
-
-    One count of the cyclic two-letter subwords; each move's change is
-    then a weighted sum of those counts.
-    """
-    counts = _pair_counts(_spell(codes))
-    return tuple(sum(map(mul, coefficients, counts)) for coefficients in _TYPE_II_COEFFICIENTS)
-
-
 class _GapForm(NamedTuple):
     """How the powers of one type II move act on a word in gap form.
 

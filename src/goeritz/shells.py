@@ -18,7 +18,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator
 
-from .sequences import PqParams, check_sequence_size, spelled_sequence
+from .sequences import PqParams, check_sequence_size, make_params, primitive_indices, spelled_sequence
 from .words import Word
 
 
@@ -46,16 +46,9 @@ class ShellKind(Enum):
 
 
 def shell_primitive_indices(params: PqParams, kind: ShellKind) -> frozenset[int]:
-    """Primitive positions in a (p, q-bar)-shell.
-
-    For q-bar in {q, p-q} these are {1, q', p-q', p-1}; for the other
-    two slopes the roles of q and q' exchange.
-    """
-    p = params.p
-    companion = (
-        params.q_prime if kind in (ShellKind.Q, ShellKind.P_MINUS_Q) else params.q
-    )
-    return frozenset({1, companion, p - companion, p - 1})
+    """Primitive positions in a (p, q-bar)-shell: the shell is made from
+    the (p, q-bar)-sequence, so they are that sequence's."""
+    return primitive_indices(make_params(params.p, kind.slope(params)))
 
 
 def disk_class(j: int, p: int, primitive: frozenset[int]) -> DiskClass:

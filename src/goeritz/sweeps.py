@@ -210,9 +210,12 @@ def _symmetry(params: PqParams) -> Iterator[str]:
 
 
 def _dispatch_totality(params: PqParams) -> Iterator[str]:
-    """Structural cross-consistency: connectivity criterion agreement,
-    dimension against triples, sigma generators against exchangeable
-    pair factors, and factor counts against the quotient graph."""
+    """Structural cross-consistency.  Connectivity against the presentation
+    and the witness, the dimension against q = 2 or p = 2q + 1, and sigma
+    generators against exchangeable pair factors compare the case table
+    with something else.  The dimension against triple existence, factor
+    counts against the quotient graph and quotient_graph(params) against
+    classify hold by construction: classify derives them from the row."""
     structure = classify(params)
     try:
         pres = goeritz_presentation(params)

@@ -79,11 +79,12 @@ class Letter(NamedTuple):
 
 
 def _spell_letter(item) -> str:
+    # bool is an int subclass and True == 1, but True is no letter code or sign
     if isinstance(item, Letter):
-        if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1):
+        if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1) or item.sign is True:
             raise ValueError(f"bad letter {item!r}")
         return str(item)
-    if not isinstance(item, int) or item not in _SPELLING:
+    if not isinstance(item, int) or isinstance(item, bool) or item not in _SPELLING:
         raise ValueError(f"not a letter code: {item!r}")
     return _SPELLING[item]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -267,6 +268,23 @@ def test_classify_json_disconnected(capsys):
     assert data["structure"]["case_tag"] == "Disconnected"
     assert data["structure"]["vertex_orbits"] is None
     assert data["structure"]["quotient_graph"] == "not-applicable"
+
+
+def test_classify_prints_its_recorded_bytes_for_every_pair_up_to_150(capsys):
+    """`classify p q` and `classify p q --json` for all 6,857 coprime pairs
+    with p <= 150, against one SHA-256 of [argv, exit code, stdout] per call:
+    every field of the structure report, the four that classify derives
+    from the case table among them, in text and in JSON."""
+    records = []
+    for p in range(2, 151):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                for argv in (["classify", str(p), str(q)], ["classify", str(p), str(q), "--json"]):
+                    code, out, _ = run(capsys, *argv)
+                    records.append([argv, code, out])
+    assert len(records) == 13_714
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "7541df4ba374787fb164111ae96a18fd743bf4b225aa98864e12628927be0e52"
 
 
 def test_presentation_text(capsys):

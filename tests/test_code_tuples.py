@@ -227,13 +227,17 @@ def test_constructors_coerce_every_input_as_before():
     inputs = [
         [Letter("x", 1), 2, Letter("y", -1)],
         (Letter("z", -1), Letter("z", 1), -2),
-        [True, 2, -2, -1],
         Word((1, 2, -1)),
         CyclicWord((2, 1, -2, 2)),
     ]
     for letters in inputs:
         assert Word(letters).codes == old_word_codes(letters)
         assert CyclicWord(letters).codes == old_cyclic_codes(letters)
+    # the old coercion took a bool for a letter code; the constructors refuse it
+    assert _coerce_codes([True, 2, -2, -1]) == (True, 2, -2, -1)
+    for constructor in (Word, CyclicWord):
+        with pytest.raises(ValueError, match="not a letter code: True"):
+            constructor([True, 2, -2, -1])
     for bad in ([1.0], (0,), [4], ["x"], "xy", [Letter("w", 1)], [Letter("x", 2)]):
         with pytest.raises(ValueError) as new:
             Word(bad)

@@ -14,6 +14,7 @@ from goeritz.primitivity import (
     WhiteheadAutomorphism,
     _PAIRS,
     _GAP_FORMS,
+    _TYPE_II_COEFFICIENTS,
     _cyclic_core,
     _find_shortening,
     _length_change_coefficients,
@@ -26,7 +27,6 @@ from goeritz.primitivity import (
     is_primitive_whitehead,
     nonprimitivity_filter,
     oz_canonical_word,
-    predicted_length_changes,
     whitehead_reduce_step,
     whitehead_trace,
 )
@@ -60,6 +60,14 @@ def cyclically_reduced_words(max_len):
             if n > 1 and tup[0] == -tup[-1]:
                 continue
             yield tup
+
+
+def predicted_length_changes(codes):
+    """The cyclic length change of each type II move on a cyclically
+    reduced word: one count of its two-letter subwords, then a weighted sum
+    per move (once the function primitivity.predicted_length_changes)."""
+    counts = _pair_counts(_spell(codes))
+    return tuple(sum(c * n for c, n in zip(move, counts)) for move in _TYPE_II_COEFFICIENTS)
 
 
 def test_enumeration_sizes():

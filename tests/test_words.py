@@ -186,13 +186,25 @@ def test_plain_and_mixed_letter_inputs_coerce_alike():
     assert Word([1, 2, 2]).codes == Word((1, 2, 2)).codes == (1, 2, 2)
     assert Word([Letter("x", 1), 2, Letter("y", -1)]).codes == (1,)
     assert Word(iter((2, -1))).codes == (2, -1)
-    for bad in ([1.0], (0,), [4], [-4], ["x"], [[1]], (1, None)):
+    for bad in ([1.0], (0,), [4], [-4], ["x"], [[1]], (1, None), [True, 2]):
         with pytest.raises(ValueError, match="not a letter code"):
             Word(bad)
     with pytest.raises(ValueError, match="bad letter"):
         Word([Letter("w", 1)])
-    # a bool is an int and takes the item-by-item path, as it always has
-    assert Word([True, 2]).codes == (1, 2)
+
+
+def test_a_bool_is_neither_a_letter_code_nor_a_sign():
+    """bool is an int subclass and True == 1, yet (True,) is not the word x."""
+    from goeritz.primitivity import is_primitive_cmz
+
+    for bad, message in (
+        ((True,), "not a letter code"),
+        ([1, True], "not a letter code"),
+        ([Letter("x", True)], "bad letter"),
+    ):
+        for take in (Word, CyclicWord, is_primitive_cmz):
+            with pytest.raises(ValueError, match=message):
+                take(bad)
 
 
 def test_roundtrip_through_text():
