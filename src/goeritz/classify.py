@@ -33,15 +33,10 @@ class CaseTag(Enum):
 
     @property
     def clause(self) -> str:
-        return {
-            CaseTag.T1A: "(1)(a)",
-            CaseTag.T1B: "(1)(b)",
-            CaseTag.T1C: "(1)(c)",
-            CaseTag.T2A: "(2)(a)",
-            CaseTag.T2B: "(2)(b)",
-            CaseTag.T2C: "(2)(c)",
-            CaseTag.DISCONNECTED: "disconnected",
-        }[self]
+        """The clause of the structure theorem: "(1)(a)" for T1a."""
+        if self is CaseTag.DISCONNECTED:
+            return "disconnected"
+        return f"({self.value[1]})({self.value[2]})"
 
 
 class QuotientGraph(Enum):

@@ -53,10 +53,12 @@ class FareyLabel:
 
 
 def continued_fraction(numerator: int, denominator: int) -> tuple[int, ...]:
-    """Partial quotients of numerator/denominator with the last one >= 2.
+    """Partial quotients of numerator/denominator, the last one >= 2.
 
-    All quotients are >= 1; a trailing quotient of 1 is absorbed into
-    its predecessor, which makes the expansion unique.
+    All quotients are >= 1, and Euclid's last division is r/1 with r >= 2
+    (n/1 with n >= 2 when the denominator is 1).  Of a fraction's two
+    expansions [..., a] and [..., a - 1, 1], only this one ends in a
+    quotient >= 2, which makes it unique.
     """
     if denominator < 1:
         raise ValueError(f"denominator must be positive, got {denominator}")
@@ -71,9 +73,6 @@ def continued_fraction(numerator: int, denominator: int) -> tuple[int, ...]:
     while b:
         quotients.append(a // b)
         a, b = b, a % b
-    if len(quotients) > 1 and quotients[-1] == 1:
-        quotients.pop()
-        quotients[-1] += 1
     return tuple(quotients)
 
 
@@ -166,8 +165,8 @@ def nonconnectivity_witness(params: PqParams) -> ReplacementTrace:
         letters += (q + 1) * label.d + 1 + label.e
         if letters > MAX_WORD_LETTERS:
             raise InvalidParameters(
-                f"{params}: the witness words pass {letters} letters, "
-                f"more than the {MAX_WORD_LETTERS} allowed"
+                f"{params}: the witness words have more letters in all "
+                f"than the {MAX_WORD_LETTERS} allowed"
             )
         disks.append(ReplacementStep(tag, label, label.word(q), pair_before))
     final = disks[-1].label

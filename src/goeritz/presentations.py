@@ -24,44 +24,40 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .classify import CaseData, CaseTag, DisconnectedComplexError, case_data
 from .jsontext import dumps
 from .sequences import PqParams
 from .snf import invariant_factors
 
-_GREEK = {
-    "alpha": "α",
-    "beta": "β",
-    "gamma": "γ",
-    "delta": "δ",
-    "rho": "ρ",
-    "sigma": "σ",
+# Each generator stem: its Greek letter, then its GAP name.
+_NAMES = {
+    "alpha": ("α", "a"),
+    "beta": ("β", "b"),
+    "gamma": ("γ", "c"),
+    "delta": ("δ", "d"),
+    "rho": ("ρ", "r"),
+    "sigma": ("σ", "s"),
 }
-_SUBSCRIPTS = {"1": "₁", "2": "₂"}
+_SUBSCRIPTS = str.maketrans("12", "₁₂")
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
-_GAP_NAMES = {
-    "alpha": "a",
-    "beta": "b",
-    "gamma": "c",
-    "delta": "d",
-    "rho": "r",
-    "sigma": "s",
-}
+
+def _split_name(name: str, index: int) -> tuple[str, str]:
+    """A name's stem, written as entry `index` of its row of _NAMES when
+    it has one, and its numeric suffix."""
+    stem = name.rstrip("12")
+    return _NAMES[stem][index] if stem in _NAMES else stem, name[len(stem):]
 
 
 def display_name(name: str) -> str:
-    stem = name.rstrip("12")
-    suffix = name[len(stem):]
-    return _GREEK.get(stem, stem) + "".join(_SUBSCRIPTS[ch] for ch in suffix)
+    stem, suffix = _split_name(name, 0)
+    return stem + suffix.translate(_SUBSCRIPTS)
 
 
 def gap_name(name: str) -> str:
-    stem = name.rstrip("12")
-    suffix = name[len(stem):]
-    return _GAP_NAMES.get(stem, stem) + suffix
+    return "".join(_split_name(name, 1))
 
 
 @dataclass(frozen=True)
@@ -193,18 +189,17 @@ def _word_display(rel: Relator) -> str:
     return _run_display(rel)
 
 
-def _runs(rel: tuple) -> tuple[tuple[object, int], ...]:
-    """Each run of equal consecutive letters of a relator, as (letter, length)."""
-    return tuple((letter, len(list(run))) for letter, run in groupby(rel))
+def _run_symbols(rel: Relator, symbol, power) -> Iterator[str]:
+    """Each run of equal consecutive letters of a relator: symbol(name),
+    or power(symbol(name), exponent) when the exponent is not 1."""
+    for (name, sign), run in groupby(rel):
+        exp = sign * sum(1 for _ in run)
+        yield symbol(name) if exp == 1 else power(symbol(name), exp)
 
 
 def _run_display(rel) -> str:
-    parts = []
-    for (name, sign), n in _runs(rel):
-        exp = n * sign
-        sym = display_name(name)
-        parts.append(sym if exp == 1 else sym + str(exp).translate(_SUPERSCRIPTS))
-    return "".join(parts)
+    power = lambda sym, exp: sym + str(exp).translate(_SUPERSCRIPTS)
+    return "".join(_run_symbols(rel, display_name, power))
 
 
 def _presentation_text(pres: GroupPresentation) -> str:
@@ -229,12 +224,8 @@ def presentation_dict(pres: GroupPresentation) -> dict:
 
 def _ascii_word(rel: Relator, symbols: Optional[dict[str, str]] = None) -> str:
     """ASCII rendering, each name written as its symbol if a map is given."""
-    parts = []
-    for (name, sign), n in _runs(rel):
-        exp = n * sign
-        sym = symbols[name] if symbols else name
-        parts.append(sym if exp == 1 else f"{sym}^{exp}")
-    return "*".join(parts) if parts else "1"
+    symbol = symbols.__getitem__ if symbols else str
+    return "*".join(_run_symbols(rel, symbol, lambda sym, exp: f"{sym}^{exp}")) or "1"
 
 
 def _gap_relators(flat: GroupPresentation, free: str = "F") -> str:

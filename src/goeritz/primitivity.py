@@ -38,8 +38,9 @@ from .words import (
     _coerce_spelling,
     _cyclic_strip,
     _free_reduce,
+    _inverse,
     _spell,
-    free_reduce_codes,
+    _unspell,
 )
 
 _X, _Y = 1, 2
@@ -97,30 +98,18 @@ class WhiteheadAutomorphism:
     image_y: tuple[int, ...]
     inverse_x: tuple[int, ...]
     inverse_y: tuple[int, ...]
-    _table: dict = field(default=None, compare=False, repr=False)
     _spelled_table: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        inv = lambda img: tuple(-c for c in reversed(img))
-        table = {
-            _X: self.image_x,
-            -_X: inv(self.image_x),
-            _Y: self.image_y,
-            -_Y: inv(self.image_y),
-        }
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(
-            self,
-            "_spelled_table",
-            str.maketrans({_SPELLING[c]: _spell(img) for c, img in table.items()}),
-        )
+        x, y = _spell(self.image_x), _spell(self.image_y)
+        table = str.maketrans({"x": x, "X": _inverse(x), "y": y, "Y": _inverse(y)})
+        object.__setattr__(self, "_spelled_table", table)
 
     def apply_codes(self, codes: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        table = self._table
-        for c in codes:
-            out.extend(table[c])
-        return free_reduce_codes(out)
+        """The freely reduced image of a word given by its letter codes;
+        a code other than 1, -1, 2 or -2 raises KeyError."""
+        table = self._spelled_table
+        return _unspell(_free_reduce("".join(table[ord(_SPELLING[c])] for c in codes)))
 
     def apply_spelled(self, spelled: str) -> str:
         """The freely reduced image of a freely reduced spelled word over x, y.
@@ -271,14 +260,13 @@ def _gap_form(auto: WhiteheadAutomorphism) -> _GapForm:
     """
     moved = _moved(auto)
     u = _X + _Y - moved
-    ends = {}  # b^s -> (l, t); the letters u and u^-1 have codes u and -u
-    for c in (moved, -moved):
-        image = auto._table[c]
-        i = image.index(c)
-        ends[_SPELLING[c]] = (sum(image[:i]) // u, sum(image[i + 1 :]) // u)
+    b, b_inverse, up, down = (_SPELLING[c] for c in (moved, -moved, u, -u))
+    ends = {}  # b^s -> (l, t): the letters u less the letters u^-1 before and after b^s
+    for letter in (b, b_inverse):
+        sides = letter.translate(auto._spelled_table).partition(letter)[::2]
+        ends[letter] = tuple(side.count(up) - side.count(down) for side in sides)
     shift = {(first, second): ends[first][1] + ends[second][0] for first in ends for second in ends}
-    b, b_inverse = _SPELLING[moved], _SPELLING[-moved]
-    return _GapForm(re.compile(f"([{b}{b_inverse}])"), _SPELLING[u], _SPELLING[-u], shift)
+    return _GapForm(re.compile(f"([{b}{b_inverse}])"), up, down, shift)
 
 
 # The gap form of each type II move, in enumeration order.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json import loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 from .classify import ComplexStructureReport, classify
 from .farey import ReplacementTrace, nonconnectivity_witness
@@ -57,26 +57,17 @@ class FullReport:
     amalgam: Optional[AmalgamDecomposition]
 
 
-class ReportSections(NamedTuple):
-    """The sections of a report after its sequence and shells, in the
-    order of `FullReport`'s last fields."""
-
-    structure: ComplexStructureReport
-    witness: Optional[ReplacementTrace]
-    presentation: Optional[GroupPresentation]
-    amalgam: Optional[AmalgamDecomposition]
-
-
-def report_sections(params: PqParams) -> ReportSections:
-    """Refuse a sequence past the letter cap, then classify: the witness
-    when the complex is disconnected, else the presentation and amalgam."""
+def report_sections(params: PqParams) -> tuple:
+    """The sections of a report after its sequence and shells: the
+    structure, witness, presentation and amalgam, `FullReport`'s last
+    fields in order.  Refuse a sequence past the letter cap, then
+    classify: the witness when the complex is disconnected, else the
+    presentation and amalgam."""
     check_sequence_size(params.p)
     structure = classify(params)
     if params.connected:
-        return ReportSections(
-            structure, None, goeritz_presentation(params), amalgam_decomposition(params)
-        )
-    return ReportSections(structure, nonconnectivity_witness(params), None, None)
+        return structure, None, goeritz_presentation(params), amalgam_decomposition(params)
+    return structure, nonconnectivity_witness(params), None, None
 
 
 def build_report(p: int, q: int) -> FullReport:

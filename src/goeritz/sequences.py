@@ -68,16 +68,21 @@ def make_params(p: int, q: int) -> PqParams:
     return PqParams(p=p, q=q, q_prime=q_prime, r=r, m=m, connected=connected)
 
 
+_SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2  # the last p with p(p+1) <= the cap
+
+
 def check_sequence_size(p: int) -> None:
     """Refuse a (p, q)-sequence of more than MAX_WORD_LETTERS letters in all.
 
     The shells and the report of L(p,q) are made from its words, so the
-    same cap refuses them.
+    same cap refuses them.  The message prints p(p+1) only for p < 10^9,
+    as str() refuses an int of over 4,300 digits.
     """
-    if p * (p + 1) > MAX_WORD_LETTERS:
+    if p > _SEQUENCE_P:
+        count = f" = {p * (p + 1)}" if p < 10**9 else ""
         raise InvalidParameters(
-            f"the sequence of p = {p} has p(p+1) = {p * (p + 1)} letters, "
-            f"more than the {MAX_WORD_LETTERS} allowed"
+            f"the sequence of p = {p} has p(p+1){count} letters, more than the "
+            f"{MAX_WORD_LETTERS} allowed: p must be at most {_SEQUENCE_P}"
         )
 
 

@@ -29,7 +29,9 @@ from .primitivity import (
     primitivity_certificate,
     _symmetry_variants,
 )
-from .sequences import InvalidParameters, PqParams, make_params, pq_sequence, verify_symmetry
+from .sequences import (
+    InvalidParameters, PqParams, _SEQUENCE_P, make_params, pq_sequence, verify_symmetry
+)
 from .words import MAX_WORD_LETTERS, _caret, _least_rotation
 
 
@@ -174,12 +176,9 @@ def _cmz_vs_whitehead(word: str) -> Iterator[str]:
 
 
 def _witness(params: PqParams) -> Iterator[str]:
+    # the trace ends at s/(t+1) with e = q + 1: nonconnectivity_witness checks both
     trace = nonconnectivity_witness(params)
-    final = trace.disks[-1]
-    if final.label.e != params.q + 1:
-        yield f"final e = {final.label.e} != q+1"
-        return
-    if not is_primitive_whitehead(final.word):
+    if not is_primitive_whitehead(trace.final.word):
         yield "final disk is not oracle-primitive"
     d0 = trace.disks[0]
     d1 = next(s for s in trace.disks if s.tag in ("L", "R"))
@@ -191,7 +190,7 @@ def _witness(params: PqParams) -> Iterator[str]:
             yield f"label {step.label.fraction} breaks the closed form"
         if step.tag != "seed" and step.label.e < 1:
             yield f"step word not positive: e = {step.label.e}"
-    # the fractions must walk a mediant path of Farey edges to s/(t+1)
+    # the fractions must walk a mediant path of Farey edges
     for step in trace.disks:
         if step.pair_before is None:
             continue
@@ -200,8 +199,6 @@ def _witness(params: PqParams) -> Iterator[str]:
             yield "pair is not a Farey edge"
         if (step.label.a, step.label.b) != (left.a + right.a, left.b + right.b):
             yield "fraction is not the mediant"
-    if (final.label.a, final.label.b) != (trace.s, trace.t + 1):
-        yield "final fraction is not s/(t+1)"
 
 
 def _symmetry(params: PqParams) -> Iterator[str]:
@@ -273,7 +270,6 @@ def _dispatch_totality(params: PqParams) -> Iterator[str]:
 # subjects look make_params and the enumerators up when the sweep runs, so
 # that a caller who replaces those module names (to trace or to fault
 # them) is heard.  A word is named in caret notation, as Word prints it.
-_SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2
 _WITNESS_P = 631
 _CHECKS = {
     "four-primitives": (_four_primitives, 40, 2, _SEQUENCE_P, _pairs, _pair_name),

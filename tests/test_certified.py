@@ -124,6 +124,16 @@ def test_the_checker_refuses_a_verdict_on_another_word():
             check_certificate(other, not_primitive)
 
 
+def test_the_checker_refuses_forged_failures_on_a_primitive_word():
+    """xyy is primitive: its one Euclid step x -> x y^-2 ends on x, so
+    neither mixed signs nor a non-unimodular end can hold."""
+    with pytest.raises(RuntimeError, match="no generator occurs with both signs"):
+        check_certificate("xyy", PrimitivityCertificate(False, "", (), failure=MIXED_SIGNS))
+    forged = PrimitivityCertificate(False, "", ((False, 2),), failure=NOT_UNIMODULAR)
+    with pytest.raises(RuntimeError, match="the steps end on 'x'"):
+        check_certificate("xyy", forged)
+
+
 def test_is_primitive_cmz_raises_on_a_forged_primitive_verdict(monkeypatch):
     """A decision that goes wrong is caught by the checker under python -O too:
     `is_primitive_cmz` raises RuntimeError on a forged primitive verdict."""

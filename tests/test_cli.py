@@ -56,6 +56,12 @@ def test_primitive_filter_inconclusive(capsys):
     assert "inconclusive" in out
 
 
+def test_primitive_filter_trace_prints_the_witness(capsys):
+    code, out, err = run(capsys, "primitive", "--method", "filter", "--trace", "xyxY")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "  filter witness (w): xy at 0, xy^-1 at 2"
+
+
 def test_primitive_json(capsys):
     code, out, _ = run(capsys, "primitive", "x x y y", "--method", "filter", "--json")
     assert code == 1
@@ -592,6 +598,23 @@ def test_the_letter_cap_spares_classify_presentation_and_smaller_p(capsys):
     for argv in (("classify", "200000", "7"), ("presentation", "200000", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 0 and out and not err, argv
+
+
+def test_a_p_whose_letter_count_is_too_long_to_print_is_refused_with_exit_2(capsys):
+    """Python refuses to print an int of more than 4,300 digits.  p(p+1)
+    has that many for p = 10^2199, and the first seed disk of the
+    disconnected L(9 * 10^4299 + 4, 7) about 8p/7 letters: each call must
+    still be refused as invalid input, not end in a traceback."""
+    huge = str(10**2199)
+    for argv in (
+        ("sequence", huge, "7"),
+        ("shell", huge, "7"),
+        ("report", huge, "7"),
+        ("witness", str(9 * 10**4299 + 4), "7"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith("error:") and "10000000 allowed" in err, argv[0]
 
 
 def _child_env():

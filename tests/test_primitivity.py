@@ -99,6 +99,13 @@ def test_every_enumerated_map_is_an_automorphism():
             assert auto.apply_codes(inverse_codes(auto, gen)) == gen
 
 
+def test_apply_codes_refuses_a_code_outside_the_rank_two_alphabet():
+    for auto in WHITEHEAD_AUTOMORPHISMS:
+        for codes in ((3,), (1, -3), (2, 0), (7,)):
+            with pytest.raises(KeyError):
+                auto.apply_codes(codes)
+
+
 def test_oz_canonical_word_examples():
     assert cyclically_equal(oz_canonical_word(3, 5), w("z y y z y y z y"))
     assert cyclically_equal(oz_canonical_word(3, 10), w("zy^4zy^3zy^3"))

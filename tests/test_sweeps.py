@@ -109,6 +109,23 @@ def test_a_self_check_that_raises_fails_its_subject_and_the_sweep_goes_on(monkey
     assert all("the final word has e =" in f.detail for f in result.failures)
 
 
+def test_a_replacement_step_off_its_closed_form_fails_the_witness_sweep(monkeypatch):
+    """A replacement step that adds one to d keeps every fraction and
+    every e, so the trace passes its own checks; the sweep's closed-form
+    check reports each label that the fault moved."""
+    honest = farey.replacement
+
+    def shifted(left, right, params):
+        label = honest(left, right, params)
+        return dataclasses.replace(label, d=label.d + 1)
+
+    monkeypatch.setattr(farey, "replacement", shifted)
+    result = sweeps.run_sweep("witness", 20)
+    assert (result.subjects, len(result.failures)) == (10, 31)
+    assert result.failures[0] == sweeps.SweepFailure("(12,5)", "label 1/1 breaks the closed form")
+    assert all(f.detail.endswith("breaks the closed form") for f in result.failures)
+
+
 def test_the_details_yielded_before_a_self_check_raises_are_kept(monkeypatch):
     """The witness test yields that the final disk is not primitive, then
     the oracle raises on D0: the subject reports both, in that order."""

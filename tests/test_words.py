@@ -377,3 +377,11 @@ def test_a_lone_1_parses_as_the_empty_word(capsys):
     assert main(["primitive", "1"]) == main(["primitive", ""]) == 1
     first, second = capsys.readouterr().out.split("method: cmz\n", 1)[0], None
     assert first == "word: 1\n"
+
+
+def test_powers_and_letters_of_a_word():
+    w = Word((1, 2))
+    assert w ** 3 == Word((1, 2, 1, 2, 1, 2)) and str(w ** 3) == "xyxyxy"
+    assert w ** -2 == Word((-2, -1, -2, -1)) and str(w ** -2) == "y^-1x^-1y^-1x^-1"
+    assert w ** 0 == Word() and str(w ** 0) == "1"
+    assert list(Word((1, -2))) == [Letter("x", 1), Letter("y", -1)]
