@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .sequences import InvalidParameters, PqParams
+from .sequences import InvalidParameters, PqParams, _int_text
 from .words import MAX_WORD_LETTERS, Word
 
 
@@ -91,7 +91,7 @@ def seed_labels(params: PqParams) -> tuple[FareyLabel, FareyLabel]:
     """The starting labels: D_0 = 1/0 (word of E_m) and D_-1 = 0/1 (word x)."""
     if params.connected:
         raise ConnectedComplexError(
-            f"{params}: p = {params.p} is congruent to +1 or -1 mod q = {params.q}; "
+            f"{params}: p = {_int_text(params.p)} is congruent to +1 or -1 mod q = {params.q}; "
             "the primitive disk complex is connected and no witness exists"
         )
     d0 = FareyLabel(a=1, b=0, d=params.m - 1, e=params.q + params.r)

@@ -12,10 +12,10 @@ indices.
 The group depends on (p, q) only through its row of classify.CASES, so
 the presentations and amalgams are built once per row and shared: seven
 objects serve every connected pair.  Each frozen presentation and amalgam
-keeps a memo of what is derived from it (the only cache of renders), so
-its renders, its flattening and its abelianization are computed once per
-object, however many pairs ask; the Smith normal form cross-check still
-runs, once, on every presentation object that is emitted.
+keeps a memo of what is derived from it (the only cache of renders, which
+`report --json` reads too), so its renders, its flattening and its
+abelianization are computed once per object, however many pairs ask; the
+Smith normal form cross-check runs, once, on every presentation emitted.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ from .presentations import (
     abelianization_dict,
     abelianize_presentation,
     amalgam_decomposition,
-    amalgam_dict,
     goeritz_presentation,
-    presentation_dict,
+    render,
 )
 from .primitivity import is_primitive_cmz
 from .sequences import (
@@ -150,7 +149,8 @@ def report_dict(report: FullReport) -> dict:
 # hand and each sequence word or shell entry from one template, as it is
 # made, so no more than one word is held: O(p) memory, although the
 # output runs to Theta(p^2) characters.  Sections of bounded size go
-# through jsontext.dumps, which writes them at their depth.
+# through jsontext.dumps at their depth, but a report's presentation and
+# amalgam are their memoized `render(obj, "json")`, one level deeper.
 
 Write = Callable[[str], object]
 
@@ -235,16 +235,16 @@ def write_report_json(params: PqParams, write: Write) -> None:
     """What `report --json` prints: the params, the sequence and the
     shells, written as they are made, then the sections of
     `report_sections` (and the abelianization of a presentation)."""
-    # the bounded sections, made before anything is written
+    # the bounded sections' text, made before anything is written
     structure, witness, pres, amalgam = report_sections(params)
     tail = {
-        "structure": structure_dict(structure),
-        "witness": None if witness is None else witness_dict(witness),
-        "presentation": None if pres is None else presentation_dict(pres),
-        "amalgam": None if amalgam is None else amalgam_dict(amalgam),
+        "structure": dumps(structure_dict(structure), 1),
+        "witness": "null" if witness is None else dumps(witness_dict(witness), 1),
+        "presentation": "null" if pres is None else render(pres, "json").replace("\n", "\n  "),
+        "amalgam": "null" if amalgam is None else render(amalgam, "json").replace("\n", "\n  "),
     }
     if pres is not None:
-        tail["abelianization"] = abelianization_dict(abelianize_presentation(pres))
+        tail["abelianization"] = dumps(abelianization_dict(abelianize_presentation(pres)), 1)
 
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
     sep = '\n      "'
@@ -259,5 +259,5 @@ def write_report_json(params: PqParams, write: Write) -> None:
         _write_shell(params, kind, 2, write)
         sep = ",\n    "
     write("\n  ]")
-    write("".join(f",\n  {_quote(key)}: {dumps(value, 1)}" for key, value in tail.items()))
+    write("".join(f",\n  {_quote(key)}: {text}" for key, text in tail.items()))
     write("\n}\n")

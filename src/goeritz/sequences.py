@@ -21,6 +21,14 @@ class InvalidParameters(ValueError):
     """Rejected lens-space parameters; the message names the constraint."""
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, or its bit length where str() refuses so many digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 @dataclass(frozen=True)
 class PqParams:
     """Validated parameters of L(p,q) with q normalized into [1, p/2].
@@ -45,7 +53,7 @@ class PqParams:
         )
 
     def __str__(self) -> str:
-        return f"L({self.p},{self.q})"
+        return f"L({_int_text(self.p)},{_int_text(self.q)})"
 
 
 def make_params(p: int, q: int) -> PqParams:
@@ -54,11 +62,14 @@ def make_params(p: int, q: int) -> PqParams:
     if not (isinstance(p, int) and isinstance(q, int)) or isinstance(p, bool) or isinstance(q, bool):
         raise InvalidParameters("p and q must be integers")
     if p < 2:
-        raise InvalidParameters(f"p must be at least 2, got p = {p}")
+        raise InvalidParameters(f"p must be at least 2, got p = {_int_text(p)}")
     if not 0 < q < p:
-        raise InvalidParameters(f"q must satisfy 0 < q < p, got q = {q}")
+        raise InvalidParameters(f"q must satisfy 0 < q < p, got q = {_int_text(q)}")
     if math.gcd(p, q) != 1:
-        raise InvalidParameters(f"p and q must be coprime, got gcd({p},{q}) = {math.gcd(p, q)}")
+        raise InvalidParameters(
+            f"p and q must be coprime, got gcd({_int_text(p)},{_int_text(q)}) = "
+            f"{_int_text(math.gcd(p, q))}"
+        )
     q = min(q, p - q)
     inverse = pow(q, -1, p)
     q_prime = min(inverse, p - inverse)
@@ -75,13 +86,12 @@ def check_sequence_size(p: int) -> None:
     """Refuse a (p, q)-sequence of more than MAX_WORD_LETTERS letters in all.
 
     The shells and the report of L(p,q) are made from its words, so the
-    same cap refuses them.  The message prints p(p+1) only for p < 10^9,
-    as str() refuses an int of over 4,300 digits.
+    same cap refuses them.  The message prints p(p+1) only for p < 10^9.
     """
     if p > _SEQUENCE_P:
         count = f" = {p * (p + 1)}" if p < 10**9 else ""
         raise InvalidParameters(
-            f"the sequence of p = {p} has p(p+1){count} letters, more than the "
+            f"the sequence of p = {_int_text(p)} has p(p+1){count} letters, more than the "
             f"{MAX_WORD_LETTERS} allowed: p must be at most {_SEQUENCE_P}"
         )
 

@@ -94,12 +94,6 @@ def _coerce_spelling(letters) -> str:
     as it stands, not reduced."""
     if isinstance(letters, (Word, CyclicWord)):
         return letters._spelled
-    # plain int codes are looked up at C level; anything else goes item by item
-    if type(letters) in (tuple, list) and set(map(type, letters)) <= {int}:
-        try:
-            return "".join(map(_SPELLING.__getitem__, letters))
-        except KeyError:
-            pass  # the item-by-item path names the bad code
     return "".join(map(_spell_letter, letters))
 
 

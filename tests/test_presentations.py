@@ -429,3 +429,11 @@ def test_presentation_builder_validates():
         GroupPresentation(
             generators=(Generator("a"),), relators=(), summands=(leaf,)
         )
+
+
+def test_presentation_builder_cancels_the_letters_of_a_relator():
+    pres = presentation(
+        [("a", ""), ("b", "")],
+        [[("a", 2), ("a", -1), ("b", 1)], [("a", 1), ("b", 2), ("b", -2), ("a", -1)]],
+    )
+    assert pres.relators == ((("a", 1), ("b", 1)), ())

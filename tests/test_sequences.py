@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from goeritz.farey import nonconnectivity_witness
 from goeritz.primitivity import is_primitive_whitehead
 from goeritz.sequences import (
     InvalidParameters,
@@ -192,3 +193,16 @@ def test_four_primitives_sweep_builds_no_words(monkeypatch):
     result = run_sweep("four-primitives", 30)
     assert result.subjects > 100 and not result.failures
     assert built == []
+
+
+def test_a_p_too_long_to_print_is_refused_by_the_library_with_its_bit_length():
+    """str() refuses an int of more than 4,300 digits; a refusal names
+    such a p by its bit length instead of failing to print it."""
+    params = make_params(10**5000 + 1, 7)
+    assert str(params) == "L(<16610-bit integer>,7)"
+    with pytest.raises(InvalidParameters, match=r"^the sequence of p = <16610-bit integer> has"):
+        pq_sequence(params)
+    with pytest.raises(InvalidParameters, match=r"^L\(<16610-bit integer>,7\): the witness words"):
+        nonconnectivity_witness(params)
+    with pytest.raises(InvalidParameters, match=r"^p must be at least 2, got p = -<16610-bit"):
+        make_params(-(10**5000), 7)
