@@ -33,13 +33,10 @@ from .classify import DisconnectedComplexError, classify
 from .farey import ConnectedComplexError, nonconnectivity_witness
 from .jsontext import dumps
 from .presentations import (
-    abelianization_dict,
     abelianize_presentation,
     amalgam_decomposition,
-    amalgam_dict,
     display_name,
     goeritz_presentation,
-    presentation_dict,
     render,
 )
 from .primitivity import (
@@ -54,6 +51,7 @@ from .primitivity import (
 from .report import (
     SEQUENCE_CLASS,
     params_dict,
+    presentation_members,
     report_sections,
     sequence_rows,
     structure_dict,
@@ -241,12 +239,10 @@ def cmd_presentation(args) -> int:
     pres = goeritz_presentation(params)
     sections = []
     if args.format == "json":
-        data = {"params": params_dict(params), "presentation": presentation_dict(pres)}
-        if args.amalgam:
-            data["amalgam"] = amalgam_dict(amalgam_decomposition(params))
-        if args.abelianization:
-            data["abelianization"] = abelianization_dict(abelianize_presentation(pres))
-        _print_json(data)
+        amalgam = amalgam_decomposition(params) if args.amalgam else None
+        members = presentation_members(pres, amalgam, args.abelianization)
+        # one write, as in _print_json
+        sys.stdout.write(f'{{\n  "params": {dumps(params_dict(params), 1)}{members}\n}}\n')
         return 0
     if args.format == "text":
         sections.append(f"Goeritz group of {params}:")
@@ -290,8 +286,8 @@ def cmd_report(args) -> int:
         )
     if pres is not None:
         print(f"  presentation: {render(pres, 'text')}")
-        ab = abelianization_dict(abelianize_presentation(pres))
-        print(f"  abelianization: torsion {ab['torsion']}, free rank {ab['free_rank']}")
+        ab = abelianize_presentation(pres)
+        print(f"  abelianization: torsion {list(ab.torsion)}, free rank {ab.free_rank}")
     return 0
 
 

@@ -13,9 +13,10 @@ The group depends on (p, q) only through its row of classify.CASES, so
 the presentations and amalgams are built once per row and shared: seven
 objects serve every connected pair.  Each frozen presentation and amalgam
 keeps a memo of what is derived from it (the only cache of renders, which
-`report --json` reads too), so its renders, its flattening and its
-abelianization are computed once per object, however many pairs ask; the
-Smith normal form cross-check runs, once, on every presentation emitted.
+`report --json` and `presentation --format json` read too), so its
+renders, its flattening and its abelianization are computed once per
+object, however many pairs ask; the Smith normal form cross-check runs,
+once, on every presentation emitted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from itertools import groupby
 from typing import Iterator, Optional, Union
 
-from .classify import CaseData, CaseTag, DisconnectedComplexError, case_data
+from .classify import CASES, CaseData, CaseTag, DisconnectedComplexError, case_data
 from .jsontext import dumps
 from .sequences import PqParams
 from .snf import invariant_factors
@@ -228,17 +229,15 @@ def _ascii_word(rel: Relator, symbols: Optional[dict[str, str]] = None) -> str:
     return "*".join(_run_symbols(rel, symbol, lambda sym, exp: f"{sym}^{exp}")) or "1"
 
 
-def _gap_relators(flat: GroupPresentation, free: str = "F") -> str:
-    """The GAP list of a flat presentation's relators over the free group `free`."""
-    symbols = {g.name: f"{free}.{i}" for i, g in enumerate(flat.generators, start=1)}
-    rels = ", ".join(_ascii_word(rel, symbols) for rel in flat.relators)
-    return f"[ {rels} ]" if rels else "[ ]"
-
-
-def _gap_script(pres: GroupPresentation) -> str:
+def _gap_script(pres: GroupPresentation, suffix: str = "") -> str:
+    """The free group on the flattened generators and the list of relators
+    over it, as GAP statements; `suffix` ends every name they bind."""
     flat = pres.flatten()
-    names = ", ".join(f'"{gap_name(g.name)}"' for g in flat.generators)
-    return f"F := FreeGroup( {names} );;\nrelators := {_gap_relators(flat)};;"
+    names = ", ".join(f'"{gap_name(g.name)}{suffix}"' for g in flat.generators)
+    symbols = {g.name: f"F{suffix}.{i}" for i, g in enumerate(flat.generators, start=1)}
+    rels = ", ".join(_ascii_word(rel, symbols) for rel in flat.relators)
+    rels = f"[ {rels} ]" if rels else "[ ]"
+    return f"F{suffix} := FreeGroup( {names} );;\nrelators{suffix} := {rels};;"
 
 
 class StabilizerKind(Enum):
@@ -295,18 +294,27 @@ def _triple_stab(delta: str, gamma: str, triple: str) -> GroupPresentation:
 _STABILIZERS = {"disk": _vertex_stab, "pair": _pair_stab, "triple": _triple_stab}
 
 
+# StabilizerKind -> its presentation: a disk or a pair factor with its
+# default names, or alpha alone, as the edge group G(E, D) of a pair and a
+# disk factor (T1b) and of two disk factors that cannot be exchanged (T1c).
+_KIND_STABILIZERS = {
+    StabilizerKind.VERTEX: _STABILIZERS["disk"],
+    StabilizerKind.PAIR_EXCHANGEABLE: _STABILIZERS["pair"],
+    StabilizerKind.EDGE_UNORDERED: lambda: _amalgam(CASES[CaseTag.T1B, True]).edges[0].presentation,
+    StabilizerKind.PAIR_RIGID: lambda: _amalgam(CASES[CaseTag.T1C, False]).edges[1].presentation,
+}
+
+
 def stabilizer_presentation(kind: StabilizerKind, params: PqParams) -> GroupPresentation:
     """Stabilizer of a primitive disk, of a pair preserved disk-wise, or
-    of a pair preserved as a set (exchangeable or not)."""
-    if kind is not StabilizerKind.VERTEX and params.p < 3:
+    of a pair preserved as a set (exchangeable or not).  A case whose
+    factors are absorbed (p = 2) has no pair stabilizer of this form."""
+    absorbed = any(f.stabilizer == "absorbed" for f in case_data(params).factors)
+    if absorbed and kind is not StabilizerKind.VERTEX:
         raise ValueError(
             f"pair stabilizers take this form only for p >= 3, got p = {params.p}"
         )
-    if kind is StabilizerKind.VERTEX:
-        return _vertex_stab()
-    if kind is StabilizerKind.PAIR_EXCHANGEABLE:
-        return _pair_stab()
-    return _alpha()  # an unordered edge, or a pair that cannot be exchanged
+    return _KIND_STABILIZERS[kind]()
 
 
 def _require_presentable(params: PqParams) -> None:
@@ -516,15 +524,13 @@ def abelianization_dict(ab: Abelianization) -> dict:
 
 
 def _amalgam_gap(am: AmalgamDecomposition) -> str:
+    """Each factor's GAP script, its names ending in the factor's number."""
     lines = []
     for i, factor in enumerate(am.factors, start=1):
         if factor.presentation is None:
             lines.append(f"# factor {i}: {factor.label} (no generic presentation)")
-            continue
-        flat = factor.presentation.flatten()
-        names = ", ".join(f'"{gap_name(g.name)}{i}"' for g in flat.generators)
-        lines.append(f"F{i} := FreeGroup( {names} );;")
-        lines.append(f"relators{i} := {_gap_relators(flat, f'F{i}')};;")
+        else:
+            lines.append(_gap_script(factor.presentation, str(i)))
     return "\n".join(lines)
 
 

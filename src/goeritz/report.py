@@ -231,20 +231,34 @@ def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     return mismatch
 
 
+def presentation_members(
+    pres: GroupPresentation, amalgam: Optional[AmalgamDecomposition], abelianization: bool
+) -> str:
+    """The `presentation`, `amalgam` (unless None) and, if asked,
+    `abelianization` members of a top-level JSON object, each after its
+    comma, for `report --json` and `presentation --format json`; the
+    first two are their memoized `render(obj, "json")`, one level deeper."""
+    objects = {"presentation": pres, "amalgam": amalgam}
+    texts = {key: render(obj, "json").replace("\n", "\n  ") for key, obj in objects.items() if obj}
+    if abelianization:
+        texts["abelianization"] = dumps(abelianization_dict(abelianize_presentation(pres)), 1)
+    return "".join(f",\n  {_quote(key)}: {text}" for key, text in texts.items())
+
+
 def write_report_json(params: PqParams, write: Write) -> None:
     """What `report --json` prints: the params, the sequence and the
     shells, written as they are made, then the sections of
     `report_sections` (and the abelianization of a presentation)."""
     # the bounded sections' text, made before anything is written
     structure, witness, pres, amalgam = report_sections(params)
-    tail = {
-        "structure": dumps(structure_dict(structure), 1),
-        "witness": "null" if witness is None else dumps(witness_dict(witness), 1),
-        "presentation": "null" if pres is None else render(pres, "json").replace("\n", "\n  "),
-        "amalgam": "null" if amalgam is None else render(amalgam, "json").replace("\n", "\n  "),
-    }
-    if pres is not None:
-        tail["abelianization"] = dumps(abelianization_dict(abelianize_presentation(pres)), 1)
+    tail = (
+        f',\n  "structure": {dumps(structure_dict(structure), 1)}'
+        f',\n  "witness": {"null" if witness is None else dumps(witness_dict(witness), 1)}'
+    )
+    if pres is None:
+        tail += ',\n  "presentation": null,\n  "amalgam": null'
+    else:
+        tail += presentation_members(pres, amalgam, abelianization=True)
 
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
     sep = '\n      "'
@@ -258,6 +272,4 @@ def write_report_json(params: PqParams, write: Write) -> None:
         write(sep)
         _write_shell(params, kind, 2, write)
         sep = ",\n    "
-    write("\n  ]")
-    write("".join(f",\n  {_quote(key)}: {text}" for key, text in tail.items()))
-    write("\n}\n")
+    write("\n  ]" + tail + "\n}\n")

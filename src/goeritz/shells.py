@@ -18,6 +18,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterator
 
+from .classify import case_data
 from .sequences import PqParams, check_sequence_size, make_params, primitive_indices, spelled_sequence
 from .words import Word
 
@@ -176,30 +177,30 @@ class DualShellRelation:
 
 
 def dual_shell_relation(params: PqParams, edge_kind: DualPairKind) -> DualShellRelation:
-    """Positions of each disk of the pair in the other disk's shell.
-
-    The model pair is (E, E_1) when the pair has a common dual disk and
-    (E, E_q') when it has none; the latter requires q >= 2 since for
+    """Positions of each disk of the pair in the other disk's shell: two
+    of its primitive positions, the ends' neighbours 1 and p-1 for the
+    model pair (E, E_1), which has a common dual disk, and the other two
+    for (E, E_q'), which has none.  The latter requires q >= 2, since for
     q = 1 every primitive pair has a common dual disk.
     """
-    p, q, qp = params.p, params.q, params.q_prime
+    ends = (1, params.p - 1)
     if edge_kind is DualPairKind.COMMON_DUAL:
-        return DualShellRelation(
-            edge_kind=edge_kind,
-            sd_kind=ShellKind.Q,
-            sd_slope=q,
-            d_positions_in_se=(1, p - 1),
-            e_positions_in_sd=(1, p - 1),
-        )
-    if q == 1:
+        sd_kind, d_in_se, e_in_sd = ShellKind.Q, ends, ends
+    elif case_data(params).common_dual_rule.all_pairs:
         raise ValueError(
             "q = 1: every primitive pair has a common dual disk, "
             "so no no-common-dual pair exists"
         )
+    else:
+        sd_kind = ShellKind.Q_PRIME
+        d_in_se, e_in_sd = (
+            tuple(sorted(shell_primitive_indices(params, kind).difference(ends)))
+            for kind in (ShellKind.Q, sd_kind)
+        )
     return DualShellRelation(
         edge_kind=edge_kind,
-        sd_kind=ShellKind.Q_PRIME,
-        sd_slope=qp,
-        d_positions_in_se=(qp, p - qp),
-        e_positions_in_sd=(q, p - q),
+        sd_kind=sd_kind,
+        sd_slope=sd_kind.slope(params),
+        d_positions_in_se=d_in_se,
+        e_positions_in_sd=e_in_sd,
     )

@@ -735,3 +735,27 @@ def test_json_output_of_bounded_size_is_one_write(monkeypatch, argv):
     main(argv)
     assert len(recorder.writes) == 1 and recorder.writes[0].endswith("}\n")
     json.loads(recorder.writes[0])
+
+
+def test_presentation_json_sections_are_the_reports(capsys):
+    """One pair per connected row of CASES: the presentation, amalgam and
+    abelianization of `presentation --format json` are those of `report --json`."""
+    from goeritz.classify import case_data
+    from goeritz.sequences import make_params
+
+    seen = {}
+    for p in range(2, 40):
+        for q in range(1, p // 2 + 1):
+            if math.gcd(p, q) == 1:
+                params = make_params(p, q)
+                if params.connected:
+                    seen.setdefault(case_data(params), (p, q))
+    assert len(seen) == 7
+    for p, q in seen.values():
+        code, out, _ = run(capsys, "presentation", str(p), str(q), "--format", "json",
+                           "--amalgam", "--abelianization")
+        assert code == 0
+        _, report, _ = run(capsys, "report", str(p), str(q), "--json")
+        presentation, report = json.loads(out), json.loads(report)
+        for key in ("presentation", "amalgam", "abelianization"):
+            assert presentation[key] == report[key], (p, q, key)

@@ -437,3 +437,18 @@ def test_presentation_builder_cancels_the_letters_of_a_relator():
         [[("a", 2), ("a", -1), ("b", 1)], [("a", 1), ("b", 2), ("b", -2), ("a", -1)]],
     )
     assert pres.relators == ((("a", 1), ("b", 1)), ())
+
+
+def test_every_stabilizer_kind_is_a_factor_or_an_edge_group_of_a_case_amalgam():
+    def shape(pres):
+        return pres.generator_names(), pres.named_relators()
+
+    # the pairs up to 30 reach every connected row of the case table
+    parts = set()
+    for p, q in connected_pairs(30):
+        amalgam = amalgam_decomposition(make_params(p, q))
+        for part in amalgam.factors + amalgam.edges:
+            if part.presentation is not None:
+                parts.add(shape(part.presentation))
+    for kind in StabilizerKind:
+        assert shape(stabilizer_presentation(kind, make_params(10, 3))) in parts, kind

@@ -228,3 +228,25 @@ def test_report_builds_no_sequence_or_shell_words(monkeypatch):
         assert report.sequence.words[1] is report.sequence.words[1]
         assert report.shells[0].entries[1].boundary_word is report.shells[0].entries[1].boundary_word
         assert built == []
+
+
+def test_dual_shell_positions_are_the_primitive_positions_less_the_shell_ends():
+    """A pair with no common dual disk sits at the primitive positions of
+    the (p,q)- and (p,q')-sequences other than 1 and p-1, and the pair is
+    refused exactly where its case row gives every pair a common dual."""
+    from goeritz.classify import case_data
+    from goeritz.sequences import primitive_indices
+
+    def inner(params):
+        return tuple(sorted(primitive_indices(params) - {1, params.p - 1}))
+
+    for p, q in coprime_pairs(200):
+        params = make_params(p, q)
+        if case_data(params).common_dual_rule.all_pairs:
+            with pytest.raises(ValueError, match="common dual"):
+                dual_shell_relation(params, DualPairKind.NO_COMMON_DUAL)
+            continue
+        assert q >= 2
+        rel = dual_shell_relation(params, DualPairKind.NO_COMMON_DUAL)
+        assert rel.d_positions_in_se == inner(params)
+        assert rel.e_positions_in_sd == inner(make_params(p, params.q_prime))
