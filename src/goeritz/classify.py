@@ -4,9 +4,13 @@ The complex is connected (and then contractible) exactly when p is +1
 or -1 modulo q.  Connected complexes are trees except when q = 2 or
 p = 2q + 1, where they are 2-dimensional.  Every fact that depends on
 the case of (p, q) sits in one row of CASES, picked by case_data, or
-follows from the row in classify: the dimension and triple existence
-from the simplex types, the vertex orbits from the vertex transitivity,
-and the quotient graph from the amalgam, one vertex per factor.
+follows from the row: the dimension and triple existence from the
+simplex types, the vertex orbits from the vertex transitivity, and the
+quotient graph from the amalgam, one vertex per factor.  These derived
+facts are computed once per row, at import; classify adds params to
+them and fills its frozen report in one step (records.filled), so
+equality, hashing, dataclasses.replace and pickling are those of the
+generated dataclass.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .records import filled
 from .sequences import PqParams
 
 
@@ -187,6 +192,14 @@ _ROWS = (
     ),
 )
 CASES = {(row.tag, row.transitive): row for row in _ROWS}
+_T1A = CASES[CaseTag.T1A, True]
+_T1B = CASES[CaseTag.T1B, True]
+_T1C_TRANSITIVE = CASES[CaseTag.T1C, True]
+_T1C_INTRANSITIVE = CASES[CaseTag.T1C, False]
+_T2A = CASES[CaseTag.T2A, True]
+_T2B = CASES[CaseTag.T2B, False]
+_T2C = CASES[CaseTag.T2C, False]
+_DISCONNECTED = CASES[CaseTag.DISCONNECTED, None]
 
 
 def case_data(params: PqParams) -> CaseData:
@@ -194,21 +207,22 @@ def case_data(params: PqParams) -> CaseData:
 
     p = 3 is tested before the generic q = 1 branch: it is the only
     overlap between q = 1 and the two-dimensional condition p = 2q + 1.
+    Only T1c depends on whether q^2 = 1 mod p; every other row has one
+    transitivity (true for q = 1 and p = 2, false for q = 2 and
+    p = 2q + 1 > 3).
     """
     p, q = params.p, params.q
     if not params.connected:
-        return CASES[CaseTag.DISCONNECTED, None]
+        return _DISCONNECTED
     if p == 2:
-        tag = CaseTag.T1A
-    elif p == 3:
-        tag = CaseTag.T2A
-    elif q == 2 or p == 2 * q + 1:
-        tag = CaseTag.T2B if p == 5 else CaseTag.T2C
-    elif q == 1:
-        tag = CaseTag.T1B
-    else:
-        tag = CaseTag.T1C
-    return CASES[tag, q * q % p == 1]
+        return _T1A
+    if p == 3:
+        return _T2A
+    if q == 2 or p == 2 * q + 1:
+        return _T2B if p == 5 else _T2C
+    if q == 1:
+        return _T1B
+    return _T1C_TRANSITIVE if q * q % p == 1 else _T1C_INTRANSITIVE
 
 
 def case_tag(params: PqParams) -> CaseTag:
@@ -241,21 +255,30 @@ def quotient_graph(params: PqParams) -> QuotientGraph:
 _QUOTIENT_GRAPHS = {graph.vertex_count: graph for graph in QuotientGraph}
 
 
+def _report_fields(row: CaseData) -> dict:
+    """Every field of a row's structure report except params, in field order."""
+    return {
+        "connected": row.transitive is not None,
+        "dimension": 2 if row.simplex_types else 1,
+        "case_tag": row.tag,
+        "edge_types_present": row.edge_types,
+        "simplex_types_present": row.simplex_types,
+        "triple_exists": bool(row.simplex_types),
+        "common_dual_rule": row.common_dual_rule,
+        "vertex_orbits": None if row.transitive is None else 1 if row.transitive else 2,
+        "edge_orbits": row.edge_orbits,
+        "quotient_graph": _QUOTIENT_GRAPHS[len(row.factors) or None],
+    }
+
+
+# Rows are singletons compared by identity, so this lookup hashes no Enum.
+_REPORT_FIELDS = {row: _report_fields(row) for row in _ROWS}
+
+
 def classify(params: PqParams) -> ComplexStructureReport:
     """The full structure report for the primitive disk complex."""
-    row = case_data(params)
-    return ComplexStructureReport(
-        params=params,
-        connected=params.connected,
-        dimension=2 if row.simplex_types else 1,
-        case_tag=row.tag,
-        edge_types_present=row.edge_types,
-        simplex_types_present=row.simplex_types,
-        triple_exists=bool(row.simplex_types),
-        common_dual_rule=row.common_dual_rule,
-        vertex_orbits=None if row.transitive is None else 1 if row.transitive else 2,
-        edge_orbits=row.edge_orbits,
-        quotient_graph=_QUOTIENT_GRAPHS[len(row.factors) or None],
+    return filled(
+        ComplexStructureReport, {"params": params, **_REPORT_FIELDS[case_data(params)]}
     )
 
 

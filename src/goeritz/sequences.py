@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from .records import filled
 from .words import MAX_WORD_LETTERS, Word
 
 
@@ -46,11 +47,16 @@ class PqParams:
     connected: bool
 
     @property
+    def shell_slopes(self) -> tuple[int, int, int, int]:
+        """The four slopes q-bar of the shells, in the order of
+        shells.ShellKind: q, p-q, q', p-q'."""
+        return (self.q, self.p - self.q, self.q_prime, self.p - self.q_prime)
+
+    @property
     def homeomorphism_slopes(self) -> tuple[int, ...]:
-        """All slopes q-bar giving a homeomorphic lens space."""
-        return tuple(
-            sorted({self.q, self.q_prime, self.p - self.q, self.p - self.q_prime})
-        )
+        """All slopes q-bar giving a homeomorphic lens space: the shell
+        slopes, sorted, each once."""
+        return tuple(sorted(set(self.shell_slopes)))
 
     def __str__(self) -> str:
         return f"L({_int_text(self.p)},{_int_text(self.q)})"
@@ -72,11 +78,15 @@ def make_params(p: int, q: int) -> PqParams:
         )
     q = min(q, p - q)
     inverse = pow(q, -1, p)
-    q_prime = min(inverse, p - inverse)
     r = p % q
-    m = p // q
-    connected = q == 1 or r in (1, q - 1)
-    return PqParams(p=p, q=q, q_prime=q_prime, r=r, m=m, connected=connected)
+    return filled(PqParams, {
+        "p": p,
+        "q": q,
+        "q_prime": min(inverse, p - inverse),
+        "r": r,
+        "m": p // q,
+        "connected": q == 1 or r == 1 or r == q - 1,
+    })
 
 
 _SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2  # the last p with p(p+1) <= the cap

@@ -30,7 +30,8 @@ class DiskClass(Enum):
 
 
 class ShellKind(Enum):
-    """Which of the four slopes q-bar the shell was built with."""
+    """Which of the four slopes q-bar the shell was built with, declared
+    in the order of PqParams.shell_slopes."""
 
     Q = "q"
     P_MINUS_Q = "pq"
@@ -38,12 +39,10 @@ class ShellKind(Enum):
     P_MINUS_Q_PRIME = "pq2"
 
     def slope(self, params: PqParams) -> int:
-        return {
-            ShellKind.Q: params.q,
-            ShellKind.P_MINUS_Q: params.p - params.q,
-            ShellKind.Q_PRIME: params.q_prime,
-            ShellKind.P_MINUS_Q_PRIME: params.p - params.q_prime,
-        }[self]
+        return params.shell_slopes[_SLOPE_POSITIONS[self]]
+
+
+_SLOPE_POSITIONS = {kind: i for i, kind in enumerate(ShellKind)}
 
 
 def shell_primitive_indices(params: PqParams, kind: ShellKind) -> frozenset[int]:

@@ -99,8 +99,12 @@ def _coerce_spelling(letters) -> str:
 
 def _free_reduce(spelled: str) -> str:
     """Cancel adjacent mutually inverse letters of a spelling until none
-    remain, in one pass with a stack."""
-    if not _CANCELLING_PAIR.search(spelled):
+    remain, in one pass with a stack.  The guard is six substring scans,
+    each far faster than one scan for the alternation _CANCELLING_PAIR."""
+    if not (
+        "xX" in spelled or "Xx" in spelled or "yY" in spelled
+        or "Yy" in spelled or "zZ" in spelled or "Zz" in spelled
+    ):
         return spelled
     out: list[str] = []
     for ch in spelled:
