@@ -6,6 +6,8 @@ structure of the primitive disk complex, replacement traces witnessing
 non-connectivity, and finite presentations of the genus-2 Goeritz group.
 """
 
+from types import ModuleType as _ModuleType
+
 from .words import (
     CyclicWord,
     Letter,
@@ -86,4 +88,8 @@ from .presentations import (
 )
 from .report import FullReport, build_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, sorted; not the submodules that importing them binds.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

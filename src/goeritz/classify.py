@@ -232,8 +232,7 @@ def case_tag(params: PqParams) -> CaseTag:
 
 def vertex_orbits(params: PqParams) -> int:
     """1 when q^2 = 1 mod p (the action is vertex-transitive), else 2."""
-    _require_connected(params)
-    return classify(params).vertex_orbits
+    return _connected_field(params, "vertex_orbits")
 
 
 def edge_orbits(params: PqParams) -> EdgeOrbitInfo:
@@ -242,14 +241,12 @@ def edge_orbits(params: PqParams) -> EdgeOrbitInfo:
     Representatives use the standing disks E, D = E_{q'} and the shell
     neighbours E_1, D_1.
     """
-    _require_connected(params)
-    return case_data(params).edge_orbits
+    return _connected_field(params, "edge_orbits")
 
 
 def quotient_graph(params: PqParams) -> QuotientGraph:
     """Shape of the quotient of the Bass-Serre tree by the group action."""
-    _require_connected(params)
-    return classify(params).quotient_graph
+    return _connected_field(params, "quotient_graph")
 
 
 _QUOTIENT_GRAPHS = {graph.vertex_count: graph for graph in QuotientGraph}
@@ -282,10 +279,12 @@ def classify(params: PqParams) -> ComplexStructureReport:
     )
 
 
-def _require_connected(params: PqParams) -> None:
+def _connected_field(params: PqParams, name: str):
+    """One field of the structure report of a connected pair, read from its row."""
     if not params.connected:
         raise DisconnectedComplexError(
             f"{params}: p mod q = {params.r} is neither 1 nor q - 1 = {params.q - 1}; "
             "the primitive disk complex is disconnected and the orbit data "
             "is only defined in the connected case"
         )
+    return _REPORT_FIELDS[case_data(params)][name]

@@ -17,6 +17,8 @@ Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
 filter of `primitive --method filter` decided nothing), 141 the reader
 of stdout went away before the output was written (`goeritz report 800 7
 --json | head -c 100`), as shells report a process ended by SIGPIPE.
+`primitive` takes its exit code, JSON `outcome` and verdict line from
+one table, `_VERDICTS`, keyed by the verdict of the chosen method.
 
 `main` builds the argument parser once per process, on its first call,
 so in-process callers pay only for their own commands.
@@ -60,7 +62,7 @@ from .report import (
     write_sequence_json,
     write_shell_json,
 )
-from .sequences import InvalidParameters, check_sequence_size, make_params, primitive_indices
+from .sequences import InvalidParameters, make_params, primitive_indices
 from .shells import DiskClass, Shell, ShellKind, intersection_number, shell_rows
 from .sweeps import DEFAULT_BOUNDS, run_sweep
 from .words import MixedAlphabetError, WordParseError, parse_word
@@ -72,85 +74,83 @@ def _print_json(data) -> None:
     sys.stdout.write(dumps(data) + "\n")
 
 
-def cmd_primitive(args) -> int:
-    word = parse_word(args.word)
-    method = "cmz" if args.method == "auto" else args.method
-    verdict = None
-    outcome = None
-    chain = []
-    filter_verdict = None
-    failure = None
+# Each verdict's exit code, JSON `outcome` and text line; None: the filter decided nothing.
+_VERDICTS = {
+    True: (0, "primitive", "primitive: yes"),
+    False: (1, "not primitive", "primitive: no"),
+    None: (4, "inconclusive", "verdict: inconclusive (the filter is a partial test)"),
+}
 
+
+def _decide(word, method: str, trace: bool):
+    """(verdict, move chain, failed condition, filter witness) of `method`:
+    the verdict None when the filter decides nothing, the rest empty unless
+    `trace`.  Each decider is looked up in this module at the call."""
     if method == "filter":
-        filter_verdict = nonprimitivity_filter(word)
-        if filter_verdict.outcome is FilterOutcome.NOT_PRIMITIVE:
-            verdict = False
-        else:
-            outcome = "inconclusive"
-    elif method == "oz":
+        found = nonprimitivity_filter(word)
+        verdict = False if found.outcome is FilterOutcome.NOT_PRIMITIVE else None
+        return verdict, [], None, found.witness if trace else None
+    if method == "oz":
         if word.spell() != word.spell().lower():
             raise InvalidParameters(
                 "the positive-word test needs a word without inverse letters; "
                 "use --method whitehead"
             )
-        verdict = is_primitive_positive(word)
-    elif method == "cmz" and args.trace:
+        return is_primitive_positive(word), [], None, None
+    if method == "cmz" and trace:
         certificate, chain = cmz_trace(word)
-        verdict, failure = certificate.primitive, certificate.failure
-    elif method == "cmz":
-        verdict = is_primitive_cmz(word)
-    elif args.trace:
-        verdict, chain = whitehead_trace(word)
-    else:
-        verdict = is_primitive_whitehead(word)
+        return certificate.primitive, chain, certificate.failure, None
+    if method == "cmz":
+        return is_primitive_cmz(word), [], None, None
+    if trace:
+        return (*whitehead_trace(word), None, None)
+    return is_primitive_whitehead(word), [], None, None
 
+
+def cmd_primitive(args) -> int:
+    word = parse_word(args.word)
+    method = "cmz" if args.method == "auto" else args.method
+    verdict, chain, failure, witness = _decide(word, method, args.trace)
+    code, outcome, line = _VERDICTS[verdict]
     if args.json:
         data = {
             "word": str(word),
             "method": method,
             "primitive": verdict,
-            "outcome": outcome or ("primitive" if verdict else "not primitive"),
+            "outcome": outcome,
         }
-        if args.trace and chain:
+        if chain:
             data["trace"] = [{"move": str(a), "word": str(w)} for a, w in chain]
         if failure is not None:
             data["failed_condition"] = failure
         _print_json(data)
-    else:
-        print(f"word: {word}")
-        print(f"method: {method}")
-        if outcome == "inconclusive":
-            print("verdict: inconclusive (the filter is a partial test)")
-        else:
-            print(f"primitive: {'yes' if verdict else 'no'}")
-        if args.trace:
-            if chain:
-                for i, (auto, image) in enumerate(chain, start=1):
-                    print(f"  step {i}: {auto} => {image}")
-            if failure is not None:
-                print(f"  failed condition: {failure}")
-            if filter_verdict is not None and filter_verdict.witness is not None:
-                wit = filter_verdict.witness
-                print(
-                    f"  filter witness ({wit.normalization}): {wit.first} at {wit.first_offset}, "
-                    f"{wit.second} at {wit.second_offset}"
-                )
-    if outcome == "inconclusive":
-        return 4
-    return 0 if verdict else 1
+        return code
+    print(f"word: {word}")
+    print(f"method: {method}")
+    print(line)
+    for i, (auto, image) in enumerate(chain, start=1):
+        print(f"  step {i}: {auto} => {image}")
+    if failure is not None:
+        print(f"  failed condition: {failure}")
+    if witness is not None:
+        print(
+            f"  filter witness ({witness.normalization}): {witness.first} at "
+            f"{witness.first_offset}, {witness.second} at {witness.second_offset}"
+        )
+    return code
 
 
 def cmd_sequence(args) -> int:
     params = make_params(args.p, args.q)
     if args.json:
         return 0 if write_sequence_json(params, args.verify, sys.stdout.write) == 0 else 3
-    check_sequence_size(params.p)
+    rows = sequence_rows(params, args.verify)
     print(
         f"({params.p},{params.q})-sequence: q' = {params.q_prime}, "
         f"connected = {'yes' if params.connected else 'no'}"
     )
     mismatch = 0
-    for j, word, cls, verdict in sequence_rows(params, args.verify):
+    for j, word, cls, verdict in rows:
         line = f"  {j:>3}  {word}  {SEQUENCE_CLASS[cls]}"
         if args.verify:
             line += f"  oracle={'primitive' if verdict else 'not-primitive'}"

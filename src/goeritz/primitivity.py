@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .words import (
     CyclicWord,
@@ -392,14 +392,19 @@ def _power(index: int, k: int) -> WhiteheadAutomorphism:
     return WhiteheadAutomorphism("II", label, *images)
 
 
+def _walk(spelled: str) -> Iterator[tuple[int, int, str]]:
+    """Each (index, k, image) step of the greedy reduction, to one letter or a local minimum."""
+    while len(spelled) > 1 and (found := _find_shortening(spelled)) is not None:
+        yield found
+        spelled = found[2]
+
+
 def whitehead_reduce_step(w) -> Optional[tuple[WhiteheadAutomorphism, CyclicWord]]:
     """The first shortening Whitehead move, raised to the least power that
     leaves the word shortest, or None at a local minimum."""
-    found = _find_shortening(_cyclic_core(_rank2_spelling(w)))
-    if found is None:
-        return None
-    index, k, image = found
-    return _power(index, k), CyclicWord._of_reduced_spelling(image)
+    for index, k, image in _walk(_cyclic_core(_rank2_spelling(w))):
+        return _power(index, k), CyclicWord._of_reduced_spelling(image)
+    return None
 
 
 def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWord]]]:
@@ -407,11 +412,7 @@ def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWo
     powered moves with their images."""
     spelled = _cyclic_core(_rank2_spelling(w))
     chain: list[tuple[WhiteheadAutomorphism, CyclicWord]] = []
-    while len(spelled) > 1:
-        found = _find_shortening(spelled)
-        if found is None:
-            break
-        index, k, spelled = found
+    for index, k, spelled in _walk(spelled):
         chain.append((_power(index, k), CyclicWord._of_reduced_spelling(spelled)))
     return len(spelled) == 1, chain
 
@@ -423,11 +424,8 @@ def is_primitive_whitehead(w) -> bool:
     z, Z; any other character raises ValueError.
     """
     spelled = _cyclic_core(_rank2_spelling(w))
-    while len(spelled) > 1:
-        found = _find_shortening(spelled)
-        if found is None:
-            return False
-        spelled = found[2]
+    for _, _, spelled in _walk(spelled):
+        pass
     return len(spelled) == 1
 
 

@@ -171,13 +171,13 @@ def _pads(depth: int) -> tuple[str, ...]:
     return tuple("\n" + "  " * (depth + i) for i in range(4))
 
 
-def _write_shell(params: PqParams, kind: ShellKind, depth: int, write: Write) -> None:
-    """One shell as an object nested `depth` levels deep, one entry at a time."""
+def _write_shell(params: PqParams, kind: ShellKind, rows, depth: int, write: Write) -> None:
+    """One shell's `rows` as an object nested `depth` levels deep, one entry at a time."""
     pad, pad1, pad2, pad3 = _pads(depth)
     write(f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {kind.slope(params)},'
           f'{pad1}"entries": [')
     sep = ""
-    for j, text, cls in shell_rows(params, kind):
+    for j, text, cls in rows:
         write(
             f'{sep}{pad2}{{{pad3}"index": {j},{pad3}"word": "{text}",'
             f'{pad3}"class": {_QUOTED_CLASS[cls._value_]}{pad2}}}'
@@ -188,9 +188,9 @@ def _write_shell(params: PqParams, kind: ShellKind, depth: int, write: Write) ->
 
 def write_shell_json(params: PqParams, kind: ShellKind, write: Write) -> None:
     """What `shell --json` prints: the params and one shell."""
-    check_sequence_size(params.p)
+    rows = shell_rows(params, kind)
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "shell": ')
-    _write_shell(params, kind, 1, write)
+    _write_shell(params, kind, rows, 1, write)
     write("\n}\n")
 
 
@@ -198,23 +198,25 @@ def sequence_rows(
     params: PqParams, verify: bool
 ) -> Iterator[tuple[int, str, DiskClass, Optional[bool]]]:
     """(j, w_j, class, the certified verdict on w_j if `verify` else None),
-    one word of the (p,q)-sequence at a time."""
+    one word of the (p,q)-sequence at a time; refused past the letter cap at the call."""
     p = params.p
+    check_sequence_size(p)
     primitive = primitive_indices(params)
-    for j, spelled in enumerate(spelled_sequence(p, params.q)):
-        word = spelled.decode("ascii")
-        yield j, word, disk_class(j, p, primitive), is_primitive_cmz(word) if verify else None
+    return (
+        (j, word, disk_class(j, p, primitive), is_primitive_cmz(word) if verify else None)
+        for j, word in enumerate(map(bytes.decode, spelled_sequence(p, params.q)))
+    )
 
 
 def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     """What `sequence --json` prints; returns how many certified verdicts
     differ from the classes (0 without `verify`)."""
-    check_sequence_size(params.p)
+    rows = sequence_rows(params, verify)
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "rows": [')
     _, pad1, pad2, pad3 = _pads(1)
     mismatch = 0
     sep = ""
-    for j, word, cls, verdict in sequence_rows(params, verify):
+    for j, word, cls, verdict in rows:
         row = (
             f'{sep}{pad1}{{{pad2}"j": {j},{pad2}"word": "{word}",'
             f'{pad2}"class": {_QUOTED_SEQUENCE_CLASS[cls]}'
@@ -270,6 +272,6 @@ def write_report_json(params: PqParams, write: Write) -> None:
     sep = "\n    "
     for kind in ShellKind:
         write(sep)
-        _write_shell(params, kind, 2, write)
+        _write_shell(params, kind, shell_rows(params, kind), 2, write)
         sep = ",\n    "
     write("\n  ]" + tail + "\n}\n")

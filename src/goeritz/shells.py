@@ -133,12 +133,14 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
 
 def shell_rows(params: PqParams, kind: ShellKind) -> Iterator[tuple[int, str, DiskClass]]:
     """(j, the caret text of E_j, its class), one entry of the (p, q-bar)-shell
-    at a time; a shell past the letter cap is refused at the first."""
+    at a time; a shell past the letter cap is refused at the call, before any row."""
     p = params.p
     check_sequence_size(p)
     primitive = shell_primitive_indices(params, kind)
-    for j, text in enumerate(_shell_texts(p, kind.slope(params))):
-        yield j, text, disk_class(j, p, primitive)
+    return (
+        (j, text, disk_class(j, p, primitive))
+        for j, text in enumerate(_shell_texts(p, kind.slope(params)))
+    )
 
 
 def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:

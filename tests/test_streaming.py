@@ -38,11 +38,12 @@ from goeritz.report import (
     build_report,
     params_dict,
     report_dict,
+    sequence_rows,
     structure_dict,
     witness_dict,
 )
-from goeritz.sequences import make_params, pq_sequence
-from goeritz.shells import Shell, ShellKind, build_shell
+from goeritz.sequences import InvalidParameters, make_params, pq_sequence
+from goeritz.shells import Shell, ShellKind, build_shell, shell_rows
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
@@ -248,9 +249,21 @@ def test_a_refused_stream_writes_nothing(run):
     neither the old output nor valid JSON."""
     for argv in (("report", 3162, 7, "--json"), ("sequence", 3162, 7, "--verify", "--json"),
                  ("shell", 3162, 7, "--json"), ("report", 3162, 7), ("sequence", 3162, 7),
-                 ("report", 6, 4, "--json"), ("shell", 9, 3, "--json")):
+                 ("report", 6, 4, "--json"), ("shell", 9, 3, "--json"),
+                 ("shell", 3162, 7), ("sequence", 3162, 7, "--verify")):
         code, out, err = run(*argv)
         assert (code, out) == (2, "") and err.startswith("error: "), argv
+
+
+def test_the_row_streams_refuse_at_the_call():
+    """`shell_rows` and `sequence_rows` refuse a stream past the letter
+    cap when called, before any row is asked for, so a writer that makes
+    its rows first has written nothing when it fails."""
+    params = make_params(3162, 7)
+    with pytest.raises(InvalidParameters, match="p must be at most 3161"):
+        shell_rows(params, ShellKind.Q)
+    with pytest.raises(InvalidParameters, match="p must be at most 3161"):
+        sequence_rows(params, False)
 
 
 # --- the hot path
