@@ -7,10 +7,10 @@ the case of (p, q) sits in one row of CASES, picked by case_data, or
 follows from the row: the dimension and triple existence from the
 simplex types, the vertex orbits from the vertex transitivity, and the
 quotient graph from the amalgam, one vertex per factor.  These derived
-facts are computed once per row, at import; classify adds params to
-them and fills its frozen report in one step (records.filled), so
-equality, hashing, dataclasses.replace and pickling are those of the
-generated dataclass.
+facts are computed once per row, at import, into a template of the
+report with params None; classify copies the template, sets params and
+fills its frozen report with the copy in one step, so equality, hashing,
+dataclasses.replace and pickling are those of the generated dataclass.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .records import filled
-from .sequences import PqParams
+from .sequences import PqParams, _new, _Refusal, _set
 
 
 class DisconnectedComplexError(ValueError):
@@ -252,9 +251,10 @@ def quotient_graph(params: PqParams) -> QuotientGraph:
 _QUOTIENT_GRAPHS = {graph.vertex_count: graph for graph in QuotientGraph}
 
 
-def _report_fields(row: CaseData) -> dict:
-    """Every field of a row's structure report except params, in field order."""
+def _report_template(row: CaseData) -> dict:
+    """Every field of a row's structure report, in field order, params None."""
     return {
+        "params": None,
         "connected": row.transitive is not None,
         "dimension": 2 if row.simplex_types else 1,
         "case_tag": row.tag,
@@ -269,22 +269,28 @@ def _report_fields(row: CaseData) -> dict:
 
 
 # Rows are singletons compared by identity, so this lookup hashes no Enum.
-_REPORT_FIELDS = {row: _report_fields(row) for row in _ROWS}
+_REPORT_TEMPLATES = {row: _report_template(row) for row in _ROWS}
 
 
 def classify(params: PqParams) -> ComplexStructureReport:
     """The full structure report for the primitive disk complex."""
-    return filled(
-        ComplexStructureReport, {"params": params, **_REPORT_FIELDS[case_data(params)]}
+    values = _REPORT_TEMPLATES[case_data(params)].copy()
+    values["params"] = params
+    report = _new(ComplexStructureReport)
+    _set(report, "__dict__", values)
+    return report
+
+
+def _no_orbit_data(params: PqParams) -> str:
+    return (
+        f"{params}: p mod q = {params.r} is neither 1 nor q - 1 = {params.q - 1}; "
+        "the primitive disk complex is disconnected and the orbit data "
+        "is only defined in the connected case"
     )
 
 
 def _connected_field(params: PqParams, name: str):
     """One field of the structure report of a connected pair, read from its row."""
     if not params.connected:
-        raise DisconnectedComplexError(
-            f"{params}: p mod q = {params.r} is neither 1 nor q - 1 = {params.q - 1}; "
-            "the primitive disk complex is disconnected and the orbit data "
-            "is only defined in the connected case"
-        )
-    return _REPORT_FIELDS[case_data(params)][name]
+        raise DisconnectedComplexError(_Refusal(params, _no_orbit_data))
+    return _REPORT_TEMPLATES[case_data(params)][name]

@@ -52,6 +52,7 @@ from .primitivity import (
 )
 from .report import (
     SEQUENCE_CLASS,
+    oracle_disagrees,
     params_dict,
     presentation_members,
     report_sections,
@@ -63,7 +64,7 @@ from .report import (
     write_shell_json,
 )
 from .sequences import InvalidParameters, make_params, primitive_indices
-from .shells import DiskClass, Shell, ShellKind, intersection_number, shell_rows
+from .shells import Shell, ShellKind, intersection_number, shell_rows
 from .sweeps import DEFAULT_BOUNDS, run_sweep
 from .words import MixedAlphabetError, WordParseError, parse_word
 
@@ -154,7 +155,7 @@ def cmd_sequence(args) -> int:
         line = f"  {j:>3}  {word}  {SEQUENCE_CLASS[cls]}"
         if args.verify:
             line += f"  oracle={'primitive' if verdict else 'not-primitive'}"
-            mismatch += verdict != (cls is DiskClass.PRIMITIVE)
+            mismatch += oracle_disagrees(cls, verdict)
         print(line)
     if args.verify:
         print(f"oracle agreement: {'ok' if mismatch == 0 else f'{mismatch} mismatches'}")

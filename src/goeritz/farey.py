@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .sequences import InvalidParameters, PqParams, _int_text
+from .sequences import InvalidParameters, PqParams, _int_text, _Refusal
 from .words import MAX_WORD_LETTERS, Word
 
 
@@ -87,13 +87,17 @@ def replacement(left: FareyLabel, right: FareyLabel, params: PqParams) -> FareyL
     )
 
 
+def _no_witness(params: PqParams) -> str:
+    return (
+        f"{params}: p = {_int_text(params.p)} is congruent to +1 or -1 mod q = {params.q}; "
+        "the primitive disk complex is connected and no witness exists"
+    )
+
+
 def seed_labels(params: PqParams) -> tuple[FareyLabel, FareyLabel]:
     """The starting labels: D_0 = 1/0 (word of E_m) and D_-1 = 0/1 (word x)."""
     if params.connected:
-        raise ConnectedComplexError(
-            f"{params}: p = {_int_text(params.p)} is congruent to +1 or -1 mod q = {params.q}; "
-            "the primitive disk complex is connected and no witness exists"
-        )
+        raise ConnectedComplexError(_Refusal(params, _no_witness))
     d0 = FareyLabel(a=1, b=0, d=params.m - 1, e=params.q + params.r)
     d_minus_1 = FareyLabel(a=0, b=1, d=0, e=0)
     return d0, d_minus_1

@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Union
 
 from .classify import CASES, CaseData, CaseTag, DisconnectedComplexError, case_data
 from .jsontext import dumps
-from .sequences import PqParams
+from .sequences import PqParams, _Refusal
 from .snf import invariant_factors
 
 # Each generator stem: its Greek letter, then its GAP name.
@@ -317,12 +317,11 @@ def stabilizer_presentation(kind: StabilizerKind, params: PqParams) -> GroupPres
     return _KIND_STABILIZERS[kind]()
 
 
-def _require_presentable(params: PqParams) -> None:
-    if not params.connected:
-        raise DisconnectedComplexError(
-            f"{params}: not covered; the presentation requires p = +1 or -1 mod q "
-            f"(here p mod q = {params.r})"
-        )
+def _not_presentable(params: PqParams) -> str:
+    return (
+        f"{params}: not covered; the presentation requires p = +1 or -1 mod q "
+        f"(here p mod q = {params.r})"
+    )
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,8 @@ class AmalgamDecomposition(_Memoized):
 def amalgam_decomposition(params: PqParams) -> AmalgamDecomposition:
     """Chain of vertex stabilizers amalgamated over edge stabilizers;
     the factor count equals the quotient-graph vertex count."""
-    _require_presentable(params)
+    if not params.connected:
+        raise DisconnectedComplexError(_Refusal(params, _not_presentable))
     return _amalgam(case_data(params))
 
 
@@ -360,7 +360,8 @@ def goeritz_presentation(params: PqParams) -> GroupPresentation:
     """The genus-2 Goeritz group of L(p,q): the amalgamated product of
     its amalgam, or for p = 2, whose factors are absorbed, a literal
     presentation."""
-    _require_presentable(params)
+    if not params.connected:
+        raise DisconnectedComplexError(_Refusal(params, _not_presentable))
     return _whole_group(case_data(params))
 
 

@@ -208,6 +208,12 @@ def sequence_rows(
     )
 
 
+def oracle_disagrees(cls: DiskClass, verdict: bool) -> bool:
+    """Whether the certified verdict on a word of the sequence contradicts
+    its class: `sequence --verify` counts these as mismatches."""
+    return verdict != (cls is DiskClass.PRIMITIVE)
+
+
 def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     """What `sequence --json` prints; returns how many certified verdicts
     differ from the classes (0 without `verify`)."""
@@ -223,7 +229,7 @@ def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
         )
         if verify:
             row += f',{pad2}"oracle_primitive": {"true" if verdict else "false"}'
-            mismatch += verdict != (cls is DiskClass.PRIMITIVE)
+            mismatch += oracle_disagrees(cls, verdict)
         write(f"{row}{pad1}}}")
         sep = ","
     write("\n  ]")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .records import filled
 from .words import MAX_WORD_LETTERS, Word
 
 
@@ -62,31 +61,71 @@ class PqParams:
         return f"L({_int_text(self.p)},{_int_text(self.q)})"
 
 
+# make_params and classify fill a frozen record in place: object.__new__,
+# then its whole instance dict in one setattr, where the generated __init__
+# sets one field at a time.  Equality, hashing, repr, dataclasses.replace
+# and pickling read the fields as usual.
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Refusal:
+    """The message of a refusal about `params`, formatted by
+    `message(params)` only when read, so a caller that catches the
+    refusal and never reads it pays for no formatting.  It is the
+    exception's one argument: str() and repr() of the exception are those
+    of the formatted text.  `message` is a module-level function, so that
+    the refusal pickles."""
+
+    __slots__ = ("params", "message")
+
+    def __init__(self, params: PqParams, message) -> None:
+        self.params = params
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message(self.params)
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+    def __reduce__(self):
+        return _Refusal, (self.params, self.message)
+
+
 def make_params(p: int, q: int) -> PqParams:
     """Validate and normalize (p, q); computes q', r, m and connectivity."""
-    # bool is an int subclass, but L(5, True) is no lens space
-    if not (isinstance(p, int) and isinstance(q, int)) or isinstance(p, bool) or isinstance(q, bool):
-        raise InvalidParameters("p and q must be integers")
+    if type(p) is not int or type(q) is not int:
+        # bool is an int subclass, but L(5, True) is no lens space
+        if not (isinstance(p, int) and isinstance(q, int)) or isinstance(p, bool) or isinstance(q, bool):
+            raise InvalidParameters("p and q must be integers")
     if p < 2:
         raise InvalidParameters(f"p must be at least 2, got p = {_int_text(p)}")
     if not 0 < q < p:
         raise InvalidParameters(f"q must satisfy 0 < q < p, got q = {_int_text(q)}")
-    if math.gcd(p, q) != 1:
+    try:
+        # pow refuses exactly the q with no inverse mod p, those not coprime
+        # to p; the inverse of p - q is p - inverse, so q' is the same for both
+        inverse = pow(q, -1, p)
+    except ValueError:
         raise InvalidParameters(
             f"p and q must be coprime, got gcd({_int_text(p)},{_int_text(q)}) = "
             f"{_int_text(math.gcd(p, q))}"
-        )
-    q = min(q, p - q)
-    inverse = pow(q, -1, p)
+        ) from None
+    # min() spelled out: the same comparison, so the same object is kept
+    if p - q < q:
+        q = p - q
     r = p % q
-    return filled(PqParams, {
+    params = _new(PqParams)
+    _set(params, "__dict__", {
         "p": p,
         "q": q,
-        "q_prime": min(inverse, p - inverse),
+        "q_prime": p - inverse if p - inverse < inverse else inverse,
         "r": r,
         "m": p // q,
         "connected": q == 1 or r == 1 or r == q - 1,
     })
+    return params
 
 
 _SEQUENCE_P = (math.isqrt(4 * MAX_WORD_LETTERS + 1) - 1) // 2  # the last p with p(p+1) <= the cap

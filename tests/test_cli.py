@@ -175,6 +175,20 @@ def test_sequence_verify(capsys):
     assert "oracle agreement: ok" in out
 
 
+def test_sequence_verify_disagreements_exit_3_in_text_and_json(capsys, monkeypatch):
+    """An oracle that calls every word non-primitive disagrees with the
+    four primitive positions of L(12,5), 1, 5, 7 and 11, in both formats."""
+    from goeritz import report
+
+    monkeypatch.setattr(report, "is_primitive_cmz", lambda word: False)
+    code, out, _ = run(capsys, "sequence", "12", "5", "--verify")
+    assert code == 3
+    assert out.splitlines()[-1] == "oracle agreement: 4 mismatches"
+    code, out, _ = run(capsys, "sequence", "12", "5", "--verify", "--json")
+    assert code == 3
+    assert json.loads(out)["oracle_agreement"] is False
+
+
 def test_sequence_verify_builds_no_words(capsys, monkeypatch):
     """The oracle reads the sequence spellings directly (Word.__init__
     counted by monkeypatch); the verdicts are the oracle's on the Words."""
