@@ -89,7 +89,9 @@ class WhiteheadAutomorphism:
     kind "I" is a signed permutation of the generators; kind "II" fixes a
     multiplier letter a and sends the other generator to one of b*a,
     a^-1*b or a^-1*b*a.  The oracle's chains also hold kind "II" powers,
-    which send b to b*a^k, a^-k*b or a^-k*b*a^k.
+    which send b to b*a^k, a^-k*b or a^-k*b*a^k.  Each kind comes from
+    one constructor, `_type_i` or `_type_ii`, which also builds the
+    powers and the labels of the certified trace's moves.
     """
 
     kind: str
@@ -98,7 +100,7 @@ class WhiteheadAutomorphism:
     image_y: tuple[int, ...]
     inverse_x: tuple[int, ...]
     inverse_y: tuple[int, ...]
-    _spelled_table: dict = field(default=None, compare=False, repr=False)
+    _spelled_table: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         x, y = _spell(self.image_x), _spell(self.image_y)
@@ -134,46 +136,35 @@ class WhiteheadAutomorphism:
         return self.label
 
 
-def _make_type_i() -> tuple[WhiteheadAutomorphism, ...]:
-    autos = []
-    for tx, ty in ((_X, _Y), (_Y, _X)):
-        for sx in (1, -1):
-            for sy in (1, -1):
-                image_x, image_y = (sx * tx,), (sy * ty,)
-                # x -> tx^sx and y -> ty^sy is undone by tx -> x^sx and ty -> y^sy
-                inverse = {tx: (sx * _X,), ty: (sy * _Y,)}
-                label = f"x -> {_caret(_spell(image_x))}, y -> {_caret(_spell(image_y))}"
-                autos.append(
-                    WhiteheadAutomorphism("I", label, image_x, image_y, inverse[_X], inverse[_Y])
-                )
-    return tuple(autos)
+def _type_i(tx: int, sx: int, sy: int) -> WhiteheadAutomorphism:
+    """The signed permutation x -> tx^sx, y -> ty^sy, ty the generator other than tx."""
+    ty = _X + _Y - tx
+    image_x, image_y = (sx * tx,), (sy * ty,)
+    # undone by tx -> x^sx and ty -> y^sy
+    inverse = {tx: (sx * _X,), ty: (sy * _Y,)}
+    label = f"x -> {_caret(_spell(image_x))}, y -> {_caret(_spell(image_y))}"
+    return WhiteheadAutomorphism("I", label, image_x, image_y, inverse[_X], inverse[_Y])
 
 
-def _make_type_ii() -> tuple[WhiteheadAutomorphism, ...]:
-    autos = []
-    for a in (_X, -_X, _Y, -_Y):
-        b = _Y if abs(a) == _X else _X
-        for img_b, inv_b in (
-            ((b, a), (b, -a)),
-            ((-a, b), (a, b)),
-            ((-a, b, a), (a, b, -a)),
-        ):
-            if abs(a) == _X:
-                image_x, image_y = (_X,), img_b
-                inverse_x, inverse_y = (_X,), inv_b
-            else:
-                image_x, image_y = img_b, (_Y,)
-                inverse_x, inverse_y = inv_b, (_Y,)
-            moved = "y" if abs(a) == _X else "x"
-            label = f"{moved} -> {_caret(_spell(img_b))}"
-            autos.append(
-                WhiteheadAutomorphism("II", label, image_x, image_y, inverse_x, inverse_y)
-            )
-    return tuple(autos)
+def _type_ii(a: int, form: int, k: int = 1) -> WhiteheadAutomorphism:
+    """The k-th power of the type II move with multiplier a, labelled by
+    its image of b, the generator other than a: form 0 sends b to b a^k,
+    form 1 to a^-k b and form 2 to a^-k b a^k."""
+    b = _X + _Y - abs(a)
+    up, down = (a,) * k, (-a,) * k
+    image, inverse = (
+        ((b, *up), (b, *down)),
+        ((*down, b), (*up, b)),
+        ((*down, b, *up), (*up, b, *down)),
+    )[form]
+    fixed = (abs(a),)
+    images = (fixed, image, fixed, inverse) if b == _Y else (image, fixed, inverse, fixed)
+    return WhiteheadAutomorphism("II", f"{_SPELLING[b]} -> {_caret(_spell(image))}", *images)
 
 
-WHITEHEAD_TYPE_I = _make_type_i()
-WHITEHEAD_TYPE_II = _make_type_ii()
+_MULTIPLIERS = (_X, -_X, _Y, -_Y)
+WHITEHEAD_TYPE_I = tuple(_type_i(tx, sx, sy) for tx in (_X, _Y) for sx in (1, -1) for sy in (1, -1))
+WHITEHEAD_TYPE_II = tuple(_type_ii(a, form) for a in _MULTIPLIERS for form in range(3))
 WHITEHEAD_AUTOMORPHISMS = WHITEHEAD_TYPE_I + WHITEHEAD_TYPE_II
 
 
@@ -372,24 +363,8 @@ def _find_shortening(spelled: str) -> Optional[tuple[int, int, str]]:
 
 @functools.lru_cache(maxsize=128)
 def _power(index: int, k: int) -> WhiteheadAutomorphism:
-    """The k-th power of a type II move, labelled by its image of b.
-
-    u^l b u^t goes to u^(kl) b u^(kt); the same holds for the inverse.
-    """
-    auto = WHITEHEAD_TYPE_II[index]
-    if k == 1:
-        return auto
-    moved = _moved(auto)
-
-    def power(image):
-        if moved not in image:
-            return image  # the fixed generator's
-        i = image.index(moved)
-        return image[:i] * k + image[i : i + 1] + image[i + 1 :] * k
-
-    images = tuple(map(power, (auto.image_x, auto.image_y, auto.inverse_x, auto.inverse_y)))
-    label = f"{_SPELLING[moved]} -> {_caret(_spell(images[0] if moved == _X else images[1]))}"
-    return WhiteheadAutomorphism("II", label, *images)
+    """The k-th power of the type II move WHITEHEAD_TYPE_II[index]."""
+    return WHITEHEAD_TYPE_II[index] if k == 1 else _type_ii(_MULTIPLIERS[index // 3], index % 3, k)
 
 
 def _walk(spelled: str) -> Iterator[tuple[int, int, str]]:
@@ -515,8 +490,8 @@ def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
         # with one sign per generator, lowering the case is the sign flip
         word = word.lower()
         if moves is not None:
-            images = ("X" if "x" in flips else "x", "Y" if "y" in flips else "y")
-            moves.append((f"x -> {_caret(images[0])}, y -> {_caret(images[1])}", word))
+            signs = (-1 if g in flips else 1 for g in "xy")
+            moves.append((str(_type_i(_X, *signs)), word))
     steps = []
     while True:
         a, b = word.count("x"), word.count("y")
@@ -526,7 +501,7 @@ def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
         if swapped:
             word, a, b = word.translate(_SWAP_XY), b, a
             if moves is not None:
-                moves.append(("x -> y, y -> x", word))
+                moves.append((str(_type_i(_Y, 1, 1)), word))
         # x is now the rarer letter; start the word at an x
         start = word.index("x")
         word = word[start:] + word[:start]
@@ -539,7 +514,7 @@ def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
         word = image
         steps.append((swapped, k))
         if moves is not None:
-            moves.append((f"x -> {_caret('x' + 'Y' * k)}", word))
+            moves.append((str(_type_ii(-_Y, 0, k)), word))
     if len(word) != 1:
         return PrimitivityCertificate(False, flips, tuple(steps), failure=NOT_UNIMODULAR)
     return PrimitivityCertificate(True, flips, tuple(steps), letter=word)

@@ -8,6 +8,7 @@ made by the benchmark's own generator, loaded from `bench/workloads.py`.
 
 import importlib.util
 import random
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -171,6 +172,34 @@ def test_each_trace_move_takes_its_word_to_the_next():
         )
         if certificate.primitive:
             assert image.spell() == certificate.letter
+
+
+def step_shares(core: str) -> list[Fraction]:
+    """The share of its word that each step of the certificate of a
+    cyclically reduced spelled word deletes, the steps replayed as
+    `check_certificate` replays them."""
+    certificate = primitivity_certificate(core)
+    flips = certificate.flips + certificate.flips.upper()
+    word = core.translate(str.maketrans({c: c.swapcase() for c in flips}))
+    shares = []
+    for swapped, k in certificate.steps:
+        word = word.translate(str.maketrans("xy", "yx")) if swapped else word
+        start = word.index("x")
+        image = (word[start:] + word[:start]).replace("x" + "y" * k, "x")
+        shares.append(Fraction(len(word) - len(image), len(word)))
+        word = image
+    return shares
+
+
+def test_each_euclid_step_deletes_at_least_a_quarter_of_the_word():
+    """The O(n) claim of `primitivity_certificate`: the steps' lengths
+    shrink geometrically."""
+    words = list(sweeps._necklaces("xXyY", 10))
+    assert len(words) == 9518
+    for m in range(400):
+        words += ["x" + "y" * m + "x" + "y" * (m + 1), "x" * m + "y", "xy" * m + "y"]
+    shares = [share for word in words for share in step_shares(word)]
+    assert min(shares) >= Fraction(1, 4)
 
 
 def test_the_cmz_sweep_counts_every_necklace_and_reports_a_wrong_decision(monkeypatch):

@@ -535,21 +535,21 @@ def test_word_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch, ca
 
     positive = lambda d: 2**d
     reduced = lambda d: 3**d + 2 + (-1) ** d
-    for n in (8, 10):
+    for n in range(1, 11):
         assert necklace_letters(positive, n) == sum(map(len, sweeps._necklaces("zy", n)))
         assert necklace_letters(reduced, n) == sum(map(len, sweeps._necklaces("xXyY", n)))
-    assert necklace_letters(positive, 22) == 8_393_924
-    assert necklace_letters(reduced, 14) == 7_178_492
-    caps = {"oz-vs-whitehead": (positive, "positive_cyclic_words"),
-            "filter-soundness": (reduced, "reduced_cores")}
+    assert [necklace_letters(positive, n) for n in (22, 23)] == [8_393_924, 16_782_576]
+    assert [necklace_letters(reduced, n) for n in (14, 15)] == [7_178_492, 21_528_032]
+    caps = {"oz-vs-whitehead": (positive, "positive_cyclic_words", sweeps.POSITIVE_WORD_CAP),
+            "filter-soundness": (reduced, "reduced_cores", sweeps.REDUCED_WORD_CAP)}
 
     class Started(Exception):
         pass
 
-    for check, (closed_words, enumerator) in caps.items():
+    for check, (closed_words, enumerator, cap) in caps.items():
         most = last_length(closed_words)
         assert (check, most) in {("oz-vs-whitehead", 22), ("filter-soundness", 14)}
-        assert sweeps._CHECKS[check][3] == most
+        assert sweeps._CHECKS[check][3] == cap == most
         calls = []
 
         def counting_enumerator(max_len):

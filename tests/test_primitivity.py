@@ -76,6 +76,19 @@ def test_enumeration_sizes():
     assert len(WHITEHEAD_AUTOMORPHISMS) == 20
 
 
+def test_enumeration_order():
+    """The moves in the order the oracle tries them: the first type II
+    move that shortens a word is the one it takes."""
+    assert [str(auto) for auto in WHITEHEAD_TYPE_I] == [
+        "x -> x, y -> y", "x -> x, y -> y^-1", "x -> x^-1, y -> y", "x -> x^-1, y -> y^-1",
+        "x -> y, y -> x", "x -> y, y -> x^-1", "x -> y^-1, y -> x", "x -> y^-1, y -> x^-1",
+    ]
+    assert [str(auto) for auto in WHITEHEAD_TYPE_II] == [
+        "y -> yx", "y -> x^-1y", "y -> x^-1yx", "y -> yx^-1", "y -> xy", "y -> xyx^-1",
+        "x -> xy", "x -> y^-1x", "x -> y^-1xy", "x -> xy^-1", "x -> yx", "x -> yxy^-1",
+    ]
+
+
 def inverse_codes(auto, codes):
     """The image of codes under the inverse of auto, from its inverse_x and
     inverse_y (once the method WhiteheadAutomorphism.inverse_codes)."""
@@ -454,7 +467,7 @@ def test_powers_of_moves():
     labels = {str(_power(i, 5)) for i in range(12)} | {str(_power(i, 3)) for i in range(12)}
     assert {"x -> xy^5", "y -> x^-3y", "x -> y^-5xy^5", "y -> yx^-3"} <= labels
     for index in range(12):
-        for k in (1, 2, 7):
+        for k in range(1, 13):
             assert _power(index, k) == reference_power(WHITEHEAD_TYPE_II[index], k)
 
 
