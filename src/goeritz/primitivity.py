@@ -551,16 +551,19 @@ def check_certificate(w, certificate: PrimitivityCertificate) -> None:
     checked by replaying the steps, each of which must be the Euclid step
     and delete k y's after every x, up to the stated condition.
     """
-    stack = []  # w freely reduced, then stripped of inverse ends
-    for c in _rank2_spelling(w):
-        if stack and stack[-1] == c.swapcase():
-            stack.pop()
-        else:
-            stack.append(c)
-    lo, hi = 0, len(stack)
-    while hi - lo > 1 and stack[lo] == stack[hi - 1].swapcase():
+    spelled = _rank2_spelling(w)  # freely reduced, then stripped of inverse ends
+    if "xX" in spelled or "Xx" in spelled or "yY" in spelled or "Yy" in spelled:
+        stack = []
+        for c in spelled:
+            if stack and stack[-1] == c.swapcase():
+                stack.pop()
+            else:
+                stack.append(c)
+        spelled = "".join(stack)
+    lo, hi = 0, len(spelled)
+    while hi - lo > 1 and spelled[lo] == spelled[hi - 1].swapcase():
         lo, hi = lo + 1, hi - 1
-    core = "".join(stack[lo:hi])
+    core = spelled[lo:hi]
     flip = str.maketrans({c: c.swapcase() for c in certificate.flips + certificate.flips.upper()})
     swap = str.maketrans("xy", "yx")
 

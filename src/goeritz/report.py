@@ -3,13 +3,14 @@
 The streamed writers are the one source of the JSON of `report`,
 `sequence` and `shell`; `report_dict` is the parse of what
 `write_report_json` writes.  `report_sections` decides a report's
-sections and `shells.shell_rows` classes each shell entry, for the
-writers, the CLI's text and the library objects alike.
+sections and `shells.class_table` classes the words of a shell or
+sequence, for the writers, the CLI's text and the library objects alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from json import loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
 from typing import Callable, Iterator, Optional
@@ -36,7 +37,7 @@ from .sequences import (
     primitive_indices,
     spelled_sequence,
 )
-from .shells import DiskClass, Shell, ShellKind, build_shell, disk_class, shell_rows
+from .shells import DISK_CLASSES, DiskClass, Shell, ShellKind, build_shell, class_table, shell_stream
 
 
 @dataclass(frozen=True)
@@ -144,26 +145,19 @@ def report_dict(report: FullReport) -> dict:
 
 # --- streamed JSON
 #
-# The writers below print what json.dumps(..., ensure_ascii=False,
-# indent=2) prints, plus the closing newline.  The nesting is written by
-# hand and each sequence word or shell entry from one template, as it is
-# made, so no more than one word is held: O(p) memory, although the
-# output runs to Theta(p^2) characters.  Sections of bounded size go
-# through jsontext.dumps at their depth, but a report's presentation and
-# amalgam are their memoized `render(obj, "json")`, one level deeper.
+# The writers below print what json.dumps(..., ensure_ascii=False, indent=2)
+# prints, plus the closing newline.  The nesting is written by hand; a row is
+# its head (made per index up front), its word as it is made and its class's
+# tail.  One `write` takes a chunk of about _CHUNK characters: O(p) memory for
+# Theta(p^2) characters of output.  Bounded sections are jsontext.dumps at their
+# depth, a presentation and amalgam their memoized `render(obj, "json")`.
 
 Write = Callable[[str], object]
 
-# How `sequence` names the class of a word.
-SEQUENCE_CLASS = {
-    DiskClass.SEMIPRIMITIVE: "semiprimitive-endpoint",
-    DiskClass.PRIMITIVE: "primitive",
-    DiskClass.NEITHER: "other",
-}
-# keyed by the plain value: an Enum member hashes through a Python-level
-# __hash__, at about three times the cost of a str lookup, on every row
-_QUOTED_CLASS = {cls.value: _quote(cls.value) for cls in DiskClass}
-_QUOTED_SEQUENCE_CLASS = {cls: _quote(label) for cls, label in SEQUENCE_CLASS.items()}
+# How `sequence` names each class, by its index in DISK_CLASSES.
+_SEQUENCE_NAMES = {DiskClass.SEMIPRIMITIVE: "semiprimitive-endpoint", DiskClass.NEITHER: "other"}
+SEQUENCE_CLASS = tuple(_SEQUENCE_NAMES.get(cls, cls.value) for cls in DISK_CLASSES)
+_CHUNK = 1 << 16
 
 
 def _pads(depth: int) -> tuple[str, ...]:
@@ -171,71 +165,81 @@ def _pads(depth: int) -> tuple[str, ...]:
     return tuple("\n" + "  " * (depth + i) for i in range(4))
 
 
-def _write_shell(params: PqParams, kind: ShellKind, rows, depth: int, write: Write) -> None:
-    """One shell's `rows` as an object nested `depth` levels deep, one entry at a time."""
+def _row_heads(p: int, key: str, depth: int) -> list[str]:
+    """Rows j = 0, ..., p of an array of objects `depth` levels deep, up to
+    the word: `{"<key>": j, "word": "`, after a comma but the first."""
+    pad, pad1 = _pads(depth)[:2]
+    return [f'{"," if j else ""}{pad}{{{pad1}"{key}": {j},{pad1}"word": "' for j in range(p + 1)]
+
+
+def _write_shell(params: PqParams, kind: ShellKind, stream, heads, depth: int, write: Write) -> None:
+    """One shell, from its `shell_stream` and its entries' `heads`, nested `depth` levels deep."""
     pad, pad1, pad2, pad3 = _pads(depth)
-    write(f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {kind.slope(params)},'
-          f'{pad1}"entries": [')
-    sep = ""
-    for j, text, cls in rows:
-        write(
-            f'{sep}{pad2}{{{pad3}"index": {j},{pad3}"word": "{text}",'
-            f'{pad3}"class": {_QUOTED_CLASS[cls._value_]}{pad2}}}'
-        )
-        sep = ","
-    write(f"{pad1}]{pad}}}")
+    classes, texts = stream
+    tails = [f'",{pad3}"class": {_quote(cls.value)}{pad2}}}' for cls in DISK_CLASSES]
+    per = max(1, _CHUNK // (2 * params.p + 100))  # rows per write: a text has at most 2p characters
+    chunk = [f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {kind.slope(params)},'
+             f'{pad1}"entries": [']
+    for j, (lead, blocks) in enumerate(texts):
+        chunk += (heads[j], lead, *blocks, tails[classes[j]])
+        if j % per == per - 1:
+            write("".join(chunk))
+            chunk.clear()
+    write("".join(chunk) + f"{pad1}]{pad}}}")
 
 
 def write_shell_json(params: PqParams, kind: ShellKind, write: Write) -> None:
     """What `shell --json` prints: the params and one shell."""
-    rows = shell_rows(params, kind)
+    stream = shell_stream(params, kind)
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "shell": ')
-    _write_shell(params, kind, rows, 1, write)
+    _write_shell(params, kind, stream, _row_heads(params.p, "index", 3), 1, write)
     write("\n}\n")
 
 
 def sequence_rows(
     params: PqParams, verify: bool
-) -> Iterator[tuple[int, str, DiskClass, Optional[bool]]]:
-    """(j, w_j, class, the certified verdict on w_j if `verify` else None),
-    one word of the (p,q)-sequence at a time; refused past the letter cap at the call."""
+) -> Iterator[tuple[int, str, int, Optional[bool]]]:
+    """(j, w_j, its class as an index in DISK_CLASSES, the certified verdict on
+    w_j if `verify` else None), one word of the (p,q)-sequence at a time;
+    refused past the letter cap at the call."""
     p = params.p
     check_sequence_size(p)
-    primitive = primitive_indices(params)
+    classes = class_table(p, primitive_indices(params))
     return (
-        (j, word, disk_class(j, p, primitive), is_primitive_cmz(word) if verify else None)
+        (j, word, classes[j], is_primitive_cmz(word) if verify else None)
         for j, word in enumerate(map(bytes.decode, spelled_sequence(p, params.q)))
     )
 
 
-def oracle_disagrees(cls: DiskClass, verdict: bool) -> bool:
-    """Whether the certified verdict on a word of the sequence contradicts
-    its class: `sequence --verify` counts these as mismatches."""
-    return verdict != (cls is DiskClass.PRIMITIVE)
+def write_sequence_rows(params: PqParams, verify: bool, opening: str, make_heads, tails, ends,
+                        write: Write) -> int:
+    """`opening`, then word j of the (p,q)-sequence as make_heads(p)[j], w_j, tails[class]
+    and ends[verdict], for `sequence` in text and JSON; refused past the cap before
+    the heads are made; returns how many certified verdicts contradict their class."""
+    rows = sequence_rows(params, verify)
+    heads, per = make_heads(params.p), max(1, _CHUNK // (params.p + 100))
+    chunk, mismatch = [opening], 0
+    for j, word, cls, verdict in rows:
+        chunk += heads[j], word, tails[cls], ends[verdict]
+        mismatch += verify and verdict != (DISK_CLASSES[cls] is DiskClass.PRIMITIVE)
+        if j % per == per - 1:
+            write("".join(chunk))
+            chunk.clear()
+    write("".join(chunk))
+    return mismatch
 
 
 def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     """What `sequence --json` prints; returns how many certified verdicts
     differ from the classes (0 without `verify`)."""
-    rows = sequence_rows(params, verify)
-    write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "rows": [')
-    _, pad1, pad2, pad3 = _pads(1)
-    mismatch = 0
-    sep = ""
-    for j, word, cls, verdict in rows:
-        row = (
-            f'{sep}{pad1}{{{pad2}"j": {j},{pad2}"word": "{word}",'
-            f'{pad2}"class": {_QUOTED_SEQUENCE_CLASS[cls]}'
-        )
-        if verify:
-            row += f',{pad2}"oracle_primitive": {"true" if verdict else "false"}'
-            mismatch += oracle_disagrees(cls, verdict)
-        write(f"{row}{pad1}}}")
-        sep = ","
-    write("\n  ]")
-    if verify:
-        write(f',\n  "oracle_agreement": {"true" if mismatch == 0 else "false"}')
-    write("\n}\n")
+    _, pad1, pad2, _ = _pads(1)
+    tails = [f'",{pad2}"class": {_quote(label)}' for label in SEQUENCE_CLASS]
+    ends = {v: f',{pad2}"oracle_primitive": {dumps(v)}{pad1}}}' for v in (True, False)}
+    opening = f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "rows": ['
+    mismatch = write_sequence_rows(params, verify, opening, lambda p: _row_heads(p, "j", 2), tails,
+                                   {None: pad1 + "}", **ends}, write)
+    agreement = f',\n  "oracle_agreement": {dumps(mismatch == 0)}' if verify else ""
+    write(f"\n  ]{agreement}\n}}\n")
     return mismatch
 
 
@@ -269,15 +273,14 @@ def write_report_json(params: PqParams, write: Write) -> None:
         tail += presentation_members(pres, amalgam, abelianization=True)
 
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
-    sep = '\n      "'
-    for spelled in spelled_sequence(params.p, params.q):
-        write(sep + spelled.decode("ascii") + '"')
+    words, sep = spelled_sequence(params.p, params.q), '\n      "'
+    for chunk in iter(lambda: list(islice(words, max(1, _CHUNK // (params.p + 9)))), []):
+        write(sep + b'",\n      "'.join(chunk).decode("ascii") + '"')
         sep = ',\n      "'
     indices = dumps(sorted(primitive_indices(params)), 2)
     write(f'\n    ],\n    "primitive_indices": {indices}\n  }},\n  "shells": [')
-    sep = "\n    "
-    for kind in ShellKind:
-        write(sep)
-        _write_shell(params, kind, shell_rows(params, kind), 2, write)
-        sep = ",\n    "
+    heads = _row_heads(params.p, "index", 4)
+    for i, kind in enumerate(ShellKind):
+        write(",\n    " if i else "\n    ")
+        _write_shell(params, kind, shell_stream(params, kind), heads, 2, write)
     write("\n  ]" + tail + "\n}\n")

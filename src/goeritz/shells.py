@@ -51,15 +51,19 @@ def shell_primitive_indices(params: PqParams, kind: ShellKind) -> frozenset[int]
     return primitive_indices(make_params(params.p, kind.slope(params)))
 
 
-def disk_class(j: int, p: int, primitive: frozenset[int]) -> DiskClass:
-    """The class of disk j of a shell (or word j of a sequence) of p+1,
-    whose primitive positions are `primitive`: the two ends are
-    semiprimitive."""
-    if j in (0, p):
-        return DiskClass.SEMIPRIMITIVE
-    if j in primitive:
-        return DiskClass.PRIMITIVE
-    return DiskClass.NEITHER
+# The classes in declaration order: a class table holds each word's index here.
+DISK_CLASSES = tuple(DiskClass)
+
+
+def class_table(p: int, primitive: frozenset[int]) -> bytearray:
+    """The class of each disk j of a shell (or word j of a sequence) of p+1 with
+    primitive positions `primitive`, as its index in DISK_CLASSES; the ends are semiprimitive."""
+    index = DISK_CLASSES.index
+    table = bytearray([index(DiskClass.NEITHER)]) * (p + 1)
+    for j in primitive:
+        table[j] = index(DiskClass.PRIMITIVE)
+    table[0] = table[p] = index(DiskClass.SEMIPRIMITIVE)
+    return table
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ class Shell:
         return f"({self.params.p}, {self.slope})-shell"
 
 
-def _shell_texts(p: int, qbar: int) -> Iterator[str]:
-    """The caret texts of the shell words of the (p, qbar)-sequence.
+def _shell_texts(p: int, qbar: int) -> Iterator[tuple[str, list[str]]]:
+    """The caret texts of the shell words of the (p, qbar)-sequence, each as
+    its leading run and its blocks, a list that changes in place for the next.
 
     Each z of w_j at position i renders as the token x, followed by its y
     and the y letters up to the next z; the y letters before the first z
@@ -111,7 +116,7 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
     blocks = [""] * (p // size + 1)  # blocks[b]: tokens[b*size:(b+1)*size] joined
     zs: list[int] = []  # the z positions, sorted
     lead = xruns[p][1:]
-    yield lead
+    yield lead, blocks
     for j in range(p):
         t = j * qbar % p
         at = bisect(zs, t)
@@ -128,18 +133,24 @@ def _shell_texts(p: int, qbar: int) -> Iterator[str]:
             lead = xruns[t][1:]
         blocks[b] = "".join(tokens[b * size:(b + 1) * size])
         zs.insert(at, t)
-        yield lead + "".join(blocks)
+        yield lead, blocks
+
+
+def shell_stream(params: PqParams, kind: ShellKind) -> tuple[bytearray, Iterator]:
+    """The class table and the `_shell_texts` of the (p, q-bar)-shell; one
+    past the letter cap is refused at the call, before any text."""
+    check_sequence_size(params.p)
+    classes = class_table(params.p, shell_primitive_indices(params, kind))
+    return classes, _shell_texts(params.p, kind.slope(params))
 
 
 def shell_rows(params: PqParams, kind: ShellKind) -> Iterator[tuple[int, str, DiskClass]]:
     """(j, the caret text of E_j, its class), one entry of the (p, q-bar)-shell
     at a time; a shell past the letter cap is refused at the call, before any row."""
-    p = params.p
-    check_sequence_size(p)
-    primitive = shell_primitive_indices(params, kind)
+    classes, texts = shell_stream(params, kind)
     return (
-        (j, text, disk_class(j, p, primitive))
-        for j, text in enumerate(_shell_texts(p, kind.slope(params)))
+        (j, lead + "".join(blocks), DISK_CLASSES[classes[j]])
+        for j, (lead, blocks) in enumerate(texts)
     )
 
 

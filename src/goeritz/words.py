@@ -359,6 +359,13 @@ def _over_the_cap(text: str, offset: int) -> WordParseError:
     return WordParseError(text, offset, f"at most {MAX_WORD_LETTERS} letters in the expanded word")
 
 
+# An atom with an exponent: a letter, ^, a sign or none and ASCII digits (not all
+# of str.isdigit(), which takes superscripts and other scripts' digits).  Split on
+# it, a text alternates atoms with exponent-free runs of letters and whitespace.
+_ATOM = re.compile(r"([xyzXYZ]\^[+-]?[0-9]+)")
+_NOT_IN_RUN = re.compile(r"[^xyzXYZ\s]")
+
+
 def parse_word(text: str) -> Word:
     """Parse caret notation: atoms are a letter with an optional ^exponent.
 
@@ -369,43 +376,44 @@ def parse_word(text: str) -> Word:
     """
     if text.strip() == "1":
         return Word()
-    runs: list[str] = []
-    letters = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch not in _CODE_OF_CHAR:
-            raise WordParseError(text, i, "a generator letter (x, y, z, X, Y or Z)")
-        i += 1
-        exp = 1
-        exp_at = i
-        if i < n and text[i] == "^":
-            i += 1
-            exp_at = j = i
-            if j < n and text[j] in "+-":
-                j += 1
-            k = j
-            # ASCII digits only: str.isdigit() is also true for superscript
-            # digits and for the digits of other scripts
-            while k < n and "0" <= text[k] <= "9":
-                k += 1
-            if k == j:
-                raise WordParseError(text, i, "an integer exponent")
-            digits = text[j:k].lstrip("0")
-            # more digits than the cap has is over it, and int() may refuse
-            # a digit string that long
-            if len(digits) > len(str(MAX_WORD_LETTERS)):
-                raise _over_the_cap(text, exp_at)
-            exp = int(digits or "0")
-            if text[i] == "-":
-                ch = ch.swapcase()
-            i = k
-        letters += exp
-        if letters > MAX_WORD_LETTERS:
-            raise _over_the_cap(text, exp_at)
-        runs.append(ch * exp)
-    return _word("".join(runs))
+    parts = _ATOM.split(text)
+    runs, atoms = "".join(parts[::2]), parts[1::2]
+    letters = "".join(runs.split())
+    sizes = {atom: _exponent(atom) for atom in set(atoms)}  # each distinct atom once per call
+    if _NOT_IN_RUN.search(runs) or len(letters) + sum(map(sizes.__getitem__, atoms)) > MAX_WORD_LETTERS:
+        raise _first_fault(text, parts)
+    expanded = {atom: (atom[0].swapcase() if atom[2] == "-" else atom[0]) * n for atom, n in sizes.items()}
+    parts[1::2] = map(expanded.__getitem__, atoms)
+    return _word("".join("".join(parts).split()))
+
+
+def _exponent(atom: str) -> int:
+    """An atom's exponent size; past the cap for more digits than it has (int() may refuse so many)."""
+    digits = atom[2:].lstrip("+-0")
+    return int(digits or "0") if len(digits) <= len(str(MAX_WORD_LETTERS)) else MAX_WORD_LETTERS + 1
+
+
+def _first_fault(text: str, parts: list[str]) -> WordParseError:
+    """The error of the first fault of `text`, split into `parts` by _ATOM: a
+    character of a run that is no letter (or a ^ after a letter that no exponent
+    follows), or the letter or exponent that takes the word over MAX_WORD_LETTERS."""
+    letters = at = 0
+    for i, part in enumerate(parts):
+        if i % 2:  # an atom
+            letters += _exponent(part)
+            if letters > MAX_WORD_LETTERS:
+                return _over_the_cap(text, at + 2)
+        else:
+            bad = _NOT_IN_RUN.search(part)
+            head = part[:bad.start()] if bad else part
+            # a letter whose ^ has no exponent is refused before it is counted
+            exponent = bad is not None and bad.group() == "^" and head[-1:] in _CODE_OF_CHAR
+            count = len("".join(head.split())) - exponent
+            letters += count
+            if letters > MAX_WORD_LETTERS:
+                over = re.match(r"(?:\s*\S){%d}" % (MAX_WORD_LETTERS - letters + count + 1), head)
+                return _over_the_cap(text, at + over.end())
+            if bad:
+                expected = "an integer exponent" if exponent else "a generator letter (x, y, z, X, Y or Z)"
+                return WordParseError(text, at + bad.start() + exponent, expected)
+        at += len(part)

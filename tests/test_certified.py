@@ -115,6 +115,27 @@ def test_the_checker_refuses_every_tampered_certificate():
     assert tampered > 10_000
 
 
+def test_both_reduction_paths_of_the_checker_refuse_forgeries():
+    """The checker reduces w itself: a spelling with a cancelling pair goes
+    through its stack, a reduced one skips it.  On each path the decision's
+    certificate passes and every tampered one raises."""
+    pairs = {  # a reduced spelling, and one that cancels down to it
+        "xyy": "xXxyy", "xy": "xXxy", "xxyy": "xxyYyy", "XyXyyXyyy": "XyXyyXyyYyy",
+        "xyXY": "xyXYyY", "xyxy": "yYxyxXxy", "Yxyyy": "YxyyXxy", "x": "yYxyYyY",
+    }
+    cancelling = ("xX", "Xx", "yY", "Yy")
+    for reduced, padded in pairs.items():
+        assert not any(pair in reduced for pair in cancelling)
+        assert any(pair in padded for pair in cancelling)
+        certificate = primitivity_certificate(reduced)
+        assert primitivity_certificate(padded) == certificate
+        for spelled in (reduced, padded):
+            check_certificate(spelled, certificate)
+            for forged in _tampered(certificate):
+                with pytest.raises(RuntimeError, match="certificate .* is wrong"):
+                    check_certificate(spelled, forged)
+
+
 def test_the_checker_refuses_a_verdict_on_another_word():
     primitive = primitivity_certificate("xyxyy")
     with pytest.raises(RuntimeError, match="rebuild"):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from goeritz import presentations, report
+from goeritz import cli, presentations, report
 from goeritz.classify import CASES, CaseTag, case_data, classify
 from goeritz.farey import nonconnectivity_witness
 from goeritz.jsontext import dumps
@@ -115,7 +115,8 @@ def test_other_kinds_are_refused(value):
 
 
 def test_no_indented_json_dumps_is_left_in_the_package():
-    """Outside jsontext, the one JSON style."""
+    """The one JSON style is jsontext's own encoder: no module, jsontext
+    included, calls the standard library's indented encoder."""
     source = Path(__file__).resolve().parents[1] / "src" / "goeritz"
     calls = [
         (path.name, node.lineno)
@@ -125,7 +126,7 @@ def test_no_indented_json_dumps_is_left_in_the_package():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("dumps", "dump")
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
-    assert [name for name, _ in calls] == ["jsontext.py"]
+    assert calls == []
 
 
 def test_a_warm_report_reads_its_presentation_and_amalgam_from_the_render_memo(monkeypatch):
@@ -149,3 +150,61 @@ def test_a_warm_report_reads_its_presentation_and_amalgam_from_the_render_memo(m
                      ("amalgam", amalgam_decomposition(params))):
         assert f'\n  "{key}": ' + render(obj, "json").replace("\n", "\n  ") + ",\n" in text
         assert json.loads(text)[key] == json.loads(render(obj, "json"))
+
+
+# One pair per connected row of the case table, and two disconnected pairs.
+ROW_PAIRS = ((2, 1), (7, 1), (8, 3), (11, 3), (3, 1), (5, 2), (7, 2), (12, 5), (13, 5))
+
+
+def test_every_value_the_verbs_dump_is_written_as_json_dumps_writes_it(monkeypatch, capsys):
+    """Each value a verb hands to `dumps`, recorded at the call, over the
+    CASES-row pairs, at depths 0 to 3."""
+    assert {case_data(make_params(p, q)) for p, q in ROW_PAIRS} == set(CASES.values())
+    real, seen = dumps, []
+
+    def recording(value, depth=0):
+        seen.append(value)
+        return real(value, depth)
+
+    for module in (cli, presentations, report):
+        monkeypatch.setattr(module, "dumps", recording)
+    for p, q in ROW_PAIRS:
+        params = make_params(p, q)
+        verbs = [["classify", "--json"], ["report", "--json"], ["sequence", "--verify", "--json"],
+                 ["shell", "--kind", "q2", "--json"]]
+        if params.connected:
+            verbs.append(["presentation", "--format", "json", "--amalgam", "--abelianization"])
+            seen += [presentation_dict(goeritz_presentation(params)),
+                     amalgam_dict(amalgam_decomposition(params))]
+        else:
+            verbs.append(["witness", "--json"])
+        for verb in verbs:
+            assert cli.main([verb[0], str(p), str(q), *verb[1:]]) == 0
+    for argv in (["primitive", "xyXY", "--method", "filter", "--trace", "--json"],
+                 ["primitive", "yx^3yx^4", "--trace", "--json"],
+                 ["sweep", "symmetry", "--max-p", "12", "--json"]):
+        cli.main(argv)
+    capsys.readouterr()
+    kinds = {frozenset(value) for value in seen if isinstance(value, dict)}
+    assert len(seen) > 80 and len(kinds) > 10
+    for value in seen:
+        for depth in (0, 1, 2, 3):
+            assert dumps(value, depth) == reference(value, depth)
+
+
+def test_synthetic_values_are_written_as_json_dumps_writes_them():
+    values = [
+        "αβ₁ ∂ 😀", "\x00\x01\x1f\x7f\u2028", 'say "hi" \\ /', "", [], {}, (), [[]], {"": {}},
+        [True, 1, False, 0, None], {"1": True, "t": 1}, 10**39 + 7, -(10**39),
+        {"k": [{"a": (1, "é")}, [], {}], "ü\n": None}, [[[["deep"]]]], {1: "int key", None: 0},
+    ]
+    for value in values + [values]:
+        for depth in (0, 1, 2, 3):
+            assert dumps(value, depth) == reference(value, depth), value
+    assert dumps(10**39) == "1" + "0" * 39 and len(str(10**39 + 7)) == 40
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), {1, 2}, [0, 2.0], {"a": {"b": frozenset()}}, {2.5: 1}])
+def test_floats_and_sets_are_refused(value):
+    with pytest.raises(TypeError):
+        dumps(value)

@@ -41,6 +41,7 @@ from goeritz.report import (
     sequence_rows,
     structure_dict,
     witness_dict,
+    write_report_json,
 )
 from goeritz.sequences import InvalidParameters, make_params, pq_sequence
 from goeritz.shells import Shell, ShellKind, build_shell, shell_rows
@@ -334,3 +335,25 @@ def test_report_3000_peaks_below_60_mb():
         )
         code, peak_kb = map(int, done.stderr.split()[-2:])
         assert code == 0 and peak_kb < 60 * 1024, (argv, peak_kb, done.stderr[-300:])
+
+
+def test_write_report_json_memory_grows_linearly_in_p():
+    """The Python heap peak (tracemalloc) of a streamed report at p = 500,
+    1,000 and 2,000 grows at most 2.2x per doubling: the writers hold a
+    bounded chunk of output and O(p) state, not the Theta(p^2) text.  The
+    shared presentation memo is filled by a first, untraced call."""
+    import tracemalloc
+
+    for q in (3, 7):  # connected (presentation) and disconnected (witness) at each p
+        peaks = []
+        for p in (500, 1000, 2000):
+            params = make_params(p, q)
+            write_report_json(params, lambda text: None)
+            tracemalloc.start()
+            try:
+                write_report_json(params, lambda text: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert all(b <= 2.2 * a for a, b in zip(peaks, peaks[1:])), (q, peaks)
+        assert peaks[-1] < 2 * 2**20, (q, peaks)  # the whole report at p = 2000 is 25 MB
