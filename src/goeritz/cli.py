@@ -52,14 +52,15 @@ from .primitivity import (
 )
 from .report import (
     SEQUENCE_CLASS,
+    oracle_disagrees,
     params_dict,
     presentation_members,
     report_sections,
+    sequence_rows,
     structure_dict,
     witness_dict,
     write_report_json,
     write_sequence_json,
-    write_sequence_rows,
     write_shell_json,
 )
 from .sequences import InvalidParameters, make_params, primitive_indices
@@ -144,12 +145,18 @@ def cmd_sequence(args) -> int:
     params = make_params(args.p, args.q)
     if args.json:
         return 0 if write_sequence_json(params, args.verify, sys.stdout.write) == 0 else 3
-    opening = (f"({params.p},{params.q})-sequence: q' = {params.q_prime}, "
-               f"connected = {'yes' if params.connected else 'no'}\n")
-    ends = {None: "\n", True: "  oracle=primitive\n", False: "  oracle=not-primitive\n"}
-    mismatch = write_sequence_rows(
-        params, args.verify, opening, lambda p: [f"  {j:>3}  " for j in range(p + 1)],
-        [f"  {label}" for label in SEQUENCE_CLASS], ends, sys.stdout.write)
+    rows = sequence_rows(params, args.verify)
+    print(
+        f"({params.p},{params.q})-sequence: q' = {params.q_prime}, "
+        f"connected = {'yes' if params.connected else 'no'}"
+    )
+    mismatch = 0
+    for j, word, cls, verdict in rows:
+        line = f"  {j:>3}  {word}  {SEQUENCE_CLASS[cls]}"
+        if args.verify:
+            line += f"  oracle={'primitive' if verdict else 'not-primitive'}"
+            mismatch += oracle_disagrees(cls, verdict)
+        print(line)
     if args.verify:
         print(f"oracle agreement: {'ok' if mismatch == 0 else f'{mismatch} mismatches'}")
     return 0 if mismatch == 0 else 3

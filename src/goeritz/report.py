@@ -10,10 +10,9 @@ sequence, for the writers, the CLI's text and the library objects alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from json import loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .classify import ComplexStructureReport, classify
 from .farey import ReplacementTrace, nonconnectivity_witness
@@ -172,20 +171,27 @@ def _row_heads(p: int, key: str, depth: int) -> list[str]:
     return [f'{"," if j else ""}{pad}{{{pad1}"{key}": {j},{pad1}"word": "' for j in range(p + 1)]
 
 
+def _write_chunked(write: Write, pieces: Iterable[str]) -> None:
+    """Write `pieces` in order, joined into one `write` per about _CHUNK characters."""
+    chunk: list[str] = []
+    size = 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size > _CHUNK:
+            write("".join(chunk))
+            chunk, size = [], 0
+    write("".join(chunk))
+
+
 def _write_shell(params: PqParams, kind: ShellKind, stream, heads, depth: int, write: Write) -> None:
     """One shell, from its `shell_stream` and its entries' `heads`, nested `depth` levels deep."""
     pad, pad1, pad2, pad3 = _pads(depth)
     classes, texts = stream
     tails = [f'",{pad3}"class": {_quote(cls.value)}{pad2}}}' for cls in DISK_CLASSES]
-    per = max(1, _CHUNK // (2 * params.p + 100))  # rows per write: a text has at most 2p characters
-    chunk = [f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {kind.slope(params)},'
-             f'{pad1}"entries": [']
-    for j, (lead, blocks) in enumerate(texts):
-        chunk += (heads[j], lead, *blocks, tails[classes[j]])
-        if j % per == per - 1:
-            write("".join(chunk))
-            chunk.clear()
-    write("".join(chunk) + f"{pad1}]{pad}}}")
+    write(f'{{{pad1}"kind": {_quote(kind.value)},{pad1}"slope": {kind.slope(params)},{pad1}"entries": [')
+    _write_chunked(write, (heads[j] + text + tails[classes[j]] for j, text in enumerate(texts)))
+    write(f"{pad1}]{pad}}}")
 
 
 def write_shell_json(params: PqParams, kind: ShellKind, write: Write) -> None:
@@ -211,33 +217,29 @@ def sequence_rows(
     )
 
 
-def write_sequence_rows(params: PqParams, verify: bool, opening: str, make_heads, tails, ends,
-                        write: Write) -> int:
-    """`opening`, then word j of the (p,q)-sequence as make_heads(p)[j], w_j, tails[class]
-    and ends[verdict], for `sequence` in text and JSON; refused past the cap before
-    the heads are made; returns how many certified verdicts contradict their class."""
-    rows = sequence_rows(params, verify)
-    heads, per = make_heads(params.p), max(1, _CHUNK // (params.p + 100))
-    chunk, mismatch = [opening], 0
-    for j, word, cls, verdict in rows:
-        chunk += heads[j], word, tails[cls], ends[verdict]
-        mismatch += verify and verdict != (DISK_CLASSES[cls] is DiskClass.PRIMITIVE)
-        if j % per == per - 1:
-            write("".join(chunk))
-            chunk.clear()
-    write("".join(chunk))
-    return mismatch
+def oracle_disagrees(cls: int, verdict: bool) -> bool:
+    """Whether the certified verdict on a word of the sequence contradicts its
+    class, an index in DISK_CLASSES: `sequence --verify` counts these as mismatches."""
+    return verdict != (DISK_CLASSES[cls] is DiskClass.PRIMITIVE)
 
 
 def write_sequence_json(params: PqParams, verify: bool, write: Write) -> int:
     """What `sequence --json` prints; returns how many certified verdicts
     differ from the classes (0 without `verify`)."""
-    _, pad1, pad2, _ = _pads(1)
+    rows = sequence_rows(params, verify)
+    heads, (_, pad1, pad2, _) = _row_heads(params.p, "j", 2), _pads(1)
     tails = [f'",{pad2}"class": {_quote(label)}' for label in SEQUENCE_CLASS]
-    ends = {v: f',{pad2}"oracle_primitive": {dumps(v)}{pad1}}}' for v in (True, False)}
-    opening = f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "rows": ['
-    mismatch = write_sequence_rows(params, verify, opening, lambda p: _row_heads(p, "j", 2), tails,
-                                   {None: pad1 + "}", **ends}, write)
+    ends = {None: pad1 + "}"} | {v: f',{pad2}"oracle_primitive": {dumps(v)}{pad1}}}' for v in (True, False)}
+    mismatch = 0
+
+    def pieces() -> Iterator[str]:
+        nonlocal mismatch
+        for j, word, cls, verdict in rows:
+            mismatch += verify and oracle_disagrees(cls, verdict)
+            yield heads[j] + word + tails[cls] + ends[verdict]
+
+    write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "rows": [')
+    _write_chunked(write, pieces())
     agreement = f',\n  "oracle_agreement": {dumps(mismatch == 0)}' if verify else ""
     write(f"\n  ]{agreement}\n}}\n")
     return mismatch
@@ -273,10 +275,8 @@ def write_report_json(params: PqParams, write: Write) -> None:
         tail += presentation_members(pres, amalgam, abelianization=True)
 
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
-    words, sep = spelled_sequence(params.p, params.q), '\n      "'
-    for chunk in iter(lambda: list(islice(words, max(1, _CHUNK // (params.p + 9)))), []):
-        write(sep + b'",\n      "'.join(chunk).decode("ascii") + '"')
-        sep = ',\n      "'
+    words = enumerate(map(bytes.decode, spelled_sequence(params.p, params.q)))
+    _write_chunked(write, (f'{"," if j else ""}\n      "{word}"' for j, word in words))
     indices = dumps(sorted(primitive_indices(params)), 2)
     write(f'\n    ],\n    "primitive_indices": {indices}\n  }},\n  "shells": [')
     heads = _row_heads(params.p, "index", 4)

@@ -96,9 +96,8 @@ class Shell:
         return f"({self.params.p}, {self.slope})-shell"
 
 
-def _shell_texts(p: int, qbar: int) -> Iterator[tuple[str, list[str]]]:
-    """The caret texts of the shell words of the (p, qbar)-sequence, each as
-    its leading run and its blocks, a list that changes in place for the next.
+def _shell_texts(p: int, qbar: int) -> Iterator[str]:
+    """The caret texts of the shell words of the (p, qbar)-sequence.
 
     Each z of w_j at position i renders as the token x, followed by its y
     and the y letters up to the next z; the y letters before the first z
@@ -116,7 +115,7 @@ def _shell_texts(p: int, qbar: int) -> Iterator[tuple[str, list[str]]]:
     blocks = [""] * (p // size + 1)  # blocks[b]: tokens[b*size:(b+1)*size] joined
     zs: list[int] = []  # the z positions, sorted
     lead = xruns[p][1:]
-    yield lead, blocks
+    yield lead
     for j in range(p):
         t = j * qbar % p
         at = bisect(zs, t)
@@ -133,7 +132,7 @@ def _shell_texts(p: int, qbar: int) -> Iterator[tuple[str, list[str]]]:
             lead = xruns[t][1:]
         blocks[b] = "".join(tokens[b * size:(b + 1) * size])
         zs.insert(at, t)
-        yield lead, blocks
+        yield lead + "".join(blocks)
 
 
 def shell_stream(params: PqParams, kind: ShellKind) -> tuple[bytearray, Iterator]:
@@ -148,10 +147,7 @@ def shell_rows(params: PqParams, kind: ShellKind) -> Iterator[tuple[int, str, Di
     """(j, the caret text of E_j, its class), one entry of the (p, q-bar)-shell
     at a time; a shell past the letter cap is refused at the call, before any row."""
     classes, texts = shell_stream(params, kind)
-    return (
-        (j, lead + "".join(blocks), DISK_CLASSES[classes[j]])
-        for j, (lead, blocks) in enumerate(texts)
-    )
+    return ((j, text, DISK_CLASSES[classes[j]]) for j, text in enumerate(texts))
 
 
 def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:

@@ -394,9 +394,9 @@ def _exponent(atom: str) -> int:
 
 
 def _first_fault(text: str, parts: list[str]) -> WordParseError:
-    """The error of the first fault of `text`, split into `parts` by _ATOM: a
-    character of a run that is no letter (or a ^ after a letter that no exponent
-    follows), or the letter or exponent that takes the word over MAX_WORD_LETTERS."""
+    """The error of the first fault of refused `text`, split into `parts` by _ATOM: in a
+    run, a character that is no letter (or the end of a letter's ^ with no exponent),
+    or the letter or exponent that takes the word over MAX_WORD_LETTERS."""
     letters = at = 0
     for i, part in enumerate(parts):
         if i % 2:  # an atom
@@ -404,16 +404,13 @@ def _first_fault(text: str, parts: list[str]) -> WordParseError:
             if letters > MAX_WORD_LETTERS:
                 return _over_the_cap(text, at + 2)
         else:
-            bad = _NOT_IN_RUN.search(part)
-            head = part[:bad.start()] if bad else part
-            # a letter whose ^ has no exponent is refused before it is counted
-            exponent = bad is not None and bad.group() == "^" and head[-1:] in _CODE_OF_CHAR
-            count = len("".join(head.split())) - exponent
-            letters += count
-            if letters > MAX_WORD_LETTERS:
-                over = re.match(r"(?:\s*\S){%d}" % (MAX_WORD_LETTERS - letters + count + 1), head)
-                return _over_the_cap(text, at + over.end())
-            if bad:
-                expected = "an integer exponent" if exponent else "a generator letter (x, y, z, X, Y or Z)"
-                return WordParseError(text, at + bad.start() + exponent, expected)
+            for k, ch in enumerate(part, at):  # a run, one character at a time
+                if ch in _CODE_OF_CHAR:
+                    if text[k + 1:k + 2] == "^":
+                        return WordParseError(text, k + 2, "an integer exponent")
+                    letters += 1
+                    if letters > MAX_WORD_LETTERS:
+                        return _over_the_cap(text, k + 1)
+                elif not ch.isspace():
+                    return WordParseError(text, k, "a generator letter (x, y, z, X, Y or Z)")
         at += len(part)
