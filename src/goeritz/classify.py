@@ -9,16 +9,17 @@ simplex types, the vertex orbits from the vertex transitivity, and the
 quotient graph from the amalgam, one vertex per factor.  These derived
 facts are computed once per row, at import, into a template of the
 report with params None; classify copies the template, sets params and
-fills its frozen report with the copy in one step, so equality, hashing,
-dataclasses.replace and pickling are those of the generated dataclass.
+fills its frozen report with the copy in one step; equality, hashing,
+repr, dataclasses.replace and pickling read the fields as they do for a
+report its __init__ (goeritz._records) makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ._records import record
 from .sequences import PqParams, _new, _Refusal, _set
 
 
@@ -59,25 +60,25 @@ class QuotientGraph(Enum):
         }[self]
 
 
-@dataclass(frozen=True)
+@record
 class EdgeOrbit:
     representative: str
     exchangeable: bool
 
 
-@dataclass(frozen=True)
+@record
 class EdgeOrbitInfo:
     count: int
     orbits: tuple[EdgeOrbit, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CommonDualRule:
     all_pairs: bool  # every primitive pair has a common dual disk (q = 1)
     dual_count: int  # common dual disks of a pair that has one: 2 iff p = 2
 
 
-@dataclass(frozen=True)
+@record
 class ComplexStructureReport:
     params: PqParams
     connected: bool
@@ -92,7 +93,7 @@ class ComplexStructureReport:
     quotient_graph: QuotientGraph
 
 
-@dataclass(frozen=True)
+@record
 class Factor:
     """A vertex of the quotient graph as a factor of the amalgam: the
     stabilizer of a disk, of a pair (as a set) or of a primitive triple,
@@ -106,7 +107,7 @@ class Factor:
     names: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CaseData:
     """Every independent fact about the complex and the Goeritz group that
     depends on (p, q) only through its row of CASES.  Rows are the

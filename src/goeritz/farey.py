@@ -13,9 +13,9 @@ witnessing that the primitive disk complex is disconnected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
+from ._records import record
 from .sequences import InvalidParameters, PqParams, _int_text, _Refusal
 from .words import MAX_WORD_LETTERS, Word
 
@@ -24,7 +24,7 @@ class ConnectedComplexError(ValueError):
     """Witness construction refused: the complex is connected."""
 
 
-@dataclass(frozen=True)
+@record
 class FareyLabel:
     """A disk label: fraction a/b plus the word exponents d and e.
 
@@ -113,7 +113,7 @@ def solve_replacement_equation(params: PqParams) -> tuple[int, int]:
     return s, t_plus_1 - 1
 
 
-@dataclass(frozen=True)
+@record
 class ReplacementStep:
     """One disk of the trace together with the ordered pair it came from."""
 
@@ -123,7 +123,7 @@ class ReplacementStep:
     pair_before: Optional[tuple[FareyLabel, FareyLabel]] = None
 
 
-@dataclass(frozen=True)
+@record
 class ReplacementTrace:
     params: PqParams
     s: int

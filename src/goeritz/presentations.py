@@ -22,11 +22,11 @@ once, on every presentation emitted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from typing import Iterator, Optional, Union
 
+from ._records import record
 from .classify import CASES, CaseData, CaseTag, DisconnectedComplexError, case_data
 from .jsontext import dumps
 from .sequences import PqParams, _Refusal
@@ -61,7 +61,7 @@ def gap_name(name: str) -> str:
     return "".join(_split_name(name, 1))
 
 
-@dataclass(frozen=True)
+@record
 class Generator:
     name: str
     description: str = ""
@@ -72,10 +72,10 @@ Relator = tuple[tuple[str, int], ...]
 
 
 class _Memoized:
-    """A per-object memo of the results derived from a frozen dataclass.
+    """A per-object memo of the results derived from a frozen record.
 
     `_memo` is a dict that functools.cached_property stores straight in
-    the instance's __dict__, so the dataclass stays frozen and its
+    the instance's __dict__, so the record stays frozen and its
     field-based ==, hash, fields() and replace() are unchanged; a copy
     made with dataclasses.replace() starts with an empty memo.  flatten(),
     render() and abelianize_presentation() read it first and fill it on a
@@ -99,7 +99,7 @@ class _Memoized:
             return value
 
 
-@dataclass(frozen=True)
+@record
 class GroupPresentation(_Memoized):
     """Generators with geometric glosses, relators as words in their names.
 
@@ -324,13 +324,13 @@ def _not_presentable(params: PqParams) -> str:
     )
 
 
-@dataclass(frozen=True)
+@record
 class AmalgamFactor:
     label: str
     presentation: Optional[GroupPresentation]
 
 
-@dataclass(frozen=True)
+@record
 class AmalgamEdge:
     """Edge stabilizer with the generator identifications into both factors."""
 
@@ -341,7 +341,7 @@ class AmalgamEdge:
     inclusions: tuple[tuple[str, str, str], ...] = ()  # (edge gen, left image, right image)
 
 
-@dataclass(frozen=True)
+@record
 class AmalgamDecomposition(_Memoized):
     factors: tuple[AmalgamFactor, ...]
     edges: tuple[AmalgamEdge, ...]
@@ -445,7 +445,7 @@ def _amalgamated_product(am: AmalgamDecomposition) -> GroupPresentation:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Abelianization:
     torsion: tuple[int, ...]
     free_rank: int

@@ -24,11 +24,12 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from operator import mul
 from typing import Iterator, NamedTuple, Optional
 
+from ._records import record
 from .words import (
     CyclicWord,
     MixedAlphabetError,
@@ -82,7 +83,7 @@ def _cyclic_core(spelled: str) -> str:
     return _cyclic_strip(_free_reduce(spelled))
 
 
-@dataclass(frozen=True)
+@record
 class WhiteheadAutomorphism:
     """An automorphism of <x, y> given by its images of the generators.
 
@@ -641,7 +642,7 @@ class FilterOutcome(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class FilterWitness:
     normalization: str
     first: str
@@ -650,7 +651,7 @@ class FilterWitness:
     second_offset: int
 
 
-@dataclass(frozen=True)
+@record
 class FilterVerdict:
     outcome: FilterOutcome
     witness: Optional[FilterWitness] = None

@@ -9,11 +9,11 @@ sequence, for the writers, the CLI's text and the library objects alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json import loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
 from typing import Callable, Iterable, Iterator, Optional
 
+from ._records import record
 from .classify import ComplexStructureReport, classify
 from .farey import ReplacementTrace, nonconnectivity_witness
 from .jsontext import dumps
@@ -39,7 +39,7 @@ from .sequences import (
 from .shells import DISK_CLASSES, DiskClass, Shell, ShellKind, build_shell, class_table, shell_stream
 
 
-@dataclass(frozen=True)
+@record
 class FullReport:
     """Everything computed for one (p, q).
 

@@ -10,10 +10,10 @@ p-q' and p-1 give primitive words, where q' is the unique integer in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from ._records import record
 from .words import MAX_WORD_LETTERS, Word
 
 
@@ -29,7 +29,7 @@ def _int_text(n: int) -> str:
         return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
-@dataclass(frozen=True)
+@record
 class PqParams:
     """Validated parameters of L(p,q) with q normalized into [1, p/2].
 
@@ -62,9 +62,9 @@ class PqParams:
 
 
 # make_params and classify fill a frozen record in place: object.__new__,
-# then its whole instance dict in one setattr, where the generated __init__
-# sets one field at a time.  Equality, hashing, repr, dataclasses.replace
-# and pickling read the fields as usual.
+# then its whole instance dict in one setattr, where the record's __init__
+# (goeritz._records) sets one field at a time.  Equality, hashing, repr,
+# dataclasses.replace and pickling read the fields as usual.
 _new = object.__new__
 _set = object.__setattr__
 
@@ -161,7 +161,7 @@ def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
         yield bytes(letters)
 
 
-@dataclass(frozen=True)
+@record
 class PqSequence:
     """The words w_0, ..., w_p, kept as their spellings over z, y.
 

@@ -12,12 +12,12 @@ entry builds its `Word` only when asked for it.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isqrt
 from typing import Iterator
 
+from ._records import record
 from .classify import case_data
 from .sequences import PqParams, check_sequence_size, make_params, primitive_indices, spelled_sequence
 from .words import Word
@@ -66,7 +66,7 @@ def class_table(p: int, primitive: frozenset[int]) -> bytearray:
     return table
 
 
-@dataclass(frozen=True)
+@record
 class ShellEntry:
     """Entry j of a shell.
 
@@ -85,7 +85,7 @@ class ShellEntry:
         return Word._of_spelling(self.spelled.replace(b"z", b"xy").decode("ascii"))
 
 
-@dataclass(frozen=True)
+@record
 class Shell:
     params: PqParams
     kind: ShellKind
@@ -173,7 +173,7 @@ class DualPairKind(Enum):
     NO_COMMON_DUAL = "no-common-dual"
 
 
-@dataclass(frozen=True)
+@record
 class DualShellRelation:
     """How the shells of a primitive pair {E, D} sit inside each other."""
 

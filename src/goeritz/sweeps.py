@@ -14,9 +14,9 @@ as necklaces, not filtered out of all words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._records import record
 from .classify import DisconnectedComplexError, classify, quotient_graph
 from .farey import ConnectedComplexError, nonconnectivity_witness
 from .presentations import amalgam_decomposition, goeritz_presentation
@@ -35,13 +35,13 @@ from .sequences import (
 from .words import MAX_WORD_LETTERS, _caret, _least_rotation
 
 
-@dataclass(frozen=True)
+@record
 class SweepFailure:
     subject: str
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
     check: str
     bound: int

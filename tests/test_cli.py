@@ -567,21 +567,28 @@ def test_word_sweeps_refuse_a_bound_past_the_letter_cap_up_front(monkeypatch, ca
         assert calls == [most], check
 
 
-def test_hostile_p_is_refused_before_anything_is_made():
-    """A sequence, shell, report or witness past the letter cap exits 2
-    with an error and no output.  Each runs in a child process whose
-    address space is capped at 1.5 GB, so a command that starts making
-    its words fails there with a MemoryError instead of filling memory."""
-    import os
+def _capped_cli(*argv):
+    """`goeritz <argv>` in a child process whose address space is capped
+    at 1.5 GB, so a command that starts making its words fails there
+    with a MemoryError instead of filling memory."""
     import resource
     import subprocess
     import sys
-    from pathlib import Path
-
-    import goeritz
 
     limit = 1536 * 2**20
-    env = dict(os.environ, PYTHONPATH=str(Path(goeritz.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "goeritz.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_hostile_p_is_refused_before_anything_is_made():
+    """A sequence, shell, report or witness past the letter cap exits 2
+    with an error and no output, each in a capped child (`_capped_cli`)."""
     hostile = (
         ("sequence", "200000", "7"),
         ("shell", "200000", "7"),
@@ -591,14 +598,7 @@ def test_hostile_p_is_refused_before_anything_is_made():
         ("sequence", "100000", "1"),
     )
     for argv in hostile:
-        done = subprocess.run(
-            [sys.executable, "-m", "goeritz.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        done = _capped_cli(*argv)
         assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr[-300:])
         assert done.stderr.startswith("error: ") and "10000000 allowed" in done.stderr, argv
 
@@ -614,11 +614,13 @@ def test_the_letter_cap_spares_classify_presentation_and_smaller_p(capsys):
         assert code == 0 and out and not err, argv
 
 
-def test_a_p_whose_letter_count_is_too_long_to_print_is_refused_with_exit_2(capsys):
+def test_a_p_whose_letter_count_is_too_long_to_print_is_refused_with_exit_2():
     """Python refuses to print an int of more than 4,300 digits.  p(p+1)
     has that many for p = 10^2199, and the first seed disk of the
     disconnected L(9 * 10^4299 + 4, 7) about 8p/7 letters: each call must
-    still be refused as invalid input, not end in a traceback."""
+    still be refused as invalid input, not end in a traceback.  Each runs
+    in a capped child (`_capped_cli`), so a call that allocates before
+    the cap check fails this test, not the test run."""
     huge = str(10**2199)
     for argv in (
         ("sequence", huge, "7"),
@@ -626,9 +628,9 @@ def test_a_p_whose_letter_count_is_too_long_to_print_is_refused_with_exit_2(caps
         ("report", huge, "7"),
         ("witness", str(9 * 10**4299 + 4), "7"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv[0]
-        assert err.startswith("error:") and "10000000 allowed" in err, argv[0]
+        done = _capped_cli(*argv)
+        assert (done.returncode, done.stdout) == (2, ""), (argv[0], done.stderr[-300:])
+        assert done.stderr.startswith("error:") and "10000000 allowed" in done.stderr, argv[0]
 
 
 def _child_env():
