@@ -10,8 +10,10 @@ keeps what the records share with every dataclass and compiles only
   compiles nothing; from 3.13 on, one empty function), so `fields`,
   `replace`, `asdict`, `is_dataclass`, `__match_args__`, copying and
   pickling are the standard library's.  `__dataclass_params__` is then
-  set to the options the record behaves by (init, repr, frozen, eq), and
-  a class without a docstring gets the one dataclasses writes.
+  set to the options the record behaves by (init, repr, frozen, eq).  A
+  record needs a docstring of its own: `record` raises TypeError for a
+  class without one, since dataclasses would write one from the
+  signature, through `inspect`.
 - It compiles `__init__` in one `exec`, with the body dataclasses writes
   for a frozen class: one `object.__setattr__` per field, parameter
   defaults, `init=False` fields left unset, then `__post_init__()`.  So
@@ -31,7 +33,6 @@ class that defines one of these methods itself.
 """
 
 import dataclasses
-import inspect
 import sys
 from dataclasses import MISSING, FrozenInstanceError
 from operator import attrgetter
@@ -46,12 +47,8 @@ def record(cls=None, *, eq: bool = True):
 
 
 def _make(cls, eq: bool):
-    documented = bool(cls.__doc__)
-    if not documented:
-        # dataclasses would read a signature before there is an __init__,
-        # through inspect's text parser, whose first call compiles a large
-        # regex; the docstring it writes is set below, once __init__ exists
-        cls.__doc__ = cls.__name__
+    if not cls.__doc__:
+        raise TypeError(f"record {cls.__qualname__} has no docstring")
     dataclasses.dataclass(cls, init=False, repr=False, eq=False)
     options = cls.__dataclass_params__
     options.init = options.repr = options.frozen = True
@@ -92,15 +89,7 @@ def _make(cls, eq: bool):
     for method in methods:
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not documented:  # what str(inspect.signature(cls)) would print
-        cls.__doc__ = f"{cls.__name__}({', '.join(_parameter(f) for f in fields if f.init)})"
     return cls
-
-
-def _parameter(f) -> str:
-    """An `__init__` parameter as inspect prints it."""
-    text = f"{f.name}: {inspect.formatannotation(f.type)}"
-    return text if f.default is MISSING else f"{text} = {f.default!r}"
 
 
 def _key(names: list):

@@ -62,24 +62,32 @@ class QuotientGraph(Enum):
 
 @record
 class EdgeOrbit:
+    """An edge orbit: a representative edge, and whether its two disks can be exchanged."""
+
     representative: str
     exchangeable: bool
 
 
 @record
 class EdgeOrbitInfo:
+    """The edge orbits of the complex under the Goeritz group."""
+
     count: int
     orbits: tuple[EdgeOrbit, ...]
 
 
 @record
 class CommonDualRule:
+    """Which primitive pairs have a common dual disk, and how many."""
+
     all_pairs: bool  # every primitive pair has a common dual disk (q = 1)
     dual_count: int  # common dual disks of a pair that has one: 2 iff p = 2
 
 
 @record
 class ComplexStructureReport:
+    """The structure of the primitive disk complex of one L(p,q)."""
+
     params: PqParams
     connected: bool
     dimension: int

@@ -125,6 +125,8 @@ class ReplacementStep:
 
 @record
 class ReplacementTrace:
+    """The replacement trace of a disconnected L(p,q): its Farey data and its disks."""
+
     params: PqParams
     s: int
     t: int

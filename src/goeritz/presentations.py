@@ -63,6 +63,8 @@ def gap_name(name: str) -> str:
 
 @record
 class Generator:
+    """A named generator and its geometric gloss."""
+
     name: str
     description: str = ""
 
@@ -326,6 +328,8 @@ def _not_presentable(params: PqParams) -> str:
 
 @record
 class AmalgamFactor:
+    """A vertex stabilizer of the quotient graph, as a factor of the amalgam."""
+
     label: str
     presentation: Optional[GroupPresentation]
 
@@ -343,6 +347,8 @@ class AmalgamEdge:
 
 @record
 class AmalgamDecomposition(_Memoized):
+    """The Goeritz group as a chain of factors amalgamated over edge groups."""
+
     factors: tuple[AmalgamFactor, ...]
     edges: tuple[AmalgamEdge, ...]
     note: str = ""
@@ -447,6 +453,8 @@ def _amalgamated_product(am: AmalgamDecomposition) -> GroupPresentation:
 
 @record
 class Abelianization:
+    """A finitely generated abelian group: its torsion coefficients and free rank."""
+
     torsion: tuple[int, ...]
     free_rank: int
 

@@ -20,7 +20,6 @@ z is treated as the first generator in place of x.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections import Counter
@@ -33,11 +32,10 @@ from ._records import record
 from .words import (
     CyclicWord,
     MixedAlphabetError,
-    _CANCELLING_PAIR,
     _SPELLING,
     _caret,
     _coerce_spelling,
-    _cyclic_strip,
+    _cyclic_core,
     _free_reduce,
     _inverse,
     _spell,
@@ -71,18 +69,6 @@ def _rank2_spelling(w) -> str:
     return w
 
 
-def _cyclic_core(spelled: str) -> str:
-    """The cyclic reduction of a word spelled over x, X, y, Y.
-
-    A spelling of positive letters is cyclically reduced as it is; any
-    other is freely reduced in one pass, which finds nothing to cancel
-    in the spelling of a `Word`, and then stripped of inverse ends.
-    """
-    if spelled.islower():
-        return spelled
-    return _cyclic_strip(_free_reduce(spelled))
-
-
 @record
 class WhiteheadAutomorphism:
     """An automorphism of <x, y> given by its images of the generators.
@@ -113,25 +99,6 @@ class WhiteheadAutomorphism:
         a code other than 1, -1, 2 or -2 raises KeyError."""
         table = self._spelled_table
         return _unspell(_free_reduce("".join(table[ord(_SPELLING[c])] for c in codes)))
-
-    def apply_spelled(self, spelled: str) -> str:
-        """The freely reduced image of a freely reduced spelled word over x, y.
-
-        One str.translate writes the image and one regex pass deletes its
-        cancelling pairs; no second pass is needed.  A type I move maps
-        letters to letters.  A type II move with multiplier a fixes a and
-        a^-1, and each other letter u may gain an a^-1 before it and an a
-        after it; u^-1 gains an a^-1 before it exactly when u gains an a
-        after it.  So each cancelling pair of the image holds an a or a^-1
-        that the move inserted.  Take an a inserted after u (an a^-1
-        inserted before u is the mirror case).  Either the next letter v
-        gained an a^-1, and the two cancel to leave u v, which was reduced;
-        or v is a^-1 itself, and the two cancel to leave u next to what
-        follows v: an inserted a^-1, which u (not a or a^-1) does not
-        cancel, or a letter other than u^-1, since u^-1 would have gained
-        an a^-1.  So no deletion brings a new cancelling pair together.
-        """
-        return _CANCELLING_PAIR.sub("", spelled.translate(self._spelled_table))
 
     def __str__(self) -> str:
         return self.label
@@ -362,7 +329,6 @@ def _find_shortening(spelled: str) -> Optional[tuple[int, int, str]]:
     return None
 
 
-@functools.lru_cache(maxsize=128)
 def _power(index: int, k: int) -> WhiteheadAutomorphism:
     """The k-th power of the type II move WHITEHEAD_TYPE_II[index]."""
     return WHITEHEAD_TYPE_II[index] if k == 1 else _type_ii(_MULTIPLIERS[index // 3], index % 3, k)
@@ -644,6 +610,8 @@ class FilterOutcome(Enum):
 
 @record
 class FilterWitness:
+    """Two patterns, at their offsets, that show one normalization of a word not primitive."""
+
     normalization: str
     first: str
     first_offset: int
@@ -653,6 +621,8 @@ class FilterWitness:
 
 @record
 class FilterVerdict:
+    """The filter's outcome, with its witness when the word is not primitive."""
+
     outcome: FilterOutcome
     witness: Optional[FilterWitness] = None
 
@@ -701,7 +671,7 @@ def _symmetry_variants(spelled: str) -> tuple[str, str, str, str]:
     filter scans all four and the word-level sweeps check one of each
     class.
     """
-    inverted = spelled[::-1].swapcase()
+    inverted = _inverse(spelled)
     return spelled, inverted, spelled.translate(_FLIP_Y), inverted.translate(_FLIP_Y)
 
 

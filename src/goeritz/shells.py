@@ -87,6 +87,8 @@ class ShellEntry:
 
 @record
 class Shell:
+    """The (p, slope)-shell of one kind: one entry per disk j = 0, ..., p."""
+
     params: PqParams
     kind: ShellKind
     slope: int

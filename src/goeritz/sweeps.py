@@ -37,12 +37,16 @@ from .words import MAX_WORD_LETTERS, _caret, _least_rotation
 
 @record
 class SweepFailure:
+    """A subject a sweep found wrong, and what was wrong with it."""
+
     subject: str
     detail: str
 
 
 @record
 class SweepResult:
+    """A sweep's check, bound, subject count and failures."""
+
     check: str
     bound: int
     subjects: int

@@ -25,9 +25,6 @@ _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
 _SPELLING = {1: "x", -1: "X", 2: "y", -2: "Y", 3: "z", -3: "Z"}
 _CODE_OF_CHAR = {ch: code for code, ch in _SPELLING.items()}
 
-# Two adjacent mutually inverse letters of a spelled word.
-_CANCELLING_PAIR = re.compile("xX|Xx|yY|Yy|zZ|Zz")
-
 # The rotation order as a key string, total so that a word mixing x and z
 # has one least rotation: x < X < z < Z < y < Y.
 _ROTATION_KEYS = str.maketrans("xXzZyY", "abcdef")
@@ -100,7 +97,8 @@ def _coerce_spelling(letters) -> str:
 def _free_reduce(spelled: str) -> str:
     """Cancel adjacent mutually inverse letters of a spelling until none
     remain, in one pass with a stack.  The guard is six substring scans,
-    each far faster than one scan for the alternation _CANCELLING_PAIR."""
+    each far faster than one regex scan for the alternation of the six
+    pairs."""
     if not (
         "xX" in spelled or "Xx" in spelled or "yY" in spelled
         or "Yy" in spelled or "zZ" in spelled or "Zz" in spelled
@@ -115,8 +113,17 @@ def _free_reduce(spelled: str) -> str:
     return "".join(out)
 
 
-def _cyclic_strip(spelled: str) -> str:
-    """Strip mutually inverse first/last letters of a freely reduced spelling."""
+def _cyclic_core(spelled: str) -> str:
+    """The cyclic reduction of a spelling.
+
+    A spelling of positive letters is cyclically reduced as it is; any
+    other is freely reduced in one pass, which finds nothing to cancel
+    in the spelling of a `Word`, and then stripped of mutually inverse
+    first and last letters.
+    """
+    if spelled.islower():
+        return spelled
+    spelled = _free_reduce(spelled)
     i, j = 0, len(spelled)
     while j - i >= 2 and spelled[i] == spelled[j - 1].swapcase():
         i += 1
@@ -129,16 +136,9 @@ def _inverse(spelled: str) -> str:
 
 
 def free_reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
-    """Cancel adjacent mutually inverse letter codes until none remain."""
-    if type(codes) in (tuple, list) and (not codes or min(codes) > 0):
-        return tuple(codes)  # no inverse letters, nothing to cancel
-    out: list[int] = []
-    for c in codes:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+    """Cancel adjacent mutually inverse letter codes until none remain;
+    a code other than 1, -1, 2, -2, 3 or -3 raises KeyError."""
+    return _unspell(_free_reduce(_spell(codes)))
 
 
 def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
@@ -177,10 +177,10 @@ def _least_rotation(spelled: str) -> str:
 
 def _cyclic_spelling(spelled: str) -> str:
     """The spelling a `CyclicWord` keeps for a word given by any spelling."""
-    return _least_rotation(_cyclic_strip(_free_reduce(spelled)))
+    return _least_rotation(_cyclic_core(spelled))
 
 
-def _spell(codes: tuple[int, ...]) -> str:
+def _spell(codes: Iterable[int]) -> str:
     return "".join(map(_SPELLING.__getitem__, codes))
 
 
@@ -239,6 +239,11 @@ class _SpelledWord:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickling and copying rebuild the word from its spelling, not by
+        # setting the slot, which __setattr__ refuses
+        return type(self)._of_spelling, (self._spelled,)
 
 
 class Word(_SpelledWord):

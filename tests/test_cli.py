@@ -233,6 +233,29 @@ def test_shell_table(capsys):
     assert "xy^2xy^3" in out and "semiprimitive" in out
 
 
+SHELL_5_2 = """\
+({p}, {slope})-shell for L(5,2) (kind {kind})
+    j  word        class          meets next  meets next+1
+    0  y^5         semiprimitive           0             1
+    1  xy^5        primitive               0             1
+    2  {w2}    primitive               0             1
+    3  {w3}  primitive               0             1
+    4  {w4}  primitive               0             -
+    5  xyxyxyxyxy  semiprimitive           -             -
+"""
+
+
+def test_shell_text_bytes(capsys):
+    """The whole text shell of L(5,2) for each kind: header, column
+    widths, both meets columns and the - tails."""
+    slope_2 = dict(slope=2, w2="xy^2xy^3", w3="xy^2xy^2xy", w4="xyxyxy^2xy")
+    slope_3 = dict(slope=3, w2="xy^3xy^2", w3="xyxy^2xy^2", w4="xyxy^2xyxy")
+    for kind, words in (("q", slope_2), ("pq", slope_3), ("q2", slope_2), ("pq2", slope_3)):
+        assert run(capsys, "shell", "5", "2", "--kind", kind) == (
+            0, SHELL_5_2.format(p=5, kind=kind, **words), ""
+        ), kind
+
+
 def test_shell_kinds(capsys):
     for kind in ("q", "pq", "q2", "pq2"):
         code, out, _ = run(capsys, "shell", "10", "3", "--kind", kind)

@@ -4,8 +4,11 @@
 store a tuple of integer letter codes: `_coerce_codes` read the input,
 `free_reduce_codes` and `cyclic_reduce_codes` reduced it, `least_rotation`
 rotated it, and the word operations below worked letter code by letter
-code.  Those versions are kept here verbatim as the references, and the
-other tests that build code tuples import them from here.  A last test
+code.  Those versions are kept here as the references, and the other
+tests that build code tuples import them from here.  The package's
+`free_reduce_codes` and `least_rotation` spell their codes and call the
+kernels that `Word` and `CyclicWord` use, so the references keep their
+own stack loop and their own rotation scan over codes.  A last test
 checks that the CLI's hot paths never build a code tuple.
 """
 
@@ -24,15 +27,13 @@ from goeritz.words import (
     _caret,
     _spell,
     abelianize,
-    free_reduce_codes,
     invert,
-    least_rotation,
     reverse,
     substitute,
     swap_generators,
 )
 
-# --- the code-tuple versions, verbatim
+# --- the code-tuple versions
 
 _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
 _CODE_SYMBOLS = {1: "x", 2: "y", 3: "z"}
@@ -67,6 +68,45 @@ def _coerce_codes(letters) -> tuple[int, ...]:
         else:
             out.append(_check_code(item))
     return tuple(out)
+
+
+def free_reduce_codes(codes) -> tuple[int, ...]:
+    """Cancel adjacent mutually inverse letter codes until none remain."""
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+# The rotation order x < X < z < Z < y < Y, one key per letter code.
+_ROTATION_KEY = {1: 0, -1: 1, 3: 2, -3: 3, 2: 4, -2: 5}
+
+
+def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation under the rotation order: the two-candidate scan
+    of the doubled keys.  At the first difference, at offset k, of the
+    rotations starting at i < j, the larger one's start moves on by k + 1."""
+    n = len(codes)
+    keys = [_ROTATION_KEY[c] for c in codes] * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return tuple(codes[i:]) + tuple(codes[:i])
 
 
 def cyclic_reduce_codes(codes: tuple[int, ...]) -> tuple[int, ...]:

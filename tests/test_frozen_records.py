@@ -27,6 +27,7 @@ from goeritz import (
     make_params,
     nonprimitivity_filter,
 )
+from goeritz._records import record
 from goeritz.classify import CASES
 from goeritz.primitivity import WHITEHEAD_TYPE_I, WHITEHEAD_TYPE_II
 from goeritz.shells import DualPairKind
@@ -65,9 +66,8 @@ def record_classes():
     return classes
 
 
-def twin(cls, documented):
-    """The class dataclass(frozen=True) makes from `cls`'s source; an
-    undocumented class gets the docstring dataclasses writes."""
+def twin(cls):
+    """The class dataclass(frozen=True) makes from `cls`'s source."""
     namespace = {key: value for key, value in vars(cls).items() if key not in MADE}
     fields = dataclasses.fields(cls)
     for f in fields:
@@ -76,7 +76,7 @@ def twin(cls, documented):
             metadata=f.metadata,
         )
     namespace.update(
-        __annotations__={f.name: f.type for f in fields}, __doc__=cls.__doc__ if documented else None,
+        __annotations__={f.name: f.type for f in fields}, __doc__=cls.__doc__,
         __qualname__=cls.__qualname__, __module__=cls.__module__,
     )
     made = type(cls.__name__, cls.__bases__, namespace)
@@ -135,17 +135,28 @@ def reduction(value, protocol, cls, made):
 def pairs():
     """(class, twin, [(record, twin record), ...]) for every record class,
     each instance rebuilt fresh through both `__init__`s."""
-    documented = {name: doc for (_, name), doc in decorated_classes().items()}
     found = samples()
     for name, cls in record_classes().items():
         assert found.get(name), f"no sample of {name}"
-        made = twin(cls, documented[name])
+        made = twin(cls)
         values = list({repr(v): v for v in found[name]}.values())[:4]
         yield cls, made, [(cls(**init_kwargs(v)), made(**init_kwargs(v))) for v in values]
 
 
 def test_the_source_decorates_26_records():
     assert len(record_classes()) == 26
+
+
+def test_every_record_has_its_own_docstring():
+    """`record` refuses a class without a docstring, rather than write one
+    from its signature as dataclasses does."""
+    assert all(decorated_classes().values())
+
+    class Undocumented:
+        value: int
+
+    kind, text = outcome(lambda: record(Undocumented))
+    assert kind is TypeError and text.endswith("Undocumented has no docstring"), text
 
 
 def test_classes_match_their_dataclass_twins():
@@ -201,8 +212,7 @@ def test_instances_match_their_dataclass_twins():
                     assert (mine == changed[0]) == (theirs == changed[1]), (name, f.name)
                     assert (hash(mine) == hash(changed[0])) == (hash(theirs) == hash(changed[1]))
 
-            # asdict and deepcopy copy every field; a Word refuses to be
-            # deep-copied, so both sides must raise alike on a record holding one
+            # asdict and deepcopy copy every field, a Word too
             for copier in (dataclasses.asdict, copy.copy, copy.deepcopy):
                 copies = [outcome(lambda: copier(x)) for x in (mine, theirs)]
                 assert repr(copies[0]) == repr(copies[1]), (name, copier)
@@ -210,7 +220,7 @@ def test_instances_match_their_dataclass_twins():
                     assert type(copies[0][1]) is cls and vars(copies[0][1]).keys() == vars(mine).keys()
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 # the twin pickles by the same reduction, and the record
-                # round trips as its fields alone do (a Word does not)
+                # round trips as its fields alone do
                 assert reduction(mine, protocol, cls, made) == reduction(theirs, protocol, cls, made)
                 back = outcome(lambda: pickle.loads(pickle.dumps(mine, protocol)))
                 alone = outcome(lambda: pickle.loads(pickle.dumps(vars(mine), protocol)))

@@ -1,10 +1,10 @@
 """The power-move Whitehead oracle against the unit-step oracle it replaced.
 
 The unit-step oracle below is the package's oracle as it was before each
-step applied a power of its move, kept verbatim as the reference: the
-same choice of move, applied once per step with str.translate and one
-regex pass.  By Whitehead's theorem both reach a word of least length in
-the automorphism orbit, so their verdicts agree.  Hypothesis draws the
+step applied a power of its move, kept as the reference: the same choice
+of move, applied once per step with `apply_codes`.  By Whitehead's
+theorem both reach a word of least length in the automorphism orbit, so
+their verdicts agree.  Hypothesis draws the
 words with a fixed, derandomized profile and a bounded number of examples.
 """
 
@@ -27,11 +27,11 @@ from goeritz.words import (
     MixedAlphabetError,
     Word,
     _spell,
-    free_reduce_codes,
+    _unspell,
     parse_word,
 )
 
-from test_code_tuples import _coerce_codes, cyclic_reduce_codes
+from test_code_tuples import _coerce_codes, cyclic_reduce_codes, free_reduce_codes
 
 FIXED = settings(
     derandomize=True,
@@ -44,7 +44,7 @@ FIXED = settings(
 MAX_LETTERS = 2000
 
 
-# --- the unit-step oracle, verbatim
+# --- the unit-step oracle
 
 
 _Z_AS_X = {3: _X, -3: -_X, _X: _X, -_X: -_X, _Y: _Y, -_Y: -_Y}
@@ -82,7 +82,7 @@ def _find_shortening(spelled: str) -> Optional[tuple[WhiteheadAutomorphism, str]
     for auto, coefficients in zip(WHITEHEAD_TYPE_II, _TYPE_II_COEFFICIENTS):
         change = sum(map(mul, coefficients, counts))
         if change < 0:
-            image = _cyclic_reduce_spelled(auto.apply_spelled(spelled))
+            image = _cyclic_reduce_spelled(_spell(auto.apply_codes(_unspell(spelled))))
             if len(image) != len(spelled) + change:
                 raise RuntimeError(
                     f"Whitehead move {auto} took a cyclic word of length {len(spelled)} "
