@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 
 from .words import (
     CyclicWord,
-    Letter,
     MixedAlphabetError,
     Word,
     WordParseError,

@@ -15,20 +15,21 @@ keeps what the records share with every dataclass and compiles only
   class without one, since dataclasses would write one from the
   signature, through `inspect`.
 - It compiles `__init__` in one `exec`, with the body dataclasses writes
-  for a frozen class: one `object.__setattr__` per field, parameter
-  defaults, `init=False` fields left unset, then `__post_init__()`.  So
-  building a record costs what it did.
+  for a frozen class: one parameter and one `object.__setattr__` per
+  field, with its default, then `__post_init__()`.  So building a record
+  costs what it did.
 - It attaches `__repr__`, `__eq__`, `__hash__`, `__setattr__` and
   `__delattr__` as closures over the field names.  They act as the
   generated methods of `dataclass(frozen=True)` act: the same repr text,
   equality only within one class (`NotImplemented` otherwise) on the
-  tuple of compared fields, the hash of that tuple, and
+  tuple of the fields, the hash of that tuple, and
   `FrozenInstanceError` with the same texts.  `record(eq=False)`
   attaches no `__eq__` or `__hash__`, so instances compare and hash by
   identity.
 
-It supports what the records use: plain defaults, `init=False` fields
-and `__post_init__`; not `default_factory`, `InitVar`, `kw_only` or a
+It supports what the records use: plain fields, each with a default or
+none, and `__post_init__`; not `dataclasses.field` options (`init`,
+`repr`, `compare`, `hash`, `default_factory`), `InitVar`, `kw_only` or a
 class that defines one of these methods itself.
 """
 
@@ -54,12 +55,11 @@ def _make(cls, eq: bool):
     options.init = options.repr = options.frozen = True
     options.eq = eq
     fields = dataclasses.fields(cls)
-    names = frozenset(f.name for f in fields)
-    shown = tuple(f.name for f in fields if f.repr)
+    names = tuple(f.name for f in fields)
 
     @recursive_repr()
     def __repr__(self):
-        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({items})"
 
     def __setattr__(self, name, value):
@@ -74,16 +74,15 @@ def _make(cls, eq: bool):
 
     methods = [_init(cls, fields), __repr__, __setattr__, __delattr__]
     if eq:
-        compared = _key([f.name for f in fields if f.compare])
-        hashed = _key([f.name for f in fields if (f.compare if f.hash is None else f.hash)])
+        key = _key(names)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
-                return compared(self) == compared(other)
+                return key(self) == key(other)
             return NotImplemented
 
         def __hash__(self):
-            return hash(hashed(self))
+            return hash(key(self))
 
         methods += [__eq__, __hash__]
     for method in methods:
@@ -92,7 +91,7 @@ def _make(cls, eq: bool):
     return cls
 
 
-def _key(names: list):
+def _key(names: tuple):
     """The tuple of the named attributes of an object."""
     if len(names) > 1:
         return attrgetter(*names)
@@ -105,8 +104,6 @@ def _init(cls, fields):
     closure = {"__dataclass_builtins_object__": object}
     params, body, annotations = ["self"], [], {}
     for f in fields:
-        if not f.init:
-            continue
         annotations[f.name] = f.type
         default = ""
         if f.default is not MISSING:

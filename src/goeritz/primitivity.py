@@ -13,9 +13,9 @@
 * a quick sound-but-partial filter that can certify non-primitivity.
 
 The last three are independent checks on the first, run on request and
-by the sweeps.  All four take a word, a tuple of letter codes or a
-spelling over x, X, y, Y, z, Z, and read it through `_rank2_spelling`;
-z is treated as the first generator in place of x.
+by the sweeps.  All four take a `Word`, a `CyclicWord` or a spelling
+over x, X, y, Y, z, Z, and read it through `_rank2_spelling`; z is
+treated as the first generator in place of x.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import field
 from enum import Enum
 from operator import mul
 from typing import Iterator, NamedTuple, Optional
@@ -32,7 +31,6 @@ from ._records import record
 from .words import (
     CyclicWord,
     MixedAlphabetError,
-    _SPELLING,
     _caret,
     _coerce_spelling,
     _cyclic_core,
@@ -42,26 +40,16 @@ from .words import (
     _unspell,
 )
 
-_X, _Y = 1, 2
-
-_NOT_A_LETTER = str.maketrans("", "", "xXyYzZ")
 _Z_AS_X_SPELLING = str.maketrans("zZ", "xX")
 
 
 def _rank2_spelling(w) -> str:
     """The word spelled over x, X, y, Y: the one way into every decider.
 
-    w is a word, a sequence of letter codes, or a spelling over x, X, y,
-    Y, z, Z, with z standing in for x.  A word that mixes x and z raises
-    MixedAlphabetError; any other character of a spelling raises
-    ValueError.
+    w is read by `_coerce_spelling`, with z standing in for x.  A word
+    that mixes x and z raises MixedAlphabetError.
     """
-    if isinstance(w, str):
-        stray = w.translate(_NOT_A_LETTER)
-        if stray:
-            raise ValueError(f"a spelled word has the letters xXyYzZ only, found {stray[0]!r}")
-    else:
-        w = _coerce_spelling(w)
+    w = _coerce_spelling(w)
     if "z" in w or "Z" in w:
         if "x" in w or "X" in w:
             raise MixedAlphabetError("word mixes x and z; no generating pair applies")
@@ -71,7 +59,7 @@ def _rank2_spelling(w) -> str:
 
 @record
 class WhiteheadAutomorphism:
-    """An automorphism of <x, y> given by its images of the generators.
+    """An automorphism of <x, y> given by the spellings of its images of the generators.
 
     kind "I" is a signed permutation of the generators; kind "II" fixes a
     multiplier letter a and sends the other generator to one of b*a,
@@ -83,55 +71,46 @@ class WhiteheadAutomorphism:
 
     kind: str
     label: str
-    image_x: tuple[int, ...]
-    image_y: tuple[int, ...]
-    inverse_x: tuple[int, ...]
-    inverse_y: tuple[int, ...]
-    _spelled_table: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        x, y = _spell(self.image_x), _spell(self.image_y)
-        table = str.maketrans({"x": x, "X": _inverse(x), "y": y, "Y": _inverse(y)})
-        object.__setattr__(self, "_spelled_table", table)
+    image_x: str
+    image_y: str
 
     def apply_codes(self, codes: tuple[int, ...]) -> tuple[int, ...]:
         """The freely reduced image of a word given by its letter codes;
         a code other than 1, -1, 2 or -2 raises KeyError."""
-        table = self._spelled_table
-        return _unspell(_free_reduce("".join(table[ord(_SPELLING[c])] for c in codes)))
+        images = _images(self)
+        return _unspell(_free_reduce("".join(map(images.__getitem__, _spell(codes)))))
 
     def __str__(self) -> str:
         return self.label
 
 
-def _type_i(tx: int, sx: int, sy: int) -> WhiteheadAutomorphism:
-    """The signed permutation x -> tx^sx, y -> ty^sy, ty the generator other than tx."""
-    ty = _X + _Y - tx
-    image_x, image_y = (sx * tx,), (sy * ty,)
-    # undone by tx -> x^sx and ty -> y^sy
-    inverse = {tx: (sx * _X,), ty: (sy * _Y,)}
-    label = f"x -> {_caret(_spell(image_x))}, y -> {_caret(_spell(image_y))}"
-    return WhiteheadAutomorphism("I", label, image_x, image_y, inverse[_X], inverse[_Y])
+def _images(auto: WhiteheadAutomorphism) -> dict[str, str]:
+    """The spelled image of each letter x, X, y, Y under auto."""
+    x, y = auto.image_x, auto.image_y
+    return {"x": x, "X": _inverse(x), "y": y, "Y": _inverse(y)}
 
 
-def _type_ii(a: int, form: int, k: int = 1) -> WhiteheadAutomorphism:
-    """The k-th power of the type II move with multiplier a, labelled by
-    its image of b, the generator other than a: form 0 sends b to b a^k,
-    form 1 to a^-k b and form 2 to a^-k b a^k."""
-    b = _X + _Y - abs(a)
-    up, down = (a,) * k, (-a,) * k
-    image, inverse = (
-        ((b, *up), (b, *down)),
-        ((*down, b), (*up, b)),
-        ((*down, b, *up), (*up, b, *down)),
-    )[form]
-    fixed = (abs(a),)
-    images = (fixed, image, fixed, inverse) if b == _Y else (image, fixed, inverse, fixed)
-    return WhiteheadAutomorphism("II", f"{_SPELLING[b]} -> {_caret(_spell(image))}", *images)
+def _type_i(image_x: str, image_y: str) -> WhiteheadAutomorphism:
+    """The signed permutation with the one-letter images image_x of x and image_y of y."""
+    label = f"x -> {_caret(image_x)}, y -> {_caret(image_y)}"
+    return WhiteheadAutomorphism("I", label, image_x, image_y)
 
 
-_MULTIPLIERS = (_X, -_X, _Y, -_Y)
-WHITEHEAD_TYPE_I = tuple(_type_i(tx, sx, sy) for tx in (_X, _Y) for sx in (1, -1) for sy in (1, -1))
+def _type_ii(a: str, form: int, k: int = 1) -> WhiteheadAutomorphism:
+    """The k-th power of the type II move with multiplier letter a,
+    labelled by its image of b, the generator other than a: form 0 sends
+    b to b a^k, form 1 to a^-k b and form 2 to a^-k b a^k."""
+    b = "y" if a in "xX" else "x"
+    up, down = a * k, a.swapcase() * k
+    image = (b + up, down + b, down + b + up)[form]
+    images = (a.lower(), image) if b == "y" else (image, a.lower())
+    return WhiteheadAutomorphism("II", f"{b} -> {_caret(image)}", *images)
+
+
+_MULTIPLIERS = ("x", "X", "y", "Y")
+WHITEHEAD_TYPE_I = tuple(
+    _type_i(sx, sy) for tx, ty in ("xy", "yx") for sx in (tx, tx.upper()) for sy in (ty, ty.upper())
+)
 WHITEHEAD_TYPE_II = tuple(_type_ii(a, form) for a in _MULTIPLIERS for form in range(3))
 WHITEHEAD_AUTOMORPHISMS = WHITEHEAD_TYPE_I + WHITEHEAD_TYPE_II
 
@@ -142,9 +121,9 @@ _MIXED_PAIRS = ("xy", "xY", "Xy", "XY", "yx", "yX", "Yx", "YX")
 _PAIRS = _MIXED_PAIRS + ("xx", "XX", "yy", "YY")
 
 
-def _moved(auto: WhiteheadAutomorphism) -> int:
-    """The generator a type II move does not fix."""
-    return _Y if auto.image_x == (_X,) else _X
+def _moved(auto: WhiteheadAutomorphism) -> tuple[str, str]:
+    """The generator a type II move does not fix, and the one it fixes."""
+    return ("y", "x") if auto.image_x == "x" else ("x", "y")
 
 
 def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[int, ...]:
@@ -159,8 +138,8 @@ def _length_change_coefficients(auto: WhiteheadAutomorphism) -> tuple[int, ...]:
     generator's image, or the inverse of its first letter when the image
     ends in that generator; A holds the letters whose images end in a.
     """
-    images = {u: u.translate(auto._spelled_table) for u in "xXyY"}
-    moved = _SPELLING[_moved(auto)]
+    images = _images(auto)
+    moved = _moved(auto)[0]
     image = images[moved]
     a = image[-1] if image[-1] != moved else image[0].swapcase()
     in_a = {u: images[u][-1] == a for u in images}
@@ -217,12 +196,12 @@ def _gap_form(auto: WhiteheadAutomorphism) -> _GapForm:
     conjugation b -> a^-1 b a it is 0, so that move never changes the
     cyclic length.
     """
-    moved = _moved(auto)
-    u = _X + _Y - moved
-    b, b_inverse, up, down = (_SPELLING[c] for c in (moved, -moved, u, -u))
+    b, up = _moved(auto)
+    b_inverse, down = b.upper(), up.upper()
+    images = _images(auto)
     ends = {}  # b^s -> (l, t): the letters u less the letters u^-1 before and after b^s
     for letter in (b, b_inverse):
-        sides = letter.translate(auto._spelled_table).partition(letter)[::2]
+        sides = images[letter].partition(letter)[::2]
         ends[letter] = tuple(side.count(up) - side.count(down) for side in sides)
     shift = {(first, second): ends[first][1] + ends[second][0] for first in ends for second in ends}
     return _GapForm(re.compile(f"([{b}{b_inverse}])"), up, down, shift)
@@ -362,8 +341,8 @@ def whitehead_trace(w) -> tuple[bool, list[tuple[WhiteheadAutomorphism, CyclicWo
 def is_primitive_whitehead(w) -> bool:
     """Whitehead-algorithm primitivity oracle.
 
-    w is a word, a tuple of letter codes or a spelling over x, X, y, Y,
-    z, Z; any other character raises ValueError.
+    w is a `Word`, a `CyclicWord` or a spelling over x, X, y, Y, z, Z;
+    any other character raises ValueError.
     """
     spelled = _cyclic_core(_rank2_spelling(w))
     for _, _, spelled in _walk(spelled):
@@ -457,8 +436,8 @@ def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
         # with one sign per generator, lowering the case is the sign flip
         word = word.lower()
         if moves is not None:
-            signs = (-1 if g in flips else 1 for g in "xy")
-            moves.append((str(_type_i(_X, *signs)), word))
+            images = (g.upper() if g in flips else g for g in "xy")
+            moves.append((str(_type_i(*images)), word))
     steps = []
     while True:
         a, b = word.count("x"), word.count("y")
@@ -468,7 +447,7 @@ def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
         if swapped:
             word, a, b = word.translate(_SWAP_XY), b, a
             if moves is not None:
-                moves.append((str(_type_i(_Y, 1, 1)), word))
+                moves.append((str(_type_i("y", "x")), word))
         # x is now the rarer letter; start the word at an x
         start = word.index("x")
         word = word[start:] + word[:start]
@@ -481,7 +460,7 @@ def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
         word = image
         steps.append((swapped, k))
         if moves is not None:
-            moves.append((str(_type_ii(-_Y, 0, k)), word))
+            moves.append((str(_type_ii("Y", 0, k)), word))
     if len(word) != 1:
         return PrimitivityCertificate(False, flips, tuple(steps), failure=NOT_UNIMODULAR)
     return PrimitivityCertificate(True, flips, tuple(steps), letter=word)
@@ -502,8 +481,8 @@ def primitivity_certificate(w) -> PrimitivityCertificate:
     deletes at least a quarter of the letters, with C-level string
     operations, so the decision takes O(n) time.
 
-    w is a word, a tuple of letter codes or a spelling over x, X, y, Y,
-    z, Z; any other character raises ValueError.
+    w is a `Word`, a `CyclicWord` or a spelling over x, X, y, Y, z, Z;
+    any other character raises ValueError.
     """
     return _euclid_reduction(w, None)
 

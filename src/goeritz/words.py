@@ -4,9 +4,11 @@ A word is stored as its spelling: one character per letter, x, y, z for
 the generators and X, Y, Z for their inverses.  A `Word` keeps the freely
 reduced spelling; a `CyclicWord` keeps the cyclically reduced spelling in
 its least rotation, so equality of cyclic words is plain string equality.
-The integer letter codes, +1/-1 for x/x^-1, +2/-2 for y/y^-1 and +3/-3
-for z/z^-1, are what the constructors take, and `codes` derives them
-from the spelling on request.
+Every constructor, word operation and primitivity decider reads a word
+through `_coerce_spelling`: a `Word`, a `CyclicWord` or a spelling given
+as a `str`.  The integer letter codes, +1/-1 for x/x^-1, +2/-2 for
+y/y^-1 and +3/-3 for z/z^-1, remain only in `codes` and the adapters
+`free_reduce_codes` and `least_rotation`.
 
 The two-letter alphabets used in practice are {x, y} (boundary words
 read off a meridian system of a handlebody) and {z, y} (an abstract
@@ -17,13 +19,14 @@ generators rank x, z, y, and each positive letter before its inverse.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Union
-
-_SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
+from typing import Iterable, Union
 
 # The spelling of each letter code, and back.
 _SPELLING = {1: "x", -1: "X", 2: "y", -2: "Y", 3: "z", -3: "Z"}
 _CODE_OF_CHAR = {ch: code for code, ch in _SPELLING.items()}
+
+# Deletes the letters of a spelling, leaving its stray characters.
+_NOT_A_LETTER = str.maketrans("", "", "xXyYzZ")
 
 # The rotation order as a key string, total so that a word mixing x and z
 # has one least rotation: x < X < z < Z < y < Y.
@@ -60,38 +63,21 @@ class MixedAlphabetError(ValueError):
     """The word uses both x and z, so no two-letter alphabet applies."""
 
 
-class Letter(NamedTuple):
-    symbol: str
-    sign: int
+def _coerce_spelling(w) -> str:
+    """The spelling of a word as it stands, not reduced: the one reader of
+    a word for every constructor, word operation and decider.
 
-    @property
-    def code(self) -> int:
-        return _SYMBOL_CODES[self.symbol] * self.sign
-
-    def inverse(self) -> "Letter":
-        return Letter(self.symbol, -self.sign)
-
-    def __str__(self) -> str:
-        return self.symbol if self.sign > 0 else self.symbol.upper()
-
-
-def _spell_letter(item) -> str:
-    # bool is an int subclass and True == 1, but True is no letter code or sign
-    if isinstance(item, Letter):
-        if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1) or item.sign is True:
-            raise ValueError(f"bad letter {item!r}")
-        return str(item)
-    if not isinstance(item, int) or isinstance(item, bool) or item not in _SPELLING:
-        raise ValueError(f"not a letter code: {item!r}")
-    return _SPELLING[item]
-
-
-def _coerce_spelling(letters) -> str:
-    """The spelling of a word, or of a sequence of letter codes or `Letter`s
-    as it stands, not reduced."""
-    if isinstance(letters, (Word, CyclicWord)):
-        return letters._spelled
-    return "".join(map(_spell_letter, letters))
+    w is a `Word`, a `CyclicWord` or a spelling over xXyYzZ; any other
+    character of a spelling raises ValueError, any other type TypeError.
+    """
+    if isinstance(w, str):
+        stray = w.translate(_NOT_A_LETTER)
+        if stray:
+            raise ValueError(f"a spelled word has the letters xXyYzZ only, found {stray[0]!r}")
+        return w
+    if isinstance(w, _SpelledWord):
+        return w._spelled
+    raise TypeError(f"a word is a Word, a CyclicWord or a str over xXyYzZ, not {type(w).__name__}")
 
 
 def _free_reduce(spelled: str) -> str:
@@ -218,15 +204,8 @@ class _SpelledWord:
     def codes(self) -> tuple[int, ...]:
         return _unspell(self._spelled)
 
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter(ch.lower(), 1 if ch.islower() else -1) for ch in self._spelled)
-
     def __len__(self) -> int:
         return len(self._spelled)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._spelled == other._spelled
@@ -251,13 +230,13 @@ class Word(_SpelledWord):
 
     __slots__ = ()
 
-    def __init__(self, letters=()):
+    def __init__(self, letters=""):
         object.__setattr__(self, "_spelled", _free_reduce(_coerce_spelling(letters)))
 
     def spell(self) -> str:
         return self._spelled
 
-    def __mul__(self, other: "Word") -> "Word":
+    def __mul__(self, other: "WordLike") -> "Word":
         return _word(self._spelled + _coerce_spelling(other))
 
     def __invert__(self) -> "Word":
@@ -277,7 +256,7 @@ class CyclicWord(_SpelledWord):
 
     __slots__ = ()
 
-    def __init__(self, letters=()):
+    def __init__(self, letters=""):
         object.__setattr__(self, "_spelled", _cyclic_spelling(_coerce_spelling(letters)))
 
     @classmethod
@@ -297,7 +276,7 @@ def _word(spelled: str) -> Word:
     return Word._of_spelling(_free_reduce(spelled))
 
 
-WordLike = Union[Word, CyclicWord, Iterable]
+WordLike = Union[Word, CyclicWord, str]
 
 
 def _like(w: WordLike, spelled: str):
@@ -308,7 +287,7 @@ def _like(w: WordLike, spelled: str):
 
 
 def reduce(letters: WordLike) -> Word:
-    """Free reduction of a raw letter sequence."""
+    """Free reduction of a word or of a raw spelling."""
     return Word(letters)
 
 

@@ -1,27 +1,26 @@
 """The spelled `Word` and `CyclicWord` against the code-tuple versions they replaced.
 
-`Word` and `CyclicWord` store their spelling over xXyYzZ.  They used to
-store a tuple of integer letter codes: `_coerce_codes` read the input,
-`free_reduce_codes` and `cyclic_reduce_codes` reduced it, `least_rotation`
-rotated it, and the word operations below worked letter code by letter
-code.  Those versions are kept here as the references, and the other
-tests that build code tuples import them from here.  The package's
-`free_reduce_codes` and `least_rotation` spell their codes and call the
-kernels that `Word` and `CyclicWord` use, so the references keep their
-own stack loop and their own rotation scan over codes.  A last test
-checks that the CLI's hot paths never build a code tuple.
+`Word` and `CyclicWord` store their spelling over xXyYzZ and are built
+from a spelling.  They used to store a tuple of integer letter codes:
+`_coerce_codes` read the input, `free_reduce_codes` and
+`cyclic_reduce_codes` reduced it, `least_rotation` rotated it, and the
+word operations below worked letter code by letter code.  Those versions
+are kept here as the references, over codes, and the other tests that
+build code tuples import them from here; the package side is given
+`_spell(codes)`.  The package's `free_reduce_codes` and `least_rotation`
+spell their codes and call the kernels that `Word` and `CyclicWord` use,
+so the references keep their own stack loop and their own rotation scan
+over codes.  A last test checks that the CLI's hot paths never build a
+code tuple.
 """
 
 import importlib
 from itertools import product
 
-import pytest
-
 import goeritz
 from goeritz import cli, words
 from goeritz.words import (
     CyclicWord,
-    Letter,
     MixedAlphabetError,
     Word,
     _caret,
@@ -36,38 +35,16 @@ from goeritz.words import (
 # --- the code-tuple versions
 
 _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
-_CODE_SYMBOLS = {1: "x", 2: "y", 3: "z"}
-_VALID_CODES = frozenset(c for code in _CODE_SYMBOLS for c in (code, -code))
 
 # Spelled positive words as bytes (b"xyz") to their codes (1, 2, 3).
 _POSITIVE_CODES = bytes.maketrans(b"xyz", b"\x01\x02\x03")
 
 
-def _check_code(code: int) -> int:
-    if not isinstance(code, int) or abs(code) not in _CODE_SYMBOLS:
-        raise ValueError(f"not a letter code: {code!r}")
-    return code
-
-
 def _coerce_codes(letters) -> tuple[int, ...]:
+    """The codes of a word, or of a sequence of letter codes as it stands."""
     if isinstance(letters, (Word, CyclicWord)):
         return letters.codes
-    # plain int codes, checked at C level; anything else goes item by item
-    if (
-        type(letters) in (tuple, list)
-        and set(map(type, letters)) <= {int}
-        and _VALID_CODES.issuperset(letters)
-    ):
-        return tuple(letters)
-    out = []
-    for item in letters:
-        if isinstance(item, Letter):
-            if item.symbol not in _SYMBOL_CODES or item.sign not in (1, -1):
-                raise ValueError(f"bad letter {item!r}")
-            out.append(item.code)
-        else:
-            out.append(_check_code(item))
-    return tuple(out)
+    return tuple(letters)
 
 
 def free_reduce_codes(codes) -> tuple[int, ...]:
@@ -126,11 +103,6 @@ def _positive_codes(spelled: bytes) -> tuple[int, ...]:
 def old_word_codes(letters) -> tuple[int, ...]:
     """What Word(letters).codes was."""
     return free_reduce_codes(_coerce_codes(letters))
-
-
-def old_cyclic_codes(letters) -> tuple[int, ...]:
-    """What CyclicWord(letters).codes was."""
-    return least_rotation(cyclic_reduce_codes(free_reduce_codes(_coerce_codes(letters))))
 
 
 def _old_like(w, codes):
@@ -225,12 +197,14 @@ def _assert_agreement(inputs, symbols, image):
     """Word, CyclicWord and str of each code sequence, and the word
     operations, against the code-tuple references.
 
-    invert, abelianize and substitute read the sequence as given, reverse
-    its CyclicWord and swap_generators its Word, so both result types of
-    the type-preserving operations are checked.
+    invert, abelianize and substitute read the sequence as given (its
+    spelling, for the package), reverse its CyclicWord and
+    swap_generators its Word, so both result types of the
+    type-preserving operations are checked.
     """
-    words = list(map(Word, inputs))
-    cyclics = list(map(CyclicWord, inputs))
+    spellings = list(map(_spell, inputs))
+    words = list(map(Word, spellings))
+    cyclics = list(map(CyclicWord, spellings))
     word_codes = list(map(old_word_codes, inputs))
     cyclic_codes = [least_rotation(cyclic_reduce_codes(codes)) for codes in word_codes]
     assert [word.codes for word in words] == word_codes
@@ -238,21 +212,21 @@ def _assert_agreement(inputs, symbols, image):
     # str was _caret of the code tuple's spelling
     assert list(map(str, words)) == [_caret(_spell(codes)) for codes in word_codes]
     assert list(map(str, cyclics)) == [_caret(_spell(codes)) for codes in cyclic_codes]
-    for new, old, form, args in (
-        (invert, old_invert, inputs, ()),
-        (reverse, old_reverse, cyclics, ()),
-        (swap_generators, old_swap_generators, words, (symbols,)),
-        (abelianize, old_abelianize, inputs, ()),
-        (substitute, old_substitute, inputs, (image,)),
+    for new, old, form, old_form, args in (
+        (invert, old_invert, spellings, inputs, ()),
+        (reverse, old_reverse, cyclics, cyclics, ()),
+        (swap_generators, old_swap_generators, words, words, (symbols,)),
+        (abelianize, old_abelianize, spellings, inputs, ()),
+        (substitute, old_substitute, spellings, inputs, (image,)),
     ):
-        assert _results(new, form, *args) == _results(old, form, *args), new.__name__
+        assert _results(new, form, *args) == _results(old, old_form, *args), new.__name__
 
 
 def test_spelled_words_agree_with_the_code_tuples_over_each_alphabet():
     """Every reduced word of up to 9 letters over {x, y} and over {z, y}."""
     for letters, symbols, image in (
-        ((1, -1, 2, -2), ("x", "y"), Word((1, 2))),
-        ((3, -3, 2, -2), ("z", "y"), Word((2, -3, 2, 2))),
+        ((1, -1, 2, -2), ("x", "y"), Word(_spell((1, 2)))),
+        ((3, -3, 2, -2), ("z", "y"), Word(_spell((2, -3, 2, 2)))),
     ):
         _assert_agreement(list(_reduced_sequences(letters, 9)), symbols, image)
 
@@ -260,30 +234,7 @@ def test_spelled_words_agree_with_the_code_tuples_over_each_alphabet():
 def test_spelled_words_agree_with_the_code_tuples_on_all_six_letters():
     """Every sequence of up to 6 of the six letters, reduced or not."""
     inputs = [codes for n in range(7) for codes in product((1, -1, 2, -2, 3, -3), repeat=n)]
-    _assert_agreement(inputs, ("x", "y"), Word((3, -2)))
-
-
-def test_constructors_coerce_every_input_as_before():
-    inputs = [
-        [Letter("x", 1), 2, Letter("y", -1)],
-        (Letter("z", -1), Letter("z", 1), -2),
-        Word((1, 2, -1)),
-        CyclicWord((2, 1, -2, 2)),
-    ]
-    for letters in inputs:
-        assert Word(letters).codes == old_word_codes(letters)
-        assert CyclicWord(letters).codes == old_cyclic_codes(letters)
-    # the old coercion took a bool for a letter code; the constructors refuse it
-    assert _coerce_codes([True, 2, -2, -1]) == (True, 2, -2, -1)
-    for constructor in (Word, CyclicWord):
-        with pytest.raises(ValueError, match="not a letter code: True"):
-            constructor([True, 2, -2, -1])
-    for bad in ([1.0], (0,), [4], ["x"], "xy", [Letter("w", 1)], [Letter("x", 2)]):
-        with pytest.raises(ValueError) as new:
-            Word(bad)
-        with pytest.raises(ValueError) as old:
-            _coerce_codes(bad)
-        assert str(new.value) == str(old.value), bad
+    _assert_agreement(inputs, ("x", "y"), Word(_spell((3, -2))))
 
 
 # --- the hot paths

@@ -8,7 +8,7 @@ EXPORTED = [
     "AmalgamDecomposition", "CaseTag", "ComplexStructureReport", "ConnectedComplexError",
     "CyclicWord", "DisconnectedComplexError", "DiskClass", "DualPairKind", "FareyLabel",
     "FilterOutcome", "FilterVerdict", "FullReport", "GroupPresentation", "InvalidParameters",
-    "Letter", "MixedAlphabetError", "PqParams", "PqSequence", "PrimitivityCertificate",
+    "MixedAlphabetError", "PqParams", "PqSequence", "PrimitivityCertificate",
     "QuotientGraph", "ReplacementTrace", "Shell", "ShellEntry", "ShellKind", "StabilizerKind",
     "WhiteheadAutomorphism", "Word", "WordParseError", "abelianize", "abelianize_presentation",
     "amalgam_decomposition", "build_report", "build_shell", "check_certificate", "classify",
@@ -23,7 +23,7 @@ EXPORTED = [
 
 
 def test_all_is_the_sorted_public_names():
-    assert len(EXPORTED) == 66
+    assert len(EXPORTED) == 65
     assert goeritz.__all__ == sorted(EXPORTED)
 
 

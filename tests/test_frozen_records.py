@@ -200,18 +200,6 @@ def test_instances_match_their_dataclass_twins():
             kwargs = init_kwargs(instances[-1][0])
             moved = dataclasses.replace(mine, **kwargs), dataclasses.replace(theirs, **kwargs)
             assert repr(moved[0]) == repr(moved[1]), name
-            for f in dataclasses.fields(cls):
-                if not f.init:
-                    refusals = [outcome(lambda: dataclasses.replace(x, **{f.name: None}))
-                                for x in (mine, theirs)]
-                    assert refusals[0] == refusals[1] and refusals[0][0] != "returned", name
-                if not f.compare:  # a field == and hash do not read
-                    changed = [copy.copy(x) for x in (mine, theirs)]
-                    for x in changed:
-                        object.__setattr__(x, f.name, "another value")
-                    assert (mine == changed[0]) == (theirs == changed[1]), (name, f.name)
-                    assert (hash(mine) == hash(changed[0])) == (hash(theirs) == hash(changed[1]))
-
             # asdict and deepcopy copy every field, a Word too
             for copier in (dataclasses.asdict, copy.copy, copy.deepcopy):
                 copies = [outcome(lambda: copier(x)) for x in (mine, theirs)]

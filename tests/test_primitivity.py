@@ -88,27 +88,16 @@ def test_enumeration_order():
     ]
 
 
-def inverse_codes(auto, codes):
-    """The image of codes under the inverse of auto, from its inverse_x and
-    inverse_y (once the method WhiteheadAutomorphism.inverse_codes)."""
-    inv = lambda img: tuple(-c for c in reversed(img))
-    table = {
-        1: auto.inverse_x,
-        -1: inv(auto.inverse_x),
-        2: auto.inverse_y,
-        -2: inv(auto.inverse_y),
-    }
-    out = []
-    for c in codes:
-        out.extend(table[c])
-    return free_reduce_codes(out)
-
-
 def test_every_enumerated_map_is_an_automorphism():
+    """Each enumerated map is undone, on both sides, by an enumerated map."""
     for auto in WHITEHEAD_AUTOMORPHISMS:
-        for gen in ((1,), (2,)):
-            assert inverse_codes(auto, auto.apply_codes(gen)) == gen
-            assert auto.apply_codes(inverse_codes(auto, gen)) == gen
+        assert any(
+            all(
+                other.apply_codes(auto.apply_codes(gen)) == gen == auto.apply_codes(other.apply_codes(gen))
+                for gen in ((1,), (2,))
+            )
+            for other in WHITEHEAD_AUTOMORPHISMS
+        ), auto
 
 
 def test_apply_codes_refuses_a_code_outside_the_rank_two_alphabet():
@@ -179,7 +168,7 @@ def test_xxyy_is_a_local_minimum():
     assert whitehead_reduce_step(word) is None
     # no single automorphism helps: every image is at least as long
     for auto in WHITEHEAD_AUTOMORPHISMS:
-        assert len(CyclicWord(auto.apply_codes(word.codes))) >= len(word)
+        assert len(CyclicWord(_spell(auto.apply_codes(word.codes)))) >= len(word)
     assert not is_primitive_whitehead(word)
 
 
@@ -199,17 +188,17 @@ def test_trace_matches_stepwise_reduction():
 
 def test_oracle_invariances_small():
     for tup in cyclically_reduced_words(6):
-        word = Word(tup)
+        word = Word(_spell(tup))
         verdict = is_primitive_whitehead(word)
         assert verdict == is_primitive_whitehead(invert(word))
         assert verdict == is_primitive_whitehead(swap_generators(word, ("x", "y")))
         for i in range(len(tup)):
-            assert verdict == is_primitive_whitehead(Word(tup[i:] + tup[:i]))
+            assert verdict == is_primitive_whitehead(Word(_spell(tup[i:] + tup[:i])))
 
 
 def test_oracle_needs_coprime_abelianization():
     for tup in cyclically_reduced_words(7):
-        word = Word(tup)
+        word = Word(_spell(tup))
         if is_primitive_whitehead(word):
             a, b = abelianize(word)
             assert math.gcd(abs(a), abs(b)) == 1
@@ -218,7 +207,7 @@ def test_oracle_needs_coprime_abelianization():
 def test_oz_agrees_with_oracle_up_to_length_nine():
     for n in range(1, 10):
         for tup in product((3, 2), repeat=n):
-            word = Word(tup)
+            word = Word(_spell(tup))
             assert is_primitive_positive(word) == is_primitive_whitehead(word)
 
 
@@ -250,15 +239,15 @@ def test_filter_uses_all_four_normalizations():
 
 def test_filter_does_not_fire_on_primitives_up_to_length_eight():
     for tup in cyclically_reduced_words(8):
-        word = Word(tup)
+        word = Word(_spell(tup))
         if nonprimitivity_filter(word).outcome is FilterOutcome.NOT_PRIMITIVE:
             assert not is_primitive_whitehead(word)
 
 
 def test_filter_depends_only_on_the_cyclic_core():
     for tup in cyclically_reduced_words(5):
-        word = Word(tup)
-        conjugated = Word((1,) + tup + (-1,))
+        word = Word(_spell(tup))
+        conjugated = Word("x" + _spell(tup) + "X")
         assert (
             nonprimitivity_filter(word).outcome
             == nonprimitivity_filter(conjugated).outcome
@@ -297,8 +286,8 @@ def test_string_pair_counts_match_a_counter_of_letter_pairs():
 
 def reference_power(auto, k):
     """auto^k by brute force: its images of x and y by k applications of
-    apply_codes, its inverse's by k of inverse_codes, and the label of the
-    enumeration (the moved generator and its image)."""
+    apply_codes, and the label of the enumeration (the moved generator and
+    its image)."""
 
     def iterate(move, gen):
         codes = (gen,)
@@ -306,11 +295,9 @@ def reference_power(auto, k):
             codes = move(codes)
         return codes
 
-    image_x, image_y = iterate(auto.apply_codes, 1), iterate(auto.apply_codes, 2)
-    undo = lambda codes: inverse_codes(auto, codes)
-    inverse_x, inverse_y = iterate(undo, 1), iterate(undo, 2)
-    moved, image = ("x", image_x) if image_y == (2,) else ("y", image_y)
-    return WhiteheadAutomorphism("II", f"{moved} -> {Word(image)}", image_x, image_y, inverse_x, inverse_y)
+    image_x, image_y = _spell(iterate(auto.apply_codes, 1)), _spell(iterate(auto.apply_codes, 2))
+    moved, image = ("x", image_x) if image_y == "y" else ("y", image_y)
+    return WhiteheadAutomorphism("II", f"{moved} -> {Word(image)}", image_x, image_y)
 
 
 def reference_trace(word):
@@ -331,7 +318,7 @@ def reference_trace(word):
         while len(image) < len(codes):
             codes, k = image, k + 1
             image = cyclic_reduce_codes(auto.apply_codes(codes))
-        chain.append((reference_power(auto, k), CyclicWord(codes)))
+        chain.append((reference_power(auto, k), CyclicWord(_spell(codes))))
     return len(codes) == 1, chain
 
 
@@ -344,7 +331,7 @@ def automorphic_image(base, length, seed):
         image = cyclic_reduce_codes(rng.choice(WHITEHEAD_AUTOMORPHISMS).apply_codes(codes))
         if len(image) > len(codes):
             codes = image
-    return Word(codes)
+    return Word(_spell(codes))
 
 
 def test_trace_matches_brute_force_scan_on_long_families():
@@ -383,12 +370,12 @@ def old_trace(word):
         if found is None:
             break
         index, k, spelled = found
-        chain.append((_power(index, k), CyclicWord(_unspell(spelled))))
+        chain.append((_power(index, k), CyclicWord(spelled)))
     return len(spelled) == 1, chain
 
 
 def test_trace_chain_matches_the_old_construction():
-    words = [Word(codes) for codes in cyclically_reduced_words(7)]
+    words = [Word(_spell(codes)) for codes in cyclically_reduced_words(7)]
     words += [w(f"xy^{n}xy^{n + 1}") for n in (1, 4, 37, 300)]
     words += [w(f"xY^{n}xY^{n + 2}") for n in (1, 4, 37)]
     words += [automorphic_image(base, 300, seed) for seed, base in enumerate(("x", "x^3y^4"))]
@@ -437,7 +424,7 @@ def test_power_step_matches_repeated_moves_up_to_length_nine():
                     break
                 codes, k = image, k + 1
             power, text = _power_step(spelled, index, change)
-            assert (power, CyclicWord(_unspell(text))) == (k, CyclicWord(codes)), (tup, auto)
+            assert (power, CyclicWord(text)) == (k, CyclicWord(_spell(codes))), (tup, auto)
             assert cyclic_reduce_codes(_unspell(text)) == _unspell(text)
             checked += 1
             powers += k > 1
@@ -464,8 +451,8 @@ def test_powers_of_moves():
 
 def test_oracle_takes_spelled_words():
     for tup in cyclically_reduced_words(6):
-        verdict = is_primitive_whitehead(Word(tup))
         spelled = _spell(tup)
+        verdict = is_primitive_whitehead(Word(spelled))
         assert is_primitive_whitehead(spelled) is verdict, spelled
         # not reduced as spelled: conjugated, with a cancelling pair inside
         assert is_primitive_whitehead("y" + spelled + "xXY") is verdict, spelled
@@ -488,20 +475,19 @@ def _outcome(decide, word):
 
 
 def test_deciders_take_every_input_form():
-    """Words, code tuples and spellings over xXyY or zZyY decide alike,
-    for every word of up to six letters, reduced or not."""
+    """Words and spellings over xXyY or zZyY decide alike, for every word
+    of up to six letters, reduced or not."""
     to_z = str.maketrans("xX", "zZ")
     checked = 0
     for n in range(7):
         for tup in product((1, -1, 2, -2), repeat=n):
             spelled = _spell(tup)
-            z_codes = _unspell(spelled.translate(to_z))
-            forms = [tup, z_codes, spelled, spelled.translate(to_z)]
+            forms = [spelled, spelled.translate(to_z)]
             if free_reduce_codes(tup) == tup:
-                forms += [Word(tup), Word(z_codes)]
+                forms += [Word(spelled), Word(spelled.translate(to_z))]
             for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead,
                            is_primitive_cmz):
-                expected = _outcome(decide, tup)
+                expected = _outcome(decide, spelled)
                 assert [_outcome(decide, form) for form in forms] == [expected] * len(forms), (
                     decide.__name__,
                     spelled,
@@ -509,16 +495,16 @@ def test_deciders_take_every_input_form():
             checked += 1
     assert checked == 5461
     # the normal form refuses inverse letters as given, before any reduction
-    for word in ("Xyx", (-1, 2, 1), "xXy", "zZy", "Zyz"):
+    for word in ("Xyx", "xXy", "zZy", "Zyz"):
         with pytest.raises(ValueError, match="negative letters"):
             is_primitive_positive(word)
-    assert is_primitive_positive(Word((1, -1, 2)))  # reduced to y when built
+    assert is_primitive_positive(Word("xXy"))  # reduced to y when built
 
 
 def test_deciders_raise_the_same_errors():
     for decide in (nonprimitivity_filter, is_primitive_positive, is_primitive_whitehead,
                    is_primitive_cmz):
-        for mixed in ("xzy", (1, 3, 2), Word((1, 3, 2))):
+        for mixed in ("xzy", Word("xzy")):
             with pytest.raises(MixedAlphabetError, match="mixes x and z"):
                 decide(mixed)
         with pytest.raises(ValueError, match="letters xXyYzZ only, found '1'"):

@@ -14,6 +14,7 @@ from goeritz.sequences import (
 )
 from goeritz.words import (
     Word,
+    _spell,
     abelianize,
     cyclically_equal,
     parse_word,
@@ -30,7 +31,7 @@ def sequence_word(p: int, qbar: int, j: int) -> Word:
     if not 0 <= j <= p:
         raise ValueError(f"index {j} out of range 0..{p}")
     z_residues = {(1 + k * qbar) % p for k in range(j)}
-    return Word([3 if (i % p) in z_residues else 2 for i in range(1, p + 1)])
+    return Word("".join("z" if (i % p) in z_residues else "y" for i in range(1, p + 1)))
 
 
 KNOWN_83_SEQUENCE = [
@@ -174,7 +175,7 @@ def test_spellings_match_the_spelled_words():
     for p, q in coprime_pairs(60):
         params = make_params(p, q)
         seq = pq_sequence(params)
-        old_words = [Word(_positive_codes(spelled)) for spelled in spelled_sequence(p, params.q)]
+        old_words = [Word(_spell(_positive_codes(spelled))) for spelled in spelled_sequence(p, params.q)]
         assert seq.spellings == tuple(word.spell() for word in old_words), (p, q)
         assert list(seq.words) == old_words
 
@@ -185,7 +186,7 @@ def test_four_primitives_sweep_builds_no_words(monkeypatch):
     built = []
     honest = Word.__init__
 
-    def counting_init(self, letters=()):
+    def counting_init(self, letters=""):
         built.append(self)
         honest(self, letters)
 

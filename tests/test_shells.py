@@ -13,7 +13,7 @@ from goeritz.shells import (
     intersection_number,
     shell_primitive_indices,
 )
-from goeritz.words import Word, abelianize, parse_word, substitute
+from goeritz.words import Word, _spell, abelianize, parse_word, substitute
 
 from test_code_tuples import _positive_codes
 from test_sequences import sequence_word
@@ -166,7 +166,7 @@ def test_incremental_words_match_the_residue_definition():
             slope = kind.slope(params)
             if (p, slope) not in references:
                 words = [sequence_word(p, slope, j) for j in range(p + 1)]
-                incremental = [Word(_positive_codes(word)) for word in spelled_sequence(p, slope)]
+                incremental = [Word(_spell(_positive_codes(word))) for word in spelled_sequence(p, slope)]
                 assert incremental == words, (p, slope)
                 references[p, slope] = words, [substitute(word, xy) for word in words]
             words, shell_words = references[p, slope]
@@ -185,7 +185,7 @@ def test_shell_texts_match_the_rendered_words():
             slope = kind.slope(params)
             if (p, slope) not in references:
                 references[p, slope] = [
-                    str(Word(_positive_codes(spelled.replace(b"z", b"xy"))))
+                    str(Word(_spell(_positive_codes(spelled.replace(b"z", b"xy")))))
                     for spelled in spelled_sequence(p, slope)
                 ]
             shell = build_shell(params, kind)
@@ -201,7 +201,7 @@ def test_report_builds_no_sequence_or_shell_words(monkeypatch):
     built = []
     honest = Word.__init__
 
-    def counting_init(self, letters=()):
+    def counting_init(self, letters=""):
         built.append(self)
         honest(self, letters)
 
@@ -216,7 +216,7 @@ def test_report_builds_no_sequence_or_shell_words(monkeypatch):
         xy = parse_word("xy")
         for shell in report.shells:
             expected = [
-                Word(_positive_codes(spelled.replace(b"z", b"xy")))
+                Word(_spell(_positive_codes(spelled.replace(b"z", b"xy"))))
                 for spelled in spelled_sequence(p, shell.slope)
             ]
             assert [e.boundary_word for e in shell.entries] == expected

@@ -25,8 +25,6 @@ from goeritz.primitivity import (
     FilterWitness,
     _SWAP_XY,
     _VARIANT_NAMES,
-    _X,
-    _Y,
     _cyclic_core,
     _normal_form,
     _rank2_spelling,
@@ -50,7 +48,10 @@ from goeritz.words import (
 )
 from test_whitehead_powers import FIXED, MAX_LETTERS
 
-# --- the code-tuple versions, verbatim
+# --- the code-tuple versions, verbatim but for the spelling of their words
+
+# the letter codes of x and y
+_X, _Y = 1, 2
 
 
 def old_scan_patterns(codes: tuple[int, ...]):
@@ -133,7 +134,7 @@ def old_oz_canonical_word(m: int, n: int) -> CyclicWord:
     for k in range(period):
         i = (1 + k * m) % period
         codes.append(3 if 1 <= i <= m else 2)
-    return CyclicWord(codes)
+    return CyclicWord(_spell(codes))
 
 
 def old_is_primitive_positive(w) -> bool:
@@ -148,7 +149,7 @@ def old_is_primitive_positive(w) -> bool:
         return False
     if m > n:
         spelled, m, n = spelled.translate(_SWAP_XY), n, m
-    return CyclicWord(_unspell(spelled.replace("x", "z"))) == old_oz_canonical_word(m, n)
+    return CyclicWord(spelled.replace("x", "z")) == old_oz_canonical_word(m, n)
 
 
 def old_positive_cyclic_words(max_len: int):
@@ -378,7 +379,7 @@ def _count_words(monkeypatch) -> list:
     built = []
     honest = Word.__init__
 
-    def counting_init(self, letters=()):
+    def counting_init(self, letters=""):
         built.append(self)
         honest(self, letters)
 

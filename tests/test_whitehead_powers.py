@@ -19,8 +19,6 @@ from goeritz.primitivity import (
     WHITEHEAD_TYPE_II,
     WhiteheadAutomorphism,
     _TYPE_II_COEFFICIENTS,
-    _X,
-    _Y,
     _pair_counts,
 )
 from goeritz.words import (
@@ -47,6 +45,8 @@ MAX_LETTERS = 2000
 # --- the unit-step oracle
 
 
+# the letter codes of x and y
+_X, _Y = 1, 2
 _Z_AS_X = {3: _X, -3: -_X, _X: _X, -_X: -_X, _Y: _Y, -_Y: -_Y}
 
 
@@ -110,12 +110,10 @@ def is_primitive_whitehead(w) -> bool:
 
 # --- words
 
-_CODES = {"x": 1, "X": -1, "y": 2, "Y": -2}
-
 # runs of one letter, up to MAX_LETTERS letters in all once freely reduced
 run_words = st.lists(
     st.tuples(st.sampled_from("xXyY"), st.integers(1, 400)), min_size=1, max_size=24
-).map(lambda runs: Word([_CODES[ch] for ch, n in runs for _ in range(n)][:MAX_LETTERS]))
+).map(lambda runs: Word("".join(ch * n for ch, n in runs)[:MAX_LETTERS]))
 
 # a short base word, primitive or not, under a chain of powers of
 # Whitehead moves, each applied with apply_codes and kept while the
@@ -140,7 +138,7 @@ def automorphic_images(draw):
             image = cyclic_reduce_codes(auto.apply_codes(image))
         if len(image) <= MAX_LETTERS:
             codes = image
-    return Word(codes)
+    return Word(_spell(codes))
 
 
 def check(word):

@@ -21,7 +21,7 @@ PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)  # 0-5 on every supported Python
 def words():
     return [
         parse_word("xy^3XY"), Word(), parse_word("zy^-2z"),
-        CyclicWord(parse_word("yXyyx")), CyclicWord(()), CyclicWord(parse_word("zyZ")),
+        CyclicWord(parse_word("yXyyx")), CyclicWord(""), CyclicWord(parse_word("zyZ")),
     ]
 
 

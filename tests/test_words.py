@@ -10,7 +10,6 @@ from goeritz import words
 from goeritz.words import (
     MAX_WORD_LETTERS,
     CyclicWord,
-    Letter,
     Word,
     WordParseError,
     _caret,
@@ -42,7 +41,7 @@ def all_reduced_words(max_len, letters=(1, -1, 2, -2)):
     for n in range(max_len + 1):
         for tup in product(letters, repeat=n):
             if all(tup[i] != -tup[i + 1] for i in range(n - 1)):
-                yield Word(tup)
+                yield Word(_spell(tup))
 
 
 def test_reduce_examples():
@@ -53,8 +52,8 @@ def test_reduce_examples():
 
 def test_reduce_is_idempotent_and_never_longer():
     for word in all_reduced_words(5):
-        assert Word(word.codes) == word
-        assert len(reduce(list(word.codes) + [1, -1])) <= len(word) + 2
+        assert Word(word.spell()) == word
+        assert len(reduce(word.spell() + "xX")) <= len(word) + 2
 
 
 def test_cyclic_reduce_examples():
@@ -71,19 +70,19 @@ def test_cyclic_reduce_shrinks():
 def test_cyclically_equal_examples():
     assert cyclically_equal(w("z y"), w("y z"))
     assert not cyclically_equal(w("z y y"), w("z y z"))
-    base = w("z z z z y z z y").codes
+    base = w("z z z z y z z y").spell()
     rotated = base[3:] + base[:3]
     assert cyclically_equal(w("z z y z z y z z"), Word(rotated))
     # agrees with brute force over all eight rotations
-    target = w("z z y z z y z z").codes
+    target = w("z z y z z y z z").spell()
     assert any(base[i:] + base[:i] == target for i in range(8))
 
 
 def test_cyclically_equal_is_rotation_invariant():
     for word in all_reduced_words(5):
-        codes = cyclic_reduce(word).codes
-        for i in range(len(codes)):
-            assert cyclically_equal(Word(codes), Word(codes[i:] + codes[:i]))
+        spelled = cyclic_reduce(word).spell()
+        for i in range(len(spelled)):
+            assert cyclically_equal(Word(spelled), Word(spelled[i:] + spelled[:i]))
 
 
 def test_invert_reverse_swap_examples():
@@ -121,7 +120,7 @@ def test_substitute_examples():
 def test_substitute_abelianization_for_positive_words():
     for n in range(1, 6):
         for tup in product((3, 2), repeat=n):
-            word = Word(tup)
+            word = Word(_spell(tup))
             zc = sum(1 for c in tup if c == 3)
             yc = n - zc
             assert abelianize(substitute(word, w("x y"))) == (zc, zc + yc)
@@ -181,29 +180,14 @@ def test_parse_caps_the_expanded_length(monkeypatch):
     assert parse_word("x^-" + "0" * 5000 + "7") == w("X^7")
 
 
-def test_plain_and_mixed_letter_inputs_coerce_alike():
-    assert Word((1, 2, -2, 3)).codes == (1, 3)
-    assert Word([1, 2, 2]).codes == Word((1, 2, 2)).codes == (1, 2, 2)
-    assert Word([Letter("x", 1), 2, Letter("y", -1)]).codes == (1,)
-    assert Word(iter((2, -1))).codes == (2, -1)
-    for bad in ([1.0], (0,), [4], [-4], ["x"], [[1]], (1, None), [True, 2]):
-        with pytest.raises(ValueError, match="not a letter code"):
-            Word(bad)
-    with pytest.raises(ValueError, match="bad letter"):
-        Word([Letter("w", 1)])
-
-
 def test_a_bool_is_neither_a_letter_code_nor_a_sign():
-    """bool is an int subclass and True == 1, yet (True,) is not the word x."""
+    """bool is an int subclass and True == 1, yet (True,) is not the word x:
+    no sequence is a word."""
     from goeritz.primitivity import is_primitive_cmz
 
-    for bad, message in (
-        ((True,), "not a letter code"),
-        ([1, True], "not a letter code"),
-        ([Letter("x", True)], "bad letter"),
-    ):
+    for bad in ((True,), [1, True], True):
         for take in (Word, CyclicWord, is_primitive_cmz):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(TypeError, match="a word is a Word, a CyclicWord or a str"):
                 take(bad)
 
 
@@ -212,13 +196,6 @@ def test_roundtrip_through_text():
         assert parse_word(word.spell()) == word
         if len(word):  # the empty word displays as "1", which is not an atom
             assert parse_word(str(word)) == word
-
-
-def test_letter_views():
-    word = w("x Y")
-    assert word.letters == (Letter("x", 1), Letter("y", -1))
-    assert Letter("y", -1).inverse() == Letter("y", 1)
-    assert str(Letter("y", -1)) == "Y"
 
 
 def test_canonical_rotation_ordering():
@@ -322,7 +299,7 @@ def test_spell_caret_and_free_reduction_match_the_letter_loops():
 def words_over_one_alphabet(draw, count):
     """count words over {x, y} or over {z, y}, each of up to 60 letters."""
     letters = draw(st.sampled_from(((1, -1, 2, -2), (3, -3, 2, -2))))
-    word = st.lists(st.sampled_from(letters), max_size=60).map(Word)
+    word = st.lists(st.sampled_from(letters), max_size=60).map(lambda codes: Word(_spell(codes)))
     return tuple(draw(word) for _ in range(count))
 
 
@@ -339,15 +316,15 @@ def test_word_algebra_properties(words):
 
 
 @FIXED
-@given(st.lists(st.sampled_from(SIX_LETTERS), max_size=40).map(Word),
-       st.lists(st.sampled_from(SIX_LETTERS), max_size=40).map(Word))
+@given(st.lists(st.sampled_from(SIX_LETTERS), max_size=40).map(lambda codes: Word(_spell(codes))),
+       st.lists(st.sampled_from(SIX_LETTERS), max_size=40).map(lambda codes: Word(_spell(codes))))
 def test_cyclic_words_are_canonical_over_all_six_letters(u, v):
     """A word may mix x and z; its cyclic word is still one per rotation class."""
     assert CyclicWord(u * v) == CyclicWord(v * u)
 
 
 def test_a_word_mixing_x_and_z_has_one_cyclic_word():
-    assert cyclically_equal(Word((1, 3)), Word((3, 1)))
+    assert cyclically_equal(Word("xz"), Word("zx"))
     assert CyclicWord(w("z x")).codes == (1, 3)
     assert CyclicWord(w("Z x y z X")).codes == (1, 2, 3, -1, -3)
 
@@ -380,8 +357,85 @@ def test_a_lone_1_parses_as_the_empty_word(capsys):
 
 
 def test_powers_and_letters_of_a_word():
-    w = Word((1, 2))
-    assert w ** 3 == Word((1, 2, 1, 2, 1, 2)) and str(w ** 3) == "xyxyxy"
-    assert w ** -2 == Word((-2, -1, -2, -1)) and str(w ** -2) == "y^-1x^-1y^-1x^-1"
+    w = Word("xy")
+    assert w ** 3 == Word("xyxyxy") and str(w ** 3) == "xyxyxy"
+    assert w ** -2 == Word("YXYX") and str(w ** -2) == "y^-1x^-1y^-1x^-1"
     assert w ** 0 == Word() and str(w ** 0) == "1"
-    assert list(Word((1, -2))) == [Letter("x", 1), Letter("y", -1)]
+
+
+# --- one word format at every entry point
+
+# The words every entry point reads, each a cyclically reduced spelling in
+# its least rotation, so that its Word, its CyclicWord and the spelling
+# itself stand for one word: over {x, y}, over {z, y}, mixing x and z,
+# primitive and not.
+SPELLINGS = ("", "x", "y", "xy", "xY", "xxyy", "xyXY", "xyxyy", "xYxYY", "zyy", "zyzyy",
+             "zYY", "xz")
+
+
+def _word_entry_points():
+    """{name: (a call reading one word, whether a CyclicWord in gives a CyclicWord out)}
+    for every public entry point that reads a word."""
+    from goeritz.primitivity import (
+        check_certificate, cmz_trace, is_primitive_cmz, is_primitive_positive,
+        is_primitive_whitehead, nonprimitivity_filter, primitivity_certificate,
+        whitehead_reduce_step, whitehead_trace,
+    )
+
+    xy_certificate = primitivity_certificate("xy")
+    calls = {
+        "Word": Word,
+        "CyclicWord": CyclicWord,
+        "reduce": reduce,
+        "cyclic_reduce": cyclic_reduce,
+        "cyclically_equal, first": lambda w: cyclically_equal(w, "yzy"),
+        "cyclically_equal, second": lambda w: cyclically_equal("xyy", w),
+        "abelianize": abelianize,
+        "substitute, first": lambda w: substitute(w, "xyX"),
+        "substitute, second": lambda w: substitute("zyZy", w),
+        "Word * other": lambda w: Word("yX") * w,
+        "is_primitive_cmz": is_primitive_cmz,
+        "is_primitive_whitehead": is_primitive_whitehead,
+        "is_primitive_positive": is_primitive_positive,
+        "nonprimitivity_filter": nonprimitivity_filter,
+        "primitivity_certificate": primitivity_certificate,
+        "check_certificate": lambda w: check_certificate(w, xy_certificate),
+        "cmz_trace": cmz_trace,
+        "whitehead_trace": whitehead_trace,
+        "whitehead_reduce_step": whitehead_reduce_step,
+    }
+    entry_points = {name: (call, False) for name, call in calls.items()}
+    for keeps_type in (invert, reverse, swap_generators):
+        entry_points[keeps_type.__name__] = (keeps_type, True)
+    return entry_points
+
+
+def _answer(call):
+    """repr of what call() returns, or the type and text of what it raises."""
+    try:
+        return "returned", repr(call())
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+
+
+def test_every_entry_point_reads_a_word_a_cyclic_word_or_a_spelling_alike():
+    """A Word, a CyclicWord and the spelling give one answer everywhere
+    (a type-preserving operation returns the CyclicWord of that answer
+    for a CyclicWord); a tuple, a list or bytes raises TypeError, and a
+    stray character one ValueError."""
+    for name, (call, keeps_type) in _word_entry_points().items():
+        for spelled in SPELLINGS:
+            word, cyclic = Word(spelled), CyclicWord(spelled)
+            assert word.spell() == cyclic.spell() == spelled
+            expected = _answer(lambda: call(spelled))
+            assert _answer(lambda: call(word)) == expected, (name, spelled)
+            if keeps_type:
+                expected = _answer(lambda: CyclicWord(call(spelled)))
+            assert _answer(lambda: call(cyclic)) == expected, (name, spelled)
+        for bad in ((1, 2), [1, 2], b"xy", ()):
+            with pytest.raises(TypeError, match="a word is a Word, a CyclicWord or a str"):
+                call(bad)
+        for bad, found in (("xw", "'w'"), ("x y", "' '"), ("xy^2", "'^'"), ("X1", "'1'")):
+            with pytest.raises(ValueError) as err:
+                call(bad)
+            assert str(err.value) == f"a spelled word has the letters xXyYzZ only, found {found}", name
