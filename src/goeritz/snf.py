@@ -12,95 +12,57 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
 
     Returns only the diagonal (transforms are not tracked).  Trailing
     zero diagonal entries are included up to min(rows, cols).
+
+    One loop of unimodular row and column operations.  Each pass takes
+    the nonzero entry of least absolute value as the pivot and clears
+    its column with row operations and its row with column operations.
+    A nonzero remainder is smaller than the pivot and becomes the next
+    pass's pivot.  When the pivot's row and column are clear but some
+    entry is not divisible by the pivot, that entry's row is added to
+    the pivot row and the entry is reduced modulo the pivot (a column
+    operation against the cleared pivot column), again leaving a
+    smaller entry.  So every pass that records nothing lowers the least
+    absolute value.  A pivot that divides every entry left is recorded
+    as |pivot| and its row and column are deleted.  The invariant: each
+    recorded factor divides every entry still in the matrix, which
+    makes the recorded diagonal a divisibility chain.
     """
     a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    size = min(rows, cols)
-    t = 0
-    while t < size:
-        pivot = _smallest_nonzero(a, t)
-        if pivot is None:
+    size = min(len(a), len(a[0])) if a else 0
+    diag = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not nonzero:
             break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
+        _, i, j = min(nonzero)
+        pivot_row, p = a[i], a[i][j]
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                f = row[j] // p
+                a[k] = [x - f * y for x, y in zip(row, pivot_row)]
+        for col, v in enumerate(pivot_row):
+            if col != j and v:
+                f = v // p
+                for row in a:
+                    row[col] -= f * row[j]
+        if sum(1 for row in a if row[j]) + sum(1 for v in pivot_row if v) > 2:
+            continue  # a remainder is left in the pivot's row or column
+        offender = next(((k, col) for k, row in enumerate(a) for col, v in enumerate(row) if v % p), None)
+        if offender:
+            k, col = offender
+            a[i] = [x + y for x, y in zip(pivot_row, a[k])]
+            a[i][col] %= p
+            continue
+        diag.append(abs(p))
+        del a[i]
         for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            if _reduce_column(a, t):
-                continue
-            if _reduce_row(a, t):
-                continue
-            offender = _divisibility_offender(a, t)
-            if offender is None:
-                break
-            # fold the offending row in so the pivot can divide it next pass
-            for j in range(cols):
-                a[t][j] += a[offender][j]
-        a[t][t] = abs(a[t][t])
-        t += 1
-    diag = [a[i][i] for i in range(t)]
-    diag.extend(0 for _ in range(size - t))
-    return diag
+            del row[j]
+    return diag + [0] * (size - len(diag))
 
 
 def invariant_factors(matrix: list[list[int]], ncols: int) -> tuple[tuple[int, ...], int]:
     """(torsion factors > 1, free rank) of Z^ncols modulo the row lattice."""
-    if not matrix:
-        return ((), ncols)
     diag = smith_normal_form(matrix)
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
     return torsion, ncols - rank
-
-
-def _smallest_nonzero(a: list[list[int]], t: int):
-    best = None
-    best_val = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            v = abs(a[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-    return best
-
-
-def _reduce_column(a: list[list[int]], t: int) -> bool:
-    """Clear column t below the pivot; True if the pivot moved."""
-    changed = False
-    for i in range(t + 1, len(a)):
-        if a[i][t] == 0:
-            continue
-        quot = a[i][t] // a[t][t]
-        for j in range(len(a[0])):
-            a[i][j] -= quot * a[t][j]
-        if a[i][t] != 0:
-            a[t], a[i] = a[i], a[t]
-            changed = True
-    return changed
-
-
-def _reduce_row(a: list[list[int]], t: int) -> bool:
-    """Clear row t right of the pivot; True if the pivot moved."""
-    changed = False
-    cols = len(a[0])
-    for j in range(t + 1, cols):
-        if a[t][j] == 0:
-            continue
-        quot = a[t][j] // a[t][t]
-        for row in a:
-            row[j] -= quot * row[t]
-        if a[t][j] != 0:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            changed = True
-    return changed
-
-
-def _divisibility_offender(a: list[list[int]], t: int):
-    d = a[t][t]
-    for i in range(t + 1, len(a)):
-        for j in range(t + 1, len(a[0])):
-            if a[i][j] % d != 0:
-                return i
-    return None

@@ -56,9 +56,16 @@ def outputs(pres, amalgam):
 
 
 def test_shared_answers_equal_a_memo_free_rebuild():
+    # a rebuild depends only on the shared objects, so it is made once per
+    # (presentation, amalgam) and compared with every pair that shares them;
+    # each entry holds its objects too, so no id is reused while it is a key
+    fresh_by_id = {}
     for params in connected_params(400):
         pres, amalgam = goeritz_presentation(params), amalgam_decomposition(params)
-        fresh = outputs(rebuilt(pres), rebuilt(amalgam))
+        key = (id(pres), id(amalgam))
+        if key not in fresh_by_id:
+            fresh_by_id[key] = (pres, amalgam, outputs(rebuilt(pres), rebuilt(amalgam)))
+        fresh = fresh_by_id[key][2]
         assert outputs(pres, amalgam) == fresh, params
         assert outputs(pres, amalgam) == fresh, params
 

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -75,6 +78,81 @@ def test_invariant_factors():
     )
     assert invariant_factors([[2]], 1) == ((2,), 0)
     assert invariant_factors([], 4) == ((), 4)
+
+
+def determinantal_divisors_snf(m):
+    """The Smith diagonal by its definition: d_k = D_k / D_(k-1), where D_k
+    is the gcd of all k x k minors (D_0 = 1), and d_k = 0 once D_k = 0.
+
+    Minors come from Laplace expansion along their first row, memoized
+    on (rows, columns), so no elimination is shared with goeritz.snf.
+    """
+
+    @functools.cache
+    def minor(rows, cols):
+        if not rows:
+            return 1
+        return sum(
+            (-1) ** n * m[rows[0]][c] * minor(rows[1:], cols[:n] + cols[n + 1:])
+            for n, c in enumerate(cols)
+            if m[rows[0]][c]
+        )
+
+    size = min(len(m), len(m[0])) if m else 0
+    diag, previous = [], 1
+    for k in range(1, size + 1):
+        gcd_of_minors = 0
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                gcd_of_minors = math.gcd(gcd_of_minors, minor(rows, cols))
+        diag.append(gcd_of_minors // previous if gcd_of_minors else 0)
+        if not gcd_of_minors:
+            break
+        previous = gcd_of_minors
+    return diag + [0] * (size - len(diag))
+
+
+def relation_matrix(pres):
+    """The exponent-sum matrix that presentations._abelianization reduces."""
+    flat = pres.flatten()
+    index = {g.name: i for i, g in enumerate(flat.generators)}
+    rows = []
+    for relator in flat.relators:
+        row = [0] * len(index)
+        for name, sign in relator:
+            row[index[name]] += sign
+        rows.append(row)
+    return rows, len(index)
+
+
+def test_snf_equals_the_determinantal_divisors():
+    rng = random.Random(20150034)
+    cases = []
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if rows and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        cases.append((m, cols))
+    shared = {}
+    for p, q in connected_pairs(40):
+        pres = goeritz_presentation(make_params(p, q))
+        shared[id(pres)] = pres
+    assert len(shared) == 7
+    cases.extend(relation_matrix(pres) for pres in shared.values())
+    for m, cols in cases:
+        diag = determinantal_divisors_snf(m)
+        assert smith_normal_form(m) == diag, m
+        rank = sum(1 for d in diag if d)
+        assert invariant_factors(m, cols) == (tuple(d for d in diag if d > 1), cols - rank), m
+    for pres in shared.values():
+        m, cols = relation_matrix(pres)
+        torsion, free_rank = invariant_factors(m, cols)
+        assert abelianize_presentation(pres) == Abelianization(torsion=torsion, free_rank=free_rank)
 
 
 # ------------------------------------------------------- stabilizers
