@@ -2,15 +2,16 @@
 
 `primitive --method auto` (the default) decides with the certified
 Euclid reduction of Cohen, Metzler and Zimmermann, as `sequence --verify`
-and `witness` do: every primitive verdict is rebuilt from its
-certificate before it is printed.  The Whitehead oracle (`--method
-whitehead`), the positive-word normal form (`--method oz`) and the
-non-primitivity filter (`--method filter`) are independent checks on
-it, run on request and by the `cmz-vs-whitehead`, `four-primitives`,
-`oz-vs-whitehead`, `filter-soundness` and `witness` sweeps.  The
-`sequence --verify` labels `oracle=`, `oracle agreement` and, in JSON,
-`"oracle_primitive"` carry the certified decision's verdicts; they keep
-the names they had when the oracle decided there.
+and `witness` do: the certificate of every primitive verdict is replayed
+forward by `check_certificate` before it is printed, and `--trace`
+prints the moves that replay checked, whatever the verdict.  The
+Whitehead oracle (`--method whitehead`), the positive-word normal form
+(`--method oz`) and the non-primitivity filter (`--method filter`) are
+independent checks on it, run on request and by the `cmz-vs-whitehead`,
+`four-primitives`, `oz-vs-whitehead`, `filter-soundness` and `witness`
+sweeps.  The `sequence --verify` labels `oracle=`, `oracle agreement`
+and, in JSON, `"oracle_primitive"` carry the certified decision's
+verdicts; they keep the names they had when the oracle decided there.
 
 Exit codes: 0 success (or verdict: primitive), 1 verdict: not primitive,
 2 invalid input, 3 sweep found failures, 4 verdict: inconclusive (the
@@ -248,11 +249,9 @@ def cmd_presentation(args) -> int:
     if args.format == "text":
         sections.append(f"Goeritz group of {params}:")
         sections.append(f"  {render(pres, 'text')}")
-        gens = pres.all_generators()
-        if any(g.description for g in gens):
-            sections.append("  generators:")
-            for g in gens:
-                sections.append(f"    {display_name(g.name)}: {g.description}")
+        sections.append("  generators:")
+        for g in pres.all_generators():
+            sections.append(f"    {display_name(g.name)}: {g.description}")
     else:
         sections.append(render(pres, "gap"))
     if args.amalgam:

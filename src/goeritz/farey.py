@@ -43,7 +43,12 @@ class FareyLabel:
         return f"{self.a}/{self.b}"
 
     def word(self, q: int) -> Word:
-        return Word._of_spelling(("x" + "y" * q) * self.d + "x" + "y" * self.e)
+        """The boundary word (xy^q)^d x y^e; y^e is spelled with y^-1
+        when e < 0, and d < 0 raises ValueError."""
+        if self.d < 0:
+            raise ValueError(f"the word exponent d must be >= 0, got {self.d}")
+        tail = "y" * self.e if self.e >= 0 else "Y" * -self.e
+        return Word._of_spelling(("x" + "y" * q) * self.d + "x" + tail)
 
     def matches_closed_form(self, params: PqParams) -> bool:
         return (
@@ -168,7 +173,7 @@ def nonconnectivity_witness(params: PqParams) -> ReplacementTrace:
     disks = []
     letters = 0
     for tag, label, pair_before in _schedule(seeds, cf, params):
-        letters += (q + 1) * label.d + 1 + label.e
+        letters += (q + 1) * label.d + 1 + abs(label.e)
         if letters > MAX_WORD_LETTERS:
             raise InvalidParameters(
                 f"{params}: the witness words have more letters in all "

@@ -408,7 +408,7 @@ NOT_UNIMODULAR = "non-unimodular abelianization"
 
 
 class PrimitivityCertificate(NamedTuple):
-    """How the Euclid reduction decided a word.
+    """How the Euclid reduction decided a word: the reduction's own steps.
 
     `flips` names the generators whose sign is flipped to make the
     cyclically reduced word positive.  Each step (swapped, k) exchanges x
@@ -416,6 +416,8 @@ class PrimitivityCertificate(NamedTuple):
     after each x of a positive word whose x's are isolated and followed by
     at least k y's.  A primitive word's steps end on the one letter
     `letter`; any other word's stop where the condition `failure` holds.
+    `check_certificate` accepts only these steps: it recomputes each one
+    from the word as it replays them.
     """
 
     primitive: bool
@@ -423,47 +425,6 @@ class PrimitivityCertificate(NamedTuple):
     steps: tuple[tuple[bool, int], ...]
     letter: Optional[str] = None
     failure: Optional[str] = None
-
-
-def _euclid_reduction(w, moves: Optional[list]) -> PrimitivityCertificate:
-    """The decision of `primitivity_certificate`; each automorphism it
-    applies is appended to `moves`, if given, as (label, spelled image)."""
-    word = _cyclic_core(_rank2_spelling(w))
-    if ("x" in word and "X" in word) or ("y" in word and "Y" in word):
-        return PrimitivityCertificate(False, "", (), failure=MIXED_SIGNS)
-    flips = "x" * ("X" in word) + "y" * ("Y" in word)
-    if flips:
-        # with one sign per generator, lowering the case is the sign flip
-        word = word.lower()
-        if moves is not None:
-            images = (g.upper() if g in flips else g for g in "xy")
-            moves.append((str(_type_i(*images)), word))
-    steps = []
-    while True:
-        a, b = word.count("x"), word.count("y")
-        if not a or not b:
-            break
-        swapped = a > b
-        if swapped:
-            word, a, b = word.translate(_SWAP_XY), b, a
-            if moves is not None:
-                moves.append((str(_type_i("y", "x")), word))
-        # x is now the rarer letter; start the word at an x
-        start = word.index("x")
-        word = word[start:] + word[:start]
-        if "xx" in word or word[-1] == "x":
-            return PrimitivityCertificate(False, flips, tuple(steps), failure=REPEATED_LETTER)
-        k = b // a
-        image = word.replace("x" + "y" * k, "x")
-        if len(word) - len(image) < k * a:
-            return PrimitivityCertificate(False, flips, tuple(steps), failure=SHORT_RUN)
-        word = image
-        steps.append((swapped, k))
-        if moves is not None:
-            moves.append((str(_type_ii("Y", 0, k)), word))
-    if len(word) != 1:
-        return PrimitivityCertificate(False, flips, tuple(steps), failure=NOT_UNIMODULAR)
-    return PrimitivityCertificate(True, flips, tuple(steps), letter=word)
 
 
 def primitivity_certificate(w) -> PrimitivityCertificate:
@@ -484,18 +445,56 @@ def primitivity_certificate(w) -> PrimitivityCertificate:
     w is a `Word`, a `CyclicWord` or a spelling over x, X, y, Y, z, Z;
     any other character raises ValueError.
     """
-    return _euclid_reduction(w, None)
+    word = _cyclic_core(_rank2_spelling(w))
+    if ("x" in word and "X" in word) or ("y" in word and "Y" in word):
+        return PrimitivityCertificate(False, "", (), failure=MIXED_SIGNS)
+    flips = "x" * ("X" in word) + "y" * ("Y" in word)
+    if flips:
+        # with one sign per generator, lowering the case is the sign flip
+        word = word.lower()
+    steps = []
+    while True:
+        a, b = word.count("x"), word.count("y")
+        if not a or not b:
+            break
+        swapped = a > b
+        if swapped:
+            word, a, b = word.translate(_SWAP_XY), b, a
+        # x is now the rarer letter; start the word at an x
+        start = word.index("x")
+        word = word[start:] + word[:start]
+        if "xx" in word or word[-1] == "x":
+            return PrimitivityCertificate(False, flips, tuple(steps), failure=REPEATED_LETTER)
+        k = b // a
+        image = word.replace("x" + "y" * k, "x")
+        if len(word) - len(image) < k * a:
+            return PrimitivityCertificate(False, flips, tuple(steps), failure=SHORT_RUN)
+        word = image
+        steps.append((swapped, k))
+    if len(word) != 1:
+        return PrimitivityCertificate(False, flips, tuple(steps), failure=NOT_UNIMODULAR)
+    return PrimitivityCertificate(True, flips, tuple(steps), letter=word)
 
 
-def check_certificate(w, certificate: PrimitivityCertificate) -> None:
-    """Raise RuntimeError unless `certificate` proves its verdict on w.
+def check_certificate(w, certificate: PrimitivityCertificate) -> list[tuple[str, object, str]]:
+    """Raise RuntimeError unless `certificate` proves its verdict on w;
+    return the moves that prove it.
 
-    Shares no code with the decision past reading w.  A primitive verdict
-    is checked by rebuilding w, as a cyclic word, from its letter with
-    the inverse steps (x -> x y^k, the swaps, the sign flips): an
-    automorphic image of a generator is primitive.  Any other verdict is
-    checked by replaying the steps, each of which must be the Euclid step
-    and delete k y's after every x, up to the stated condition.
+    Shares no code with the decision past reading w.  Every verdict is
+    checked by one forward replay.  After the sign flips, each step must
+    equal the Euclid step recomputed from the word (swap x and y when x
+    is the commoner letter, then x -> x y^-k with k = #y // #x) and must
+    delete exactly k*#x letters, so every replayed move is the
+    automorphism it names.  k is read off the word, never off the
+    certificate, so a forged exponent cannot make the replay build a
+    long word.  A primitive verdict holds when the replay ends on its
+    letter, since w is then an automorphic image of a generator; any
+    other verdict holds when its condition holds where the replay stops.
+
+    The moves come in order as plain (kind, argument, spelled image)
+    tuples, each with the word it leaves: ("I", images, image) for the
+    signed permutation sending x and y to the two letters `images`, and
+    ("II", k, image) for x -> x y^-k.
     """
     spelled = _rank2_spelling(w)  # freely reduced, then stripped of inverse ends
     if "xX" in spelled or "Xx" in spelled or "yY" in spelled or "Yy" in spelled:
@@ -510,57 +509,52 @@ def check_certificate(w, certificate: PrimitivityCertificate) -> None:
     while hi - lo > 1 and spelled[lo] == spelled[hi - 1].swapcase():
         lo, hi = lo + 1, hi - 1
     core = spelled[lo:hi]
-    flip = str.maketrans({c: c.swapcase() for c in certificate.flips + certificate.flips.upper()})
-    swap = str.maketrans("xy", "yx")
 
     def wrong(why):
         raise RuntimeError(f"the primitivity certificate of {core or '1'!r} is wrong: {why}")
 
-    if any(type(k) is not int or k < 1 for _, k in certificate.steps):
-        wrong("a step has no exponent k >= 1")
-    if certificate.primitive:
-        if certificate.letter not in ("x", "y") or certificate.failure is not None:
-            wrong("a primitive verdict must end on one letter")
-        word = certificate.letter
-        for swapped, k in reversed(certificate.steps):
-            if len(word) + k * word.count("x") > len(core):
-                wrong("its steps rebuild a word longer than w")
-            word = word.replace("x", "x" + "y" * k)
-            word = word.translate(swap) if swapped else word
-        word = word.translate(flip)
-        if len(word) != len(core) or core not in word + word:
-            wrong(f"its steps rebuild {word!r}")
-        return
+    letters = ("x", "y") if certificate.primitive else (None,)
+    if certificate.letter not in letters or certificate.primitive != (certificate.failure is None):
+        wrong("a primitive verdict must end on one letter, any other on a failed condition")
     if certificate.failure == MIXED_SIGNS:
         if certificate.flips or certificate.steps or not any(
             g in core and g.upper() in core for g in "xy"
         ):
             wrong("no generator occurs with both signs")
-        return
-    word = core.translate(flip)
-    if certificate.letter is not None or "X" in word or "Y" in word:
+        return []
+    images = "".join(g.upper() if g in certificate.flips else g for g in "xy")
+    word = core.translate(str.maketrans("xyXY", images + images.swapcase()))
+    if "X" in word or "Y" in word:
         wrong("its sign flips leave the word not positive")
-    for i in range(len(certificate.steps) + 1):
-        a, b = word.count("x"), word.count("y")
-        if not a or not b:
-            break
+    moves = [("I", images, word)] if images != "xy" else []
+    swap = str.maketrans("xy", "yx")
+    steps, i = certificate.steps, 0
+    while (a := word.count("x")) and (b := word.count("y")):
         swapped = a > b
         if swapped:
             word, a, b = word.translate(swap), b, a
+            moves.append(("I", "yx", word))
         start, k = word.index("x"), b // a
         word = word[start:] + word[:start]
         image = word.replace("x" + "y" * k, "x")
         deleted = len(word) - len(image)
-        if i == len(certificate.steps):
+        if i == len(steps):
             held = {REPEATED_LETTER: "xx" in word + "x", SHORT_RUN: deleted < k * a}
-            if not held.get(certificate.failure):
-                wrong(f"{certificate.failure!r} does not hold where the steps end")
-            return
-        if certificate.steps[i] != (swapped, k) or deleted != k * a:
-            wrong(f"step {i + 1} is not the Euclid step ({swapped}, {k})")
-        word = image
-    if i != len(certificate.steps) or certificate.failure != NOT_UNIMODULAR or len(word) == 1:
+            break
+        if steps[i] != (swapped, k) or deleted != k * a:
+            wrong(
+                f"step {i + 1} is not the Euclid step ({swapped}, {k}) deleting {k * a} "
+                "letters, so the steps do not rebuild w"
+            )
+        word, i = image, i + 1
+        moves.append(("II", k, word))
+    else:
+        held = {None: word == certificate.letter, NOT_UNIMODULAR: len(word) != 1}
+    if i != len(steps) or not held.get(certificate.failure):
+        if certificate.primitive:
+            wrong(f"the steps end on {word!r}, not on {certificate.letter!r}")
         wrong(f"the steps end on {word!r}, where {certificate.failure!r} does not hold")
+    return moves
 
 
 def is_primitive_cmz(w) -> bool:
@@ -573,13 +567,16 @@ def is_primitive_cmz(w) -> bool:
 
 
 def cmz_trace(w) -> tuple[PrimitivityCertificate, list[tuple[str, CyclicWord]]]:
-    """The certificate, checked whatever its verdict, and the automorphisms
-    of its reduction (sign flips, swaps, Euclid steps), each with the
-    cyclic word it leaves, in the shape of `whitehead_trace`'s chain."""
-    moves: list = []
-    certificate = _euclid_reduction(w, moves)
-    check_certificate(w, certificate)
-    return certificate, [(label, CyclicWord._of_reduced_spelling(image)) for label, image in moves]
+    """The certificate and the moves `check_certificate` replays to check
+    it, whatever its verdict (sign flips, swaps, Euclid steps), each
+    labelled and with the cyclic word it leaves, in the shape of
+    `whitehead_trace`'s chain.  Only the trace labels its moves."""
+    certificate = primitivity_certificate(w)
+    chain = []
+    for kind, argument, image in check_certificate(w, certificate):
+        move = _type_i(*argument) if kind == "I" else _type_ii("Y", 0, argument)
+        chain.append((move.label, CyclicWord._of_reduced_spelling(image)))
+    return certificate, chain
 
 
 class FilterOutcome(Enum):

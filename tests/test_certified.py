@@ -8,6 +8,8 @@ made by the benchmark's own generator, loaded from `bench/workloads.py`.
 
 import importlib.util
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -154,6 +156,30 @@ def test_the_checker_refuses_forged_failures_on_a_primitive_word():
     forged = PrimitivityCertificate(False, "", ((False, 2),), failure=NOT_UNIMODULAR)
     with pytest.raises(RuntimeError, match="the steps end on 'x'"):
         check_certificate("xyy", forged)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [((False, 10**12),), ((False, 1), (True, 10**12)), ((False, 1),) * 10**5],
+    ids=["k = 10^12 first", "k = 10^12 second", "10^5 steps"],
+)
+def test_the_checker_refuses_forged_primitive_certificates_of_extreme_size(steps):
+    """The replay takes k from the word, never from the certificate: a
+    forged exponent of 10^12 or 10^5 forged steps are refused at once,
+    and the check allocates nothing near the exponent's size."""
+    word = "xy" + "xyy" * 400  # primitive, with the steps (False, 1), (True, 1), (True, 400)
+    certificate = PrimitivityCertificate(True, "", steps, "x")
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="certificate .* is wrong"):
+            check_certificate(word, certificate)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 def test_is_primitive_cmz_raises_on_a_forged_primitive_verdict(monkeypatch):

@@ -15,6 +15,7 @@ from goeritz.farey import (
 )
 from goeritz.primitivity import is_primitive_whitehead
 from goeritz.sequences import make_params
+from goeritz.words import parse_word
 
 
 def nonconnected_pairs(max_p):
@@ -184,3 +185,13 @@ def test_label_word_matches_the_letter_list():
             for e in range(7):
                 label = FareyLabel(a=1, b=1, d=d, e=e)
                 assert label.word(q).codes == ((1,) + (2,) * q) * d + (1,) + (2,) * e
+
+
+def test_label_word_spells_a_negative_y_exponent():
+    """(1, 2, 3, -3) is the label 1/2 of L(12,5) by its closed forms; its
+    word ends in y^-3, not in the y^5 of the repeated block."""
+    label = FareyLabel(a=1, b=2, d=3, e=-3)
+    assert label.matches_closed_form(make_params(12, 5))
+    assert label.word(5) == parse_word("xy^5xy^5xy^5xy^-3")
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        FareyLabel(a=1, b=2, d=-1, e=0).word(5)
