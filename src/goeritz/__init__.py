@@ -23,18 +23,17 @@ from .words import (
     substitute,
     swap_generators,
 )
+from .euclid import (
+    PrimitivityCertificate, check_certificate, is_primitive_cmz, primitivity_certificate
+)
 from .primitivity import (
     FilterOutcome,
     FilterVerdict,
-    PrimitivityCertificate,
     WhiteheadAutomorphism,
-    check_certificate,
-    is_primitive_cmz,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
     oz_canonical_word,
-    primitivity_certificate,
     whitehead_reduce_step,
 )
 from .sequences import (

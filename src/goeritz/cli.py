@@ -1,13 +1,14 @@
 """Command line front end.
 
 `primitive --method auto` (the default) decides with the certified
-Euclid reduction of Cohen, Metzler and Zimmermann, as `sequence --verify`
-and `witness` do: the certificate of every primitive verdict is replayed
-forward by `check_certificate` before it is printed, and `--trace`
-prints the moves that replay checked, whatever the verdict.  The
-Whitehead oracle (`--method whitehead`), the positive-word normal form
-(`--method oz`) and the non-primitivity filter (`--method filter`) are
-independent checks on it, run on request and by the `cmz-vs-whitehead`,
+Euclid reduction of Cohen, Metzler and Zimmermann (`goeritz.euclid`), as
+`sequence --verify` and `witness` do: the certificate of every primitive
+verdict is replayed forward by `check_certificate` before it is printed,
+and `--trace` prints the moves that replay checked, whatever the
+verdict.  The three checks of `goeritz.primitivity`, the Whitehead
+oracle (`--method whitehead`), the positive-word normal form
+(`--method oz`) and the non-primitivity filter (`--method filter`), are
+independent of it and run on request and by the `cmz-vs-whitehead`,
 `four-primitives`, `oz-vs-whitehead`, `filter-soundness` and `witness`
 sweeps.  The `sequence --verify` labels `oracle=`, `oracle agreement`
 and, in JSON, `"oracle_primitive"` carry the certified decision's
@@ -33,6 +34,7 @@ import os
 import sys
 
 from .classify import DisconnectedComplexError, classify
+from .euclid import cmz_trace, is_primitive_cmz
 from .farey import ConnectedComplexError, nonconnectivity_witness
 from .jsontext import dumps
 from .presentations import (
@@ -44,8 +46,6 @@ from .presentations import (
 )
 from .primitivity import (
     FilterOutcome,
-    cmz_trace,
-    is_primitive_cmz,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,

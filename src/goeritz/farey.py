@@ -44,9 +44,11 @@ class FareyLabel:
 
     def word(self, q: int) -> Word:
         """The boundary word (xy^q)^d x y^e; y^e is spelled with y^-1
-        when e < 0, and d < 0 raises ValueError."""
+        when e < 0, and d < 0 or q < 1 raises ValueError."""
         if self.d < 0:
             raise ValueError(f"the word exponent d must be >= 0, got {self.d}")
+        if q < 1:
+            raise ValueError(f"the block exponent q must be >= 1, got {q}")
         tail = "y" * self.e if self.e >= 0 else "Y" * -self.e
         return Word._of_spelling(("x" + "y" * q) * self.d + "x" + tail)
 

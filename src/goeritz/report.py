@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ._records import record
 from .classify import ComplexStructureReport, classify
+from .euclid import is_primitive_cmz
 from .farey import ReplacementTrace, nonconnectivity_witness
 from .jsontext import dumps
 from .presentations import (
@@ -26,7 +27,6 @@ from .presentations import (
     goeritz_presentation,
     render,
 )
-from .primitivity import is_primitive_cmz
 from .sequences import (
     PqParams,
     PqSequence,

@@ -18,15 +18,14 @@ from typing import Iterator
 
 from ._records import record
 from .classify import DisconnectedComplexError, classify, quotient_graph
+from .euclid import check_certificate, primitivity_certificate
 from .farey import ConnectedComplexError, nonconnectivity_witness
 from .presentations import amalgam_decomposition, goeritz_presentation
 from .primitivity import (
     FilterOutcome,
-    check_certificate,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
-    primitivity_certificate,
     _symmetry_variants,
 )
 from .sequences import (

@@ -6,9 +6,10 @@ reduced spelling; a `CyclicWord` keeps the cyclically reduced spelling in
 its least rotation, so equality of cyclic words is plain string equality.
 Every constructor, word operation and primitivity decider reads a word
 through `_coerce_spelling`: a `Word`, a `CyclicWord` or a spelling given
-as a `str`.  The integer letter codes, +1/-1 for x/x^-1, +2/-2 for
-y/y^-1 and +3/-3 for z/z^-1, remain only in `codes` and the adapters
-`free_reduce_codes` and `least_rotation`.
+as a `str`; the deciders and `abelianize` read it over x, y through
+`_rank2_spelling`, with z standing in for x.  The integer letter codes,
++1/-1 for x/x^-1, +2/-2 for y/y^-1 and +3/-3 for z/z^-1, remain only in
+`codes` and the adapters `free_reduce_codes` and `least_rotation`.
 
 The two-letter alphabets used in practice are {x, y} (boundary words
 read off a meridian system of a handlebody) and {z, y} (an abstract
@@ -60,7 +61,7 @@ class WordParseError(ValueError):
 
 
 class MixedAlphabetError(ValueError):
-    """The word uses both x and z, so no two-letter alphabet applies."""
+    """The word uses both x and z, so no generating pair applies."""
 
 
 def _coerce_spelling(w) -> str:
@@ -78,6 +79,24 @@ def _coerce_spelling(w) -> str:
     if isinstance(w, _SpelledWord):
         return w._spelled
     raise TypeError(f"a word is a Word, a CyclicWord or a str over xXyYzZ, not {type(w).__name__}")
+
+
+_Z_AS_X_SPELLING = str.maketrans("zZ", "xX")
+
+
+def _rank2_spelling(w) -> str:
+    """The word spelled over x, X, y, Y: the one way into every decider
+    and into `abelianize`.
+
+    w is read by `_coerce_spelling`, with z standing in for x.  A word
+    that mixes x and z raises MixedAlphabetError.
+    """
+    w = _coerce_spelling(w)
+    if "z" in w or "Z" in w:
+        if "x" in w or "X" in w:
+            raise MixedAlphabetError("word mixes x and z; no generating pair applies")
+        w = w.translate(_Z_AS_X_SPELLING)
+    return w
 
 
 def _free_reduce(spelled: str) -> str:
@@ -323,11 +342,8 @@ def swap_generators(w: WordLike, symbols: tuple[str, str] = ("z", "y")):
 
 def abelianize(w: WordLike) -> tuple[int, int]:
     """Signed exponent sums (first symbol, y) where the first symbol is x or z."""
-    spelled = _coerce_spelling(w)
-    count = spelled.count
-    if (count("x") or count("X")) and (count("z") or count("Z")):
-        raise MixedAlphabetError("word mixes x and z; no two-letter alphabet applies")
-    return (count("x") - count("X") + count("z") - count("Z"), count("y") - count("Y"))
+    count = _rank2_spelling(w).count
+    return (count("x") - count("X"), count("y") - count("Y"))
 
 
 def substitute(w: WordLike, z_image: WordLike) -> Word:

@@ -6,8 +6,10 @@ refuse a tampered one.  The long words are seeded automorphic images
 made by the benchmark's own generator, loaded from `bench/workloads.py`.
 """
 
+import ast
 import importlib.util
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,8 +19,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import goeritz
 from goeritz import sweeps
-from goeritz.primitivity import (
+from goeritz.euclid import (
     MIXED_SIGNS,
     NOT_UNIMODULAR,
     REPEATED_LETTER,
@@ -27,9 +30,9 @@ from goeritz.primitivity import (
     check_certificate,
     cmz_trace,
     is_primitive_cmz,
-    is_primitive_whitehead,
     primitivity_certificate,
 )
+from goeritz.primitivity import is_primitive_whitehead
 from goeritz.words import _spell, cyclic_reduce, invert, parse_word
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -185,15 +188,15 @@ def test_the_checker_refuses_forged_primitive_certificates_of_extreme_size(steps
 def test_is_primitive_cmz_raises_on_a_forged_primitive_verdict(monkeypatch):
     """A decision that goes wrong is caught by the checker under python -O too:
     `is_primitive_cmz` raises RuntimeError on a forged primitive verdict."""
-    from goeritz import primitivity
+    from goeritz import euclid
 
     monkeypatch.setattr(
-        primitivity, "primitivity_certificate",
+        euclid, "primitivity_certificate",
         lambda w: PrimitivityCertificate(True, "", ((False, 1),), "x"),
     )
-    assert primitivity.is_primitive_cmz("yx")  # rebuilt from x by x -> xy
+    assert euclid.is_primitive_cmz("yx")  # rebuilt from x by x -> xy
     with pytest.raises(RuntimeError, match="rebuild"):
-        primitivity.is_primitive_cmz("xxyy")
+        euclid.is_primitive_cmz("xxyy")
 
 
 def _apply(label: str, word):
@@ -261,3 +264,69 @@ def test_the_cmz_sweep_counts_every_necklace_and_reports_a_wrong_decision(monkey
     result = sweeps.run_sweep("cmz-vs-whitehead", 4)
     assert len(result.failures) == result.subjects
     assert all("is wrong" in f.detail for f in result.failures)
+
+
+# --- independence of the decision, its checker and the oracles, read off the source
+
+_PACKAGE = Path(goeritz.__file__).resolve().parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((_PACKAGE / f"{module}.py").read_text())
+
+
+def _imported(module: str) -> set[str]:
+    """The modules the import statements of a module of the package read
+    from, each by its full name: goeritz.words, not .words."""
+    names = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ["goeritz" if node.level else "", node.module]))
+            names.add(source)
+            if source == "goeritz":  # `from . import words` binds a submodule
+                names.update(f"goeritz.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_certified_decision_imports_only_words_and_the_standard_library():
+    imported = _imported("euclid")
+    assert "goeritz.words" in imported
+    others = imported - {"goeritz.words"}
+    assert {name.split(".")[0] for name in others} <= set(sys.stdlib_module_names), others
+
+
+def test_the_oracles_import_nothing_from_the_certified_decision():
+    imported = _imported("primitivity")
+    assert "goeritz.words" in imported
+    assert "goeritz.euclid" not in imported
+
+
+def test_the_checker_shares_with_the_decision_only_the_reader_and_the_verdict_record():
+    """`check_certificate` "shares no code with the decision past reading
+    w": of the module-level names of `euclid`, the ones it reads overlap
+    those `primitivity_certificate` reads only in the reader of w, the
+    four failure conditions and the certificate record."""
+    tree = _tree("euclid")
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            module_names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module_names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            module_names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str) -> set[str]:
+        loads = ast.walk(functions[name])
+        return {n.id for n in loads if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+    decision = reads("primitivity_certificate") & module_names
+    checker = reads("check_certificate") & module_names
+    shared = {"_rank2_spelling", "MIXED_SIGNS", "REPEATED_LETTER", "SHORT_RUN", "NOT_UNIMODULAR",
+              "PrimitivityCertificate"}
+    assert decision & checker <= shared, decision & checker - shared
+    assert {"_rank2_spelling", "PrimitivityCertificate", "SHORT_RUN"} <= decision & checker
+    assert {"_cyclic_core", "_SWAP_XY"} <= decision - checker

@@ -195,3 +195,13 @@ def test_label_word_spells_a_negative_y_exponent():
     assert label.word(5) == parse_word("xy^5xy^5xy^5xy^-3")
     with pytest.raises(ValueError, match="d must be >= 0"):
         FareyLabel(a=1, b=2, d=-1, e=0).word(5)
+
+
+def test_label_word_refuses_a_block_exponent_below_one():
+    """q is the y exponent of the repeated block xy^q: q = 0 or q = -3 would
+    spell the same wrong word x^3y for (1, 0, 2, 1)."""
+    label = FareyLabel(a=1, b=0, d=2, e=1)
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="q must be >= 1, got " + str(q)):
+            label.word(q)
+    assert label.word(1) == parse_word("xyxyxy")

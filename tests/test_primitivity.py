@@ -21,8 +21,6 @@ from goeritz.primitivity import (
     _pair_counts,
     _power,
     _power_step,
-    _rank2_spelling,
-    is_primitive_cmz,
     is_primitive_positive,
     is_primitive_whitehead,
     nonprimitivity_filter,
@@ -30,10 +28,12 @@ from goeritz.primitivity import (
     whitehead_reduce_step,
     whitehead_trace,
 )
+from goeritz.euclid import is_primitive_cmz
 from goeritz.words import (
     CyclicWord,
     MixedAlphabetError,
     Word,
+    _rank2_spelling,
     _spell,
     _unspell,
     abelianize,

@@ -27,7 +27,6 @@ from goeritz.primitivity import (
     _VARIANT_NAMES,
     _cyclic_core,
     _normal_form,
-    _rank2_spelling,
     _symmetry_variants,
     is_primitive_positive,
     nonprimitivity_filter,
@@ -39,6 +38,7 @@ from goeritz.words import (
     CyclicWord,
     Word,
     _least_rotation,
+    _rank2_spelling,
     _spell,
     _unspell,
     cyclically_equal,

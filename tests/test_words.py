@@ -107,7 +107,7 @@ def test_abelianize_examples():
 
 
 def test_abelianize_rejects_mixed_alphabet():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word mixes x and z; no generating pair applies"):
         abelianize(w("x z"))
 
 
@@ -183,7 +183,7 @@ def test_parse_caps_the_expanded_length(monkeypatch):
 def test_a_bool_is_neither_a_letter_code_nor_a_sign():
     """bool is an int subclass and True == 1, yet (True,) is not the word x:
     no sequence is a word."""
-    from goeritz.primitivity import is_primitive_cmz
+    from goeritz.euclid import is_primitive_cmz
 
     for bad in ((True,), [1, True], True):
         for take in (Word, CyclicWord, is_primitive_cmz):
@@ -376,9 +376,11 @@ SPELLINGS = ("", "x", "y", "xy", "xY", "xxyy", "xyXY", "xyxyy", "xYxYY", "zyy", 
 def _word_entry_points():
     """{name: (a call reading one word, whether a CyclicWord in gives a CyclicWord out)}
     for every public entry point that reads a word."""
+    from goeritz.euclid import (
+        check_certificate, cmz_trace, is_primitive_cmz, primitivity_certificate,
+    )
     from goeritz.primitivity import (
-        check_certificate, cmz_trace, is_primitive_cmz, is_primitive_positive,
-        is_primitive_whitehead, nonprimitivity_filter, primitivity_certificate,
+        is_primitive_positive, is_primitive_whitehead, nonprimitivity_filter,
         whitehead_reduce_step, whitehead_trace,
     )
 
