@@ -105,12 +105,13 @@ class ComplexStructureReport:
 class Factor:
     """A vertex of the quotient graph as a factor of the amalgam: the
     stabilizer of a disk, of a pair (as a set) or of a primitive triple,
-    the disks it acts on, and the names of its generators beside alpha.
-    An absorbed factor has no generic presentation.  Two consecutive
-    factors share a generator exactly when it lies in their edge group."""
+    the disks it acts on, and the names of its generators beside alpha,
+    which is their rho^2 in the dihedral pair factor of p = 2 (a derived
+    reading; see goeritz.presentations).  Two consecutive factors share a
+    generator exactly when it lies in their edge group."""
 
     label: str
-    stabilizer: str  # "disk", "pair", "triple" or "absorbed"
+    stabilizer: str  # "disk", "pair", "dihedral" or "triple"
     where: str
     names: tuple[str, ...] = ()
 
@@ -151,10 +152,9 @@ _THREE_EDGE_ORBITS = EdgeOrbitInfo(
 _ROWS = (
     CaseData(
         CaseTag.T1A, True, frozenset({2}), frozenset(), CommonDualRule(True, 2), _ONE_EDGE_ORBIT,
-        factors=(Factor("G(E u D)", "absorbed", "{E, D}"), Factor("G(E)", "absorbed", "E")),
+        factors=(Factor("G(E u D)", "dihedral", "{E, D}", ("rho", "gamma")), _disk("E")),
         edges=("G(E, D)",),
-        note="p = 2: the pair stabilizers are special and are absorbed "
-        "into the flat presentation table",
+        note="p = 2: alpha is rho^2 in the dihedral pair stabilizer, so not a direct summand",
     ),
     CaseData(
         CaseTag.T1B, True, frozenset({1}), frozenset(), CommonDualRule(True, 1), _ONE_EDGE_ORBIT,

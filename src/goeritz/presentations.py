@@ -7,7 +7,9 @@ quotient-graph vertex, read off the case's row of classify.CASES), and
 the presentation of the whole group derived from that amalgam.  A relator
 is a word in the generators' names, a tuple of (name, +1 or -1) letters;
 the generators are numbered only where GAP and the Smith normal form need
-indices.
+indices.  The p = 2 amalgam, whose dihedral pair factor has alpha = rho^2,
+is a derived reading (the paper's text here is only its abstract),
+checked by its abelianization and homomorphism counts, not proved.
 
 The group depends on (p, q) only through its row of classify.CASES, so
 the presentations and amalgams are built once per row and shared: seven
@@ -278,6 +280,14 @@ def _pair_stab(sigma: str = "sigma", pair: str = "") -> GroupPresentation:
     )
 
 
+def _dihedral(rho: str, gamma: str, pair: str) -> GroupPresentation:
+    """The dihedral stabilizer of order 8 of the pair at p = 2; alpha is rho^2."""
+    return presentation(
+        [(rho, f"order-four element of the stabilizer of the pair {pair}"), (gamma, _GAMMA_GLOSS)],
+        [[(rho, 4)], [(gamma, 2)], [(gamma, 1), (rho, 1), (gamma, 1), (rho, 1)]],
+    )
+
+
 def _triple_stab(delta: str, gamma: str, triple: str) -> GroupPresentation:
     _, first, second = triple.split(", ")
     return direct_sum(
@@ -293,7 +303,16 @@ def _triple_stab(delta: str, gamma: str, triple: str) -> GroupPresentation:
 
 
 # Factor.stabilizer -> builder taking the factor's names, then its disks.
-_STABILIZERS = {"disk": _vertex_stab, "pair": _pair_stab, "triple": _triple_stab}
+_STABILIZERS = {"disk": _vertex_stab, "pair": _pair_stab, "dihedral": _dihedral, "triple": _triple_stab}
+_ALPHA: Relator = (("alpha", 1),)
+
+
+def _alpha_part(factor: GroupPresentation) -> tuple[Relator, GroupPresentation]:
+    """A factor's alpha as a word, and the part beside it: alpha and the
+    summand beside alpha's, or rho^2 and the whole dihedral factor."""
+    if factor.summands:
+        return _ALPHA, factor.summands[1]
+    return ((factor.generators[0].name, 1),) * 2, factor
 
 
 # StabilizerKind -> its presentation: a disk or a pair factor with its
@@ -309,10 +328,9 @@ _KIND_STABILIZERS = {
 
 def stabilizer_presentation(kind: StabilizerKind, params: PqParams) -> GroupPresentation:
     """Stabilizer of a primitive disk, of a pair preserved disk-wise, or
-    of a pair preserved as a set (exchangeable or not).  A case whose
-    factors are absorbed (p = 2) has no pair stabilizer of this form."""
-    absorbed = any(f.stabilizer == "absorbed" for f in case_data(params).factors)
-    if absorbed and kind is not StabilizerKind.VERTEX:
+    of a pair preserved as a set (exchangeable or not).  At p = 2 the pair
+    stabilizer is dihedral (a derived reading), so none takes this form."""
+    if params.p == 2 and kind is not StabilizerKind.VERTEX:
         raise ValueError(
             f"pair stabilizers take this form only for p >= 3, got p = {params.p}"
         )
@@ -331,7 +349,7 @@ class AmalgamFactor:
     """A vertex stabilizer of the quotient graph, as a factor of the amalgam."""
 
     label: str
-    presentation: Optional[GroupPresentation]
+    presentation: GroupPresentation
 
 
 @record
@@ -339,7 +357,7 @@ class AmalgamEdge:
     """Edge stabilizer with the generator identifications into both factors."""
 
     label: str
-    presentation: Optional[GroupPresentation]
+    presentation: GroupPresentation
     left: str
     right: str
     inclusions: tuple[tuple[str, str, str], ...] = ()  # (edge gen, left image, right image)
@@ -364,8 +382,8 @@ def amalgam_decomposition(params: PqParams) -> AmalgamDecomposition:
 
 def goeritz_presentation(params: PqParams) -> GroupPresentation:
     """The genus-2 Goeritz group of L(p,q): the amalgamated product of
-    its amalgam, or for p = 2, whose factors are absorbed, a literal
-    presentation."""
+    its amalgam, for p = 2 too (a derived reading; see the module
+    docstring)."""
     if not params.connected:
         raise DisconnectedComplexError(_Refusal(params, _not_presentable))
     return _whole_group(case_data(params))
@@ -375,11 +393,7 @@ def goeritz_presentation(params: PqParams) -> GroupPresentation:
 @functools.cache
 def _amalgam(row: CaseData) -> AmalgamDecomposition:
     factors = tuple(
-        AmalgamFactor(
-            f.label,
-            None if f.stabilizer == "absorbed" else _STABILIZERS[f.stabilizer](*f.names, f.where),
-        )
-        for f in row.factors
+        AmalgamFactor(f.label, _STABILIZERS[f.stabilizer](*f.names, f.where)) for f in row.factors
     )
     edges = tuple(map(_edge, row.edges, factors, factors[1:]))
     return AmalgamDecomposition(factors, edges, row.note)
@@ -387,39 +401,26 @@ def _amalgam(row: CaseData) -> AmalgamDecomposition:
 
 def _edge(label: str, left: AmalgamFactor, right: AmalgamFactor) -> AmalgamEdge:
     """The edge group of two consecutive factors: alpha's summand plus the
-    other generators both factors carry, with the relators among them."""
-    if left.presentation is None or right.presentation is None:
-        return AmalgamEdge(label, None, left.label, right.label)
-    alpha, rest = left.presentation.summands
+    other generators both factors carry, with the relators among them;
+    alpha maps to its word in each factor, the others to themselves."""
+    left_alpha, rest = _alpha_part(left.presentation)
+    right_alpha, _ = _alpha_part(right.presentation)
     theirs = right.presentation.generator_names()
     kept = tuple(g for g in rest.generators if g.name in theirs)
     shared = ["alpha"] + [g.name for g in kept]
     relators = tuple(rel for rel in rest.relators if all(n in shared for n, _ in rel))
+    images = ("alpha", _ascii_word(left_alpha), _ascii_word(right_alpha))
     return AmalgamEdge(
         label,
-        direct_sum(alpha, GroupPresentation(kept, relators)) if kept else alpha,
+        direct_sum(_alpha(), GroupPresentation(kept, relators)) if kept else _alpha(),
         left.label,
         right.label,
-        tuple((g, g, g) for g in shared),
+        (images,) + tuple((g.name,) * 3 for g in kept),
     )
 
 
 @functools.cache
 def _whole_group(row: CaseData) -> GroupPresentation:
-    if row.tag is CaseTag.T1A:
-        return presentation(
-            [
-                ("beta", _BETA_GLOSS),
-                ("rho", "order-four element of the stabilizer of the pair E, D"),
-                ("gamma", _GAMMA_GLOSS),
-            ],
-            [
-                [("rho", 4)],
-                [("gamma", 2)],
-                [("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)],
-                [("rho", 2), ("beta", 1), ("rho", 2), ("beta", -1)],
-            ],
-        )
     return _amalgamated_product(_amalgam(row))
 
 
@@ -427,28 +428,38 @@ def _amalgamated_product(am: AmalgamDecomposition) -> GroupPresentation:
     """The whole group from its amalgam.
 
     Every edge group is generated by the generators that both of its
-    factors carry under the same names (alpha and, for p = 3, gamma),
-    and alpha is central in every factor.  So the product is alpha's
-    summand plus one summand holding the union of the factors' other
-    generators, sorted by name and glossed as in the first factor that
-    declares them, and the union of their relators: an edge relator,
-    present in both factors of its edge, is kept once, and the relators
-    are stably sorted by the name of their first generator.
+    factors carry under the same names (alpha and, for p <= 3, gamma),
+    and alpha is central in every factor.  So the product is the union of
+    the factors' parts beside alpha (their generators sorted by name and
+    glossed as in the first factor that declares them, their relators
+    kept once and stably sorted by the name of their first generator),
+    with alpha central: a direct summand, or, where a factor has alpha as
+    the word rho^2 (p = 2), a commutator of rho^2 with each generator
+    (alpha^2 becomes rho^4, already a relator of that factor).
     """
     generators: dict[str, Generator] = {}
     relators: dict[Relator, None] = {}
+    words = set()
     for factor in am.factors:
-        rest = factor.presentation.summands[1]
+        word, rest = _alpha_part(factor.presentation)
+        words.add(word)
         for g in rest.generators:
             generators.setdefault(g.name, g)
         relators.update(dict.fromkeys(rest.relators))
-    return direct_sum(
-        _alpha(),
-        GroupPresentation(
-            tuple(generators[name] for name in sorted(generators)),
-            tuple(sorted(relators, key=lambda rel: rel[0][0])),
-        ),
+    union = GroupPresentation(
+        tuple(generators[name] for name in sorted(generators)),
+        tuple(sorted(relators, key=lambda rel: rel[0][0])),
     )
+    if words == {_ALPHA}:
+        return direct_sum(_alpha(), union)
+    (alpha,) = words - {_ALPHA}
+    inverse = [(name, -sign) for name, sign in reversed(alpha)]
+    commutators = tuple(
+        (*alpha, (g.name, 1), *inverse, (g.name, -1))
+        for g in union.generators
+        if (g.name, 1) not in alpha
+    )
+    return GroupPresentation(union.generators, union.relators + commutators)
 
 
 @record
@@ -494,12 +505,10 @@ def _amalgam_text(am: AmalgamDecomposition) -> str:
         chain += f" *_{{{edge.label}}} {factor.label}"
     lines = [chain]
     for factor in am.factors:
-        body = _presentation_text(factor.presentation) if factor.presentation else "(absorbed)"
-        lines.append(f"  {factor.label} = {body}")
+        lines.append(f"  {factor.label} = {_presentation_text(factor.presentation)}")
     for edge in am.edges:
-        body = _presentation_text(edge.presentation) if edge.presentation else "(absorbed)"
         maps = "; ".join(f"{g} -> {l}, {r}" for g, l, r in edge.inclusions)
-        lines.append(f"  {edge.label} = {body}" + (f"  [{maps}]" if maps else ""))
+        lines.append(f"  {edge.label} = {_presentation_text(edge.presentation)}  [{maps}]")
     if am.note:
         lines.append(f"  note: {am.note}")
     return "\n".join(lines)
@@ -508,16 +517,13 @@ def _amalgam_text(am: AmalgamDecomposition) -> str:
 def amalgam_dict(am: AmalgamDecomposition) -> dict:
     return {
         "factors": [
-            {
-                "label": f.label,
-                "presentation": presentation_dict(f.presentation) if f.presentation else None,
-            }
+            {"label": f.label, "presentation": presentation_dict(f.presentation)}
             for f in am.factors
         ],
         "edges": [
             {
                 "label": e.label,
-                "presentation": presentation_dict(e.presentation) if e.presentation else None,
+                "presentation": presentation_dict(e.presentation),
                 "left": e.left,
                 "right": e.right,
                 "inclusions": [list(t) for t in e.inclusions],
@@ -534,13 +540,9 @@ def abelianization_dict(ab: Abelianization) -> dict:
 
 def _amalgam_gap(am: AmalgamDecomposition) -> str:
     """Each factor's GAP script, its names ending in the factor's number."""
-    lines = []
-    for i, factor in enumerate(am.factors, start=1):
-        if factor.presentation is None:
-            lines.append(f"# factor {i}: {factor.label} (no generic presentation)")
-        else:
-            lines.append(_gap_script(factor.presentation, str(i)))
-    return "\n".join(lines)
+    return "\n".join(
+        _gap_script(factor.presentation, str(i)) for i, factor in enumerate(am.factors, start=1)
+    )
 
 
 # format -> (renderer of a presentation, renderer of an amalgam)

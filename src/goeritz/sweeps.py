@@ -248,10 +248,7 @@ def _dispatch_totality(params: PqParams) -> Iterator[str]:
         yield "edge count is not factor count - 1"
     sigma_gens = sum(1 for n in pres.generator_names() if n.startswith("sigma"))
     sigma_factors = sum(
-        1
-        for f in amalgam.factors
-        if f.presentation is not None
-        and any(n.startswith("sigma") for n in f.presentation.generator_names())
+        any(n.startswith("sigma") for n in f.presentation.generator_names()) for f in amalgam.factors
     )
     if sigma_gens != sigma_factors:
         yield f"{sigma_gens} sigma generators but {sigma_factors} exchangeable pair factors"

@@ -28,7 +28,13 @@ KNOWN_83_SEQUENCE = [
 PRESENTATION_TABLE = {
     (2, 1): (
         ["beta", "gamma", "rho"],
-        [("gamma", 2), ("rho", 4), ("gamma rho gamma rho", 0), ("rho rho beta rho rho beta^-1", 0)],
+        [
+            ("gamma", 2),
+            ("rho", 4),
+            ("gamma rho gamma rho", 0),
+            ("rho rho beta rho^-1 rho^-1 beta^-1", 0),
+            ("rho rho gamma rho^-1 rho^-1 gamma^-1", 0),
+        ],
     ),
     (3, 1): (
         ["alpha", "beta", "delta", "gamma"],

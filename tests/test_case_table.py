@@ -4,7 +4,10 @@ The reference below is the per-case code that classify.CASES and the
 amalgamated-product derivation replaced, kept verbatim: case_tag, the
 edge and simplex type tables, the orbit and quotient-graph functions,
 classify, and the two case tables of the presentations module (the
-whole group and the amalgam).  Every coprime pair with p <= 400 must get
+whole group and the amalgam).  The one exception is p = 2, whose group
+and amalgam are now derived like the others: its reference entries are
+the derived ones written out, and the literal group they replaced is
+kept in test_presentations.py.  Every coprime pair with p <= 400 must get
 the same structure report, the same amalgam in all three formats, and
 the same presentation apart from the generator glosses listed in
 GLOSS_CHANGES, which now come from the amalgam factors.
@@ -171,20 +174,27 @@ def _pair_stab(sigma: str = "sigma", pair: str = "") -> GroupPresentation:
     )
 
 
+_RHO_GLOSS = "order-four element of the stabilizer of the pair {E, D}"
+
+
 def ref_goeritz_presentation(params: PqParams) -> GroupPresentation:
     p, q = params.p, params.q
     if p == 2:
+        # not the literal table the derivation replaced (that one is the
+        # reference of test_presentations.py's homomorphism counts), but the
+        # product of the T1a amalgam written out: alpha is rho^2, central
         return presentation(
             [
-                ("beta", _BETA_GLOSS),
-                ("rho", "order-four element of the stabilizer of the pair E, D"),
+                ("beta", _BETA_GLOSS + " of E"),
                 ("gamma", _GAMMA_GLOSS),
+                ("rho", _RHO_GLOSS),
             ],
             [
-                [("rho", 4)],
                 [("gamma", 2)],
                 [("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)],
-                [("rho", 2), ("beta", 1), ("rho", 2), ("beta", -1)],
+                [("rho", 4)],
+                [("rho", 2), ("beta", 1), ("rho", -2), ("beta", -1)],
+                [("rho", 2), ("gamma", 1), ("rho", -2), ("gamma", -1)],
             ],
         )
     if p == 3:
@@ -278,13 +288,24 @@ def _alpha_edge(label: str, left: str, right: str) -> AmalgamEdge:
 def ref_amalgam_decomposition(params: PqParams) -> AmalgamDecomposition:
     tag = ref_case_tag(params)
     if tag is CaseTag.T1A:
+        dihedral = presentation(
+            [("rho", _RHO_GLOSS), ("gamma", _GAMMA_GLOSS)],
+            [[("rho", 4)], [("gamma", 2)], [("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)]],
+        )
+        edge = AmalgamEdge(
+            "G(E, D)",
+            direct_sum(_alpha(), presentation([("gamma", _GAMMA_GLOSS)], [[("gamma", 2)]])),
+            "G(E u D)",
+            "G(E)",
+            (("alpha", "rho^2", "alpha"), ("gamma", "gamma", "gamma")),
+        )
         return AmalgamDecomposition(
-            factors=(AmalgamFactor("G(E u D)", None), AmalgamFactor("G(E)", None)),
-            edges=(AmalgamEdge("G(E, D)", None, "G(E u D)", "G(E)"),),
-            note=(
-                "p = 2: the pair stabilizers are special and are absorbed "
-                "into the flat presentation table"
+            factors=(
+                AmalgamFactor("G(E u D)", dihedral),
+                AmalgamFactor("G(E)", _vertex_stab(disk="E")),
             ),
+            edges=(edge,),
+            note="p = 2: alpha is rho^2 in the dihedral pair stabilizer, so not a direct summand",
         )
     if tag is CaseTag.T2A:
         triple = direct_sum(
@@ -453,9 +474,9 @@ def test_amalgam_refuses_disconnected():
 # output of the index-relator renderer, so a change to the renderer cannot
 # move both sides of this comparison.
 PRESENTATION_DIGESTS = {
-    ((2, 1), "text"): "ee4b0bde06c3da380c40b163741d0e2a16d632d853e01d7167d2db0970dfc427",
-    ((2, 1), "json"): "0824bc6b21263dba3707910fbf73ae812db39e55a6c269cc985cb121e3aa6081",
-    ((2, 1), "gap"): "a5f98e8028bc550750594a71e6be877008468efd27f627361692ce081891a57e",
+    ((2, 1), "text"): "0cf75c2a4f288b6d2f674d72f003455943d0299ee50195da89b5481d34e009fc",
+    ((2, 1), "json"): "6c8f42fa147cd1b9b63146e3ccf484359a318c36d48eb11a87c0eeb95b761542",
+    ((2, 1), "gap"): "d25d32b0d2a63625f9091aa2b67afc498236ee6b9040b84fb4031b356b85325e",
     ((3, 1), "text"): "19df01e89fbcb045b95a9aff9430639e13bd64a0a1b006cc1231f5fadd279208",
     ((3, 1), "json"): "4fb224bb025c96ca59d5a4d7ef86b7d867a42f6c285691f1944a6ac5a9a412a8",
     ((3, 1), "gap"): "a8a16c0df28e0b237394648ccdd6c007af6172a6aa024c56379433b2cc5b7b2e",

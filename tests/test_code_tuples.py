@@ -15,6 +15,7 @@ code tuple.
 """
 
 import importlib
+import pkgutil
 from itertools import product
 
 import goeritz
@@ -239,8 +240,8 @@ def test_spelled_words_agree_with_the_code_tuples_on_all_six_letters():
 
 # --- the hot paths
 
-_MODULES = ("cli", "classify", "farey", "presentations", "primitivity", "report",
-            "sequences", "shells", "snf", "sweeps", "words")
+# every module of the package, so that none can be left out
+_MODULES = tuple(module.name for module in pkgutil.iter_modules(goeritz.__path__))
 
 
 def test_cli_hot_paths_build_no_code_tuples(monkeypatch, capsys):

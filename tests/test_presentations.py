@@ -6,9 +6,11 @@ from collections import Counter
 
 import pytest
 
-from goeritz.classify import DisconnectedComplexError
+from goeritz import presentations
+from goeritz.classify import CASES, CaseTag, DisconnectedComplexError, case_data
 from goeritz.presentations import (
     Abelianization,
+    GroupPresentation,
     StabilizerKind,
     abelianization_dict,
     abelianize_presentation,
@@ -207,7 +209,8 @@ CASE_TABLE = {
             rel(("rho", 4)),
             rel(("gamma", 2)),
             rel(("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)),
-            rel(("rho", 2), ("beta", 1), ("rho", 2), ("beta", -1)),
+            rel(("rho", 2), ("beta", 1), ("rho", -2), ("beta", -1)),
+            rel(("rho", 2), ("gamma", 1), ("rho", -2), ("gamma", -1)),
         ],
     ),
     (3, 1): (
@@ -296,7 +299,7 @@ def test_render_text_exact():
     )
     assert (
         render(goeritz_presentation(make_params(2, 1)), "text")
-        == "⟨β, ρ, γ | ρ⁴, γ², (γρ)², ρ²βρ²β⁻¹⟩"
+        == "⟨β, γ, ρ | γ², (γρ)², ρ⁴, ρ²βρ⁻²β⁻¹, ρ²γρ⁻²γ⁻¹⟩"
     )
 
 
@@ -363,11 +366,111 @@ def test_amalgam_examples():
     assert len(am.edges) == 3
 
 
-def test_amalgam_2_1_is_absorbed():
-    am = amalgam_decomposition(make_params(2, 1))
-    assert len(am.factors) == 2 and len(am.edges) == 1
-    assert all(f.presentation is None for f in am.factors)
-    assert "absorbed" in am.note
+def test_every_case_amalgam_is_presented_and_includes_by_words():
+    """Every factor and edge of every row's amalgam has a presentation, and
+    each inclusion image is a word in the generators of its own factor."""
+    amalgams = {}
+    for p, q in connected_pairs(13):
+        params = make_params(p, q)
+        amalgams[case_data(params)] = amalgam_decomposition(params)
+    assert set(amalgams) == {row for row in CASES.values() if row.tag is not CaseTag.DISCONNECTED}
+    for row, am in amalgams.items():
+        factors = {f.label: f.presentation for f in am.factors}
+        assert all(isinstance(pres, GroupPresentation) for pres in factors.values()), row.tag
+        for edge in am.edges:
+            assert isinstance(edge.presentation, GroupPresentation), edge.label
+            assert [g for g, _, _ in edge.inclusions] == list(edge.presentation.generator_names())
+            for side, images in ((edge.left, [l for _, l, _ in edge.inclusions]),
+                                 (edge.right, [r for _, _, r in edge.inclusions])):
+                for image in images:
+                    letters = {atom.split("^")[0] for atom in image.split("*")}
+                    assert letters <= set(factors[side].generator_names()), (edge.label, image)
+
+
+# The p = 2 group as a literal table, before it was derived from its amalgam.
+LITERAL_2_1 = presentation(
+    [("beta", ""), ("rho", ""), ("gamma", "")],
+    [
+        [("rho", 4)],
+        [("gamma", 2)],
+        [("gamma", 1), ("rho", 1), ("gamma", 1), ("rho", 1)],
+        [("rho", 2), ("beta", 1), ("rho", 2), ("beta", -1)],
+    ],
+)
+
+
+def _permutation_group(*gens):
+    """The elements of the permutation group the tuples `gens` generate."""
+    elements = {tuple(range(len(gens[0])))}
+    frontier = list(elements)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = tuple(a[i] for i in g)
+            if b not in elements:
+                elements.add(b)
+                frontier.append(b)
+    return sorted(elements)
+
+
+S3 = _permutation_group((1, 0, 2), (1, 2, 0))
+D4 = _permutation_group((1, 2, 3, 0), (0, 3, 2, 1))
+S4 = _permutation_group((1, 0, 2, 3), (1, 2, 3, 0))
+
+
+def hom_count(pres, group):
+    """|Hom(G, H)| by brute force: the images of G's generators are chosen
+    in order, and each relator is checked once all its letters have one."""
+    flat = pres.flatten()
+    names = [g.name for g in flat.generators]
+    due = [[] for _ in names]
+    for rel in flat.relators:
+        due[max(names.index(name) for name, _ in rel)].append(rel)
+    identity = tuple(range(len(group[0])))
+    inverse = {h: tuple(sorted(range(len(h)), key=h.__getitem__)) for h in group}
+    images = {}
+
+    def holds(rel):
+        value = identity
+        for name, sign in rel:
+            h = images[name] if sign > 0 else inverse[images[name]]
+            value = tuple(value[i] for i in h)
+        return value == identity
+
+    def count(i):
+        if i == len(names):
+            return 1
+        total = 0
+        for h in group:
+            images[names[i]] = h
+            if all(holds(rel) for rel in due[i]):
+                total += count(i + 1)
+        return total
+
+    return count(0)
+
+
+def test_the_derived_p2_group_has_the_literal_tables_hom_counts():
+    """The p = 2 group from its amalgam has as many homomorphisms into S3,
+    D4 and S4 as the literal table it replaced, and the same abelianization."""
+    derived = goeritz_presentation(make_params(2, 1))
+    for group, expected in ((S3, 60), (D4, 288), (S4, 1440)):
+        assert hom_count(LITERAL_2_1, group) == expected
+        assert hom_count(derived, group) == expected
+    assert abelianize_presentation(derived) == abelianize_presentation(LITERAL_2_1)
+
+
+def test_a_dihedral_factor_whose_alpha_is_rho_changes_a_hom_count(monkeypatch):
+    honest = presentations._alpha_part
+
+    def faulted(factor):
+        word, rest = honest(factor)
+        return word[:1], rest  # rho, not rho^2, in the dihedral factor
+
+    monkeypatch.setattr(presentations, "_alpha_part", faulted)
+    fault = presentations._amalgamated_product(amalgam_decomposition(make_params(2, 1)))
+    counts = [hom_count(fault, group) for group in (S3, D4, S4)]
+    assert counts != [60, 288, 1440], counts
 
 
 def test_amalgam_3_1_triple_factor():
@@ -386,7 +489,7 @@ def test_amalgam_flattening_matches_table_counts():
     edge generator is identified across its two factors."""
     for p, q in connected_pairs(40):
         if p == 2:
-            continue  # factor presentations absorbed into the table entry
+            continue  # alpha is rho^2, so its commutators are relators of the group
         params = make_params(p, q)
         table = goeritz_presentation(params)
         am = amalgam_decomposition(params)
@@ -412,8 +515,7 @@ def test_sigma_factors_match_sigma_generators():
         sigma_factors = sum(
             1
             for f in am.factors
-            if f.presentation is not None
-            and any(n.startswith("sigma") for n in f.presentation.generator_names())
+            if any(n.startswith("sigma") for n in f.presentation.generator_names())
         )
         assert sigma_gens == sigma_factors, (p, q)
 
@@ -436,8 +538,6 @@ def test_two_beta_pairs_iff_two_vertex_orbits():
     from goeritz.classify import vertex_orbits
 
     for p, q in connected_pairs(40):
-        if p <= 3:
-            continue  # special tables
         params = make_params(p, q)
         names = goeritz_presentation(params).generator_names()
         betas = sum(1 for n in names if n.startswith("beta"))

@@ -112,8 +112,9 @@ def _amalgam_with(monkeypatch, factors=(), edges=()):
     monkeypatch.setattr(sweeps, "amalgam_decomposition", extended)
 
 
-EXTRA_FACTOR = AmalgamFactor("G_extra", None)
-EXTRA_EDGE = AmalgamEdge("E_extra", None, "G_extra", "G_extra")
+ALPHA = presentation([("alpha", "")], [[("alpha", 2)]])
+EXTRA_FACTOR = AmalgamFactor("G_extra", ALPHA)
+EXTRA_EDGE = AmalgamEdge("E_extra", ALPHA, "G_extra", "G_extra", (("alpha", "alpha", "alpha"),))
 
 
 def test_a_factor_count_off_the_quotient_graph_is_reported(monkeypatch):
