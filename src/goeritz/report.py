@@ -213,7 +213,7 @@ def sequence_rows(
     classes = class_table(p, primitive_indices(params))
     return (
         (j, word, classes[j], is_primitive_cmz(word) if verify else None)
-        for j, word in enumerate(map(bytes.decode, spelled_sequence(p, params.q)))
+        for j, word in enumerate(spelled_sequence(p, params.q))
     )
 
 
@@ -275,7 +275,7 @@ def write_report_json(params: PqParams, write: Write) -> None:
         tail += presentation_members(pres, amalgam, abelianization=True)
 
     write(f'{{\n  "params": {dumps(params_dict(params), 1)},\n  "sequence": {{\n    "words": [')
-    words = enumerate(map(bytes.decode, spelled_sequence(params.p, params.q)))
+    words = enumerate(spelled_sequence(params.p, params.q))
     _write_chunked(write, (f'{"," if j else ""}\n      "{word}"' for j, word in words))
     indices = dumps(sorted(primitive_indices(params)), 2)
     write(f'\n    ],\n    "primitive_indices": {indices}\n  }},\n  "shells": [')

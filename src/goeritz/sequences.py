@@ -145,20 +145,22 @@ def check_sequence_size(p: int) -> None:
         )
 
 
-def spelled_sequence(p: int, qbar: int) -> Iterator[bytes]:
-    """The spellings of w_0, ..., w_p of the (p, qbar)-sequence, as bytes.
+def spelled_sequence(p: int, qbar: int) -> Iterator[str]:
+    """The spellings of w_0, ..., w_p of the (p, qbar)-sequence, as `str`
+    that every word reader takes.
 
     Each word is made from the one before: w_{j+1} is w_j with the
-    letter at 0-based position (j * qbar) mod p turned from y to z.
-    A sequence of more than MAX_WORD_LETTERS letters in all is refused
-    at the first step, before its first word is made.
+    letter at 0-based position (j * qbar) mod p turned from y to z, in
+    one buffer that is decoded once per word.  A sequence of more than
+    MAX_WORD_LETTERS letters in all is refused at the first step, before
+    its first word is made.
     """
     check_sequence_size(p)
     letters = bytearray(b"y" * p)
-    yield bytes(letters)
+    yield letters.decode("ascii")
     for j in range(p):
         letters[j * qbar % p] = ord("z")
-        yield bytes(letters)
+        yield letters.decode("ascii")
 
 
 @record
@@ -184,7 +186,7 @@ def primitive_indices(params: PqParams) -> frozenset[int]:
 
 
 def pq_sequence(params: PqParams) -> PqSequence:
-    spellings = tuple(spelled.decode("ascii") for spelled in spelled_sequence(params.p, params.q))
+    spellings = tuple(spelled_sequence(params.p, params.q))
     return PqSequence(params=params, spellings=spellings, primitive_indices=primitive_indices(params))
 
 

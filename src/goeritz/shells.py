@@ -5,8 +5,9 @@ by substituting xy for z, together with its primitivity class.  The
 intersection pattern inside a shell is the closed form
 |E_i cap E_j| = j - i - 1.
 
-The words are rendered as caret text one letter change at a time; an
-entry builds its `Word` only when asked for it.
+The words are rendered as caret text one letter change at a time, in
+one walk per shell; an entry parses its `Word` from that text only when
+asked for it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterator
 
 from ._records import record
 from .classify import case_data
-from .sequences import PqParams, check_sequence_size, make_params, primitive_indices, spelled_sequence
-from .words import Word
+from .sequences import PqParams, check_sequence_size, make_params, primitive_indices
+from .words import Word, parse_word
 
 
 class DiskClass(Enum):
@@ -68,21 +69,18 @@ def class_table(p: int, primitive: frozenset[int]) -> bytearray:
 
 @record
 class ShellEntry:
-    """Entry j of a shell.
-
-    `text` is the boundary word in caret notation and `spelled` the
-    spelling of the sequence word w_j over z, y, as bytes; the boundary
-    word is w_j with z replaced by xy.
+    """Entry j of a shell: its boundary word, the sequence word w_j with z
+    replaced by xy, as caret `text`, and its class.  `boundary_word` is
+    that text parsed, on first access.
     """
 
     index: int
     text: str
-    spelled: bytes
     disk_class: DiskClass
 
     @cached_property
     def boundary_word(self) -> Word:
-        return Word._of_spelling(self.spelled.replace(b"z", b"xy").decode("ascii"))
+        return parse_word(self.text)
 
 
 @record
@@ -153,14 +151,11 @@ def shell_rows(params: PqParams, kind: ShellKind) -> Iterator[tuple[int, str, Di
 
 
 def build_shell(params: PqParams, kind: ShellKind = ShellKind.Q) -> Shell:
-    """All p+1 entries of a (p, q-bar)-shell with words and classes."""
-    slope = kind.slope(params)
-    rows = zip(shell_rows(params, kind), spelled_sequence(params.p, slope))
-    entries = tuple(
-        ShellEntry(index=j, text=text, spelled=spelled, disk_class=cls)
-        for (j, text, cls), spelled in rows
-    )
-    return Shell(params=params, kind=kind, slope=slope, entries=entries)
+    """All p+1 entries of a (p, q-bar)-shell, each its caret text and class,
+    from one walk of the `_shell_texts` kernel."""
+    rows = shell_rows(params, kind)
+    entries = tuple(ShellEntry(index=j, text=text, disk_class=cls) for j, text, cls in rows)
+    return Shell(params=params, kind=kind, slope=kind.slope(params), entries=entries)
 
 
 def intersection_number(shell: Shell, i: int, j: int) -> int:

@@ -78,7 +78,7 @@ REDUCED_WORD_CAP = 14
 def _necklaces(letters: str, max_len: int) -> Iterator[str]:
     """The necklaces of 1..max_len letters over `letters`, ranked in the
     order given, with no letter next to its inverse, cyclically; spelled,
-    in lexicographic order.  None when max_len < 1.
+    in lexicographic order.  Nothing when max_len < 1.
 
     The Fredricksen-Kessler-Maiorana recursion, walked depth first with
     a stack: a prenecklace w of t letters whose longest Lyndon prefix has
@@ -124,7 +124,9 @@ def positive_cyclic_words(max_len: int) -> Iterator[str]:
 def reduced_cores(max_len: int) -> Iterator[str]:
     """One representative per cyclic core class, up to the symmetries the
     filter and the oracle share: rotation, inversion and the y sign flip.
-    It is the least string among the least rotations of the four variants.
+    Two orders pick it: each variant's least rotation is taken in the
+    rotation order x < X < y < Y, and the four are then compared as str,
+    by code point, X < Y < x < y; so reduced_cores(1) is X and Y.
 
     A length past REDUCED_WORD_CAP raises InvalidParameters here, at the call."""
     _capped(max_len, REDUCED_WORD_CAP)

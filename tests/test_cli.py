@@ -627,7 +627,7 @@ def test_hostile_p_is_refused_before_anything_is_made():
 def test_the_letter_cap_spares_classify_presentation_and_smaller_p(capsys):
     from goeritz.sequences import InvalidParameters, spelled_sequence
 
-    assert next(spelled_sequence(3161, 7)) == b"y" * 3161  # p(p+1) = 9,995,082
+    assert next(spelled_sequence(3161, 7)) == "y" * 3161  # p(p+1) = 9,995,082
     with pytest.raises(InvalidParameters, match="p\\(p\\+1\\) = 10001406 letters"):
         next(spelled_sequence(3162, 7))
     for argv in (("classify", "200000", "7"), ("presentation", "200000", "1")):

@@ -37,8 +37,8 @@ from goeritz.words import (
 
 _SYMBOL_CODES = {"x": 1, "y": 2, "z": 3}
 
-# Spelled positive words as bytes (b"xyz") to their codes (1, 2, 3).
-_POSITIVE_CODES = bytes.maketrans(b"xyz", b"\x01\x02\x03")
+# Spelled positive words ("xyz") to the characters of their codes (1, 2, 3).
+_POSITIVE_CODES = str.maketrans("xyz", "\x01\x02\x03")
 
 
 def _coerce_codes(letters) -> tuple[int, ...]:
@@ -96,9 +96,9 @@ def cyclic_reduce_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
     return codes[i:j]
 
 
-def _positive_codes(spelled: bytes) -> tuple[int, ...]:
-    """The codes of a spelled word of positive letters, given as bytes."""
-    return tuple(spelled.translate(_POSITIVE_CODES))
+def _positive_codes(spelled: str) -> tuple[int, ...]:
+    """The codes of a spelled word of positive letters."""
+    return tuple(map(ord, spelled.translate(_POSITIVE_CODES)))
 
 
 def old_word_codes(letters) -> tuple[int, ...]:

@@ -1,9 +1,14 @@
 import math
+import sys
 
 import pytest
 
+from goeritz import sequences
+from goeritz.classify import CASES, case_data
+from goeritz.euclid import is_primitive_cmz
+from goeritz.farey import nonconnectivity_witness
 from goeritz.primitivity import is_primitive_whitehead
-from goeritz.sequences import make_params, pq_sequence, spelled_sequence
+from goeritz.sequences import make_params, primitive_indices, pq_sequence, spelled_sequence
 from goeritz.shells import (
     DiskClass,
     DualPairKind,
@@ -13,7 +18,7 @@ from goeritz.shells import (
     intersection_number,
     shell_primitive_indices,
 )
-from goeritz.words import Word, _spell, abelianize, parse_word, substitute
+from goeritz.words import CyclicWord, Word, _spell, abelianize, parse_word, substitute
 
 from test_code_tuples import _positive_codes
 from test_sequences import sequence_word
@@ -185,12 +190,14 @@ def test_shell_texts_match_the_rendered_words():
             slope = kind.slope(params)
             if (p, slope) not in references:
                 references[p, slope] = [
-                    str(Word(_spell(_positive_codes(spelled.replace(b"z", b"xy")))))
+                    str(Word(_spell(_positive_codes(spelled.replace("z", "xy")))))
                     for spelled in spelled_sequence(p, slope)
                 ]
             shell = build_shell(params, kind)
             assert [e.text for e in shell.entries] == references[p, slope], (p, q, kind)
-            assert [e.spelled for e in shell.entries] == list(spelled_sequence(p, slope))
+            assert [e.boundary_word.spell().replace("xy", "z") for e in shell.entries] == list(
+                spelled_sequence(p, slope)
+            )
 
 
 def test_report_builds_no_sequence_or_shell_words(monkeypatch):
@@ -216,7 +223,7 @@ def test_report_builds_no_sequence_or_shell_words(monkeypatch):
         xy = parse_word("xy")
         for shell in report.shells:
             expected = [
-                Word(_spell(_positive_codes(spelled.replace(b"z", b"xy"))))
+                Word(_spell(_positive_codes(spelled.replace("z", "xy"))))
                 for spelled in spelled_sequence(p, shell.slope)
             ]
             assert [e.boundary_word for e in shell.entries] == expected
@@ -228,6 +235,63 @@ def test_report_builds_no_sequence_or_shell_words(monkeypatch):
         assert report.sequence.words[1] is report.sequence.words[1]
         assert report.shells[0].entries[1].boundary_word is report.shells[0].entries[1].boundary_word
         assert built == []
+
+
+def _one_pair_per_case_row() -> list[tuple[int, int]]:
+    """The first coprime pair of each row of CASES, and (12, 5)."""
+    firsts = {}
+    for p, q in coprime_pairs(20):
+        firsts.setdefault(case_data(make_params(p, q)), (p, q))
+    assert set(firsts) == set(CASES.values())
+    return sorted(set(firsts.values()) | {(12, 5)})
+
+
+def test_every_spelling_the_package_hands_out_is_read_by_every_word_reader():
+    """The sequence spellings, the shells' boundary words and the witness
+    disks' words are spelled as str: Word, CyclicWord and is_primitive_cmz
+    each take them as they come, and the verdict matches the class."""
+    for p, q in _one_pair_per_case_row():
+        params = make_params(p, q)
+        primitive = primitive_indices(params)
+        spellings = [(w, j in primitive) for j, w in enumerate(spelled_sequence(p, params.q))]
+        spellings += [(w, j in primitive) for j, w in enumerate(pq_sequence(params).spellings)]
+        for kind in ShellKind:
+            spellings += [
+                (e.boundary_word.spell(), e.disk_class is DiskClass.PRIMITIVE)
+                for e in build_shell(params, kind).entries
+            ]
+        if not params.connected:
+            spellings += [(disk.word.spell(), None) for disk in nonconnectivity_witness(params).disks]
+        for spelled, primitive_word in spellings:
+            assert type(spelled) is str, (p, q, spelled)
+            assert Word(spelled).spell() == spelled, (p, q, spelled)
+            assert len(CyclicWord(spelled)) == len(spelled), (p, q, spelled)
+            verdict = is_primitive_cmz(spelled)
+            assert primitive_word is None or verdict == primitive_word, (p, q, spelled)
+
+
+def test_build_shell_walks_only_the_caret_kernel(monkeypatch):
+    """A shell is made without the sequence spellings: with spelled_sequence
+    raising wherever the package refers to it, the shells still build, and
+    their words are the sequence words with z replaced by xy."""
+
+    def refuse(p, qbar):
+        raise AssertionError("build_shell walked spelled_sequence")
+
+    original = sequences.spelled_sequence
+    modules = [module for name, module in sys.modules.items() if name.partition(".")[0] == "goeritz"]
+    for module in modules:
+        if getattr(module, "spelled_sequence", None) is original:
+            monkeypatch.setattr(module, "spelled_sequence", refuse)
+    assert sequences.spelled_sequence is refuse
+    xy = parse_word("xy")
+    for p, q in ((5, 2), (12, 5), (41, 8)):
+        params = make_params(p, q)
+        for kind in ShellKind:
+            shell = build_shell(params, kind)
+            words = [substitute(sequence_word(p, shell.slope, j), xy) for j in range(p + 1)]
+            assert [e.boundary_word for e in shell.entries] == words, (p, q, kind)
+            assert [e.text for e in shell.entries] == [str(word) for word in words], (p, q, kind)
 
 
 def test_dual_shell_positions_are_the_primitive_positions_less_the_shell_ends():
