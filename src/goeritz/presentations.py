@@ -16,9 +16,10 @@ the presentations and amalgams are built once per row and shared: seven
 objects serve every connected pair.  Each frozen presentation and amalgam
 keeps a memo of what is derived from it (the only cache of renders, which
 `report --json` and `presentation --format json` read too), so its
-renders, its flattening and its abelianization are computed once per
-object, however many pairs ask; the Smith normal form cross-check runs,
-once, on every presentation emitted.
+renders, its abelianization and, on an amalgam, its whole group are
+computed once per object, however many pairs ask (a flattening, made only
+for a GAP render or an abelianization, is not kept); the Smith normal
+form cross-check runs, once, on every presentation emitted.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class Generator:
     description: str = ""
 
 
-# A relator: (generator name, +1 or -1) letters, freely reduced.
+# A relator: (generator name, +1 or -1) letters, kept as built.
 Relator = tuple[tuple[str, int], ...]
 
 
@@ -81,12 +82,12 @@ class _Memoized:
     `_memo` is a dict that functools.cached_property stores straight in
     the instance's __dict__, so the record stays frozen and its
     field-based ==, hash, fields() and replace() are unchanged; a copy
-    made with dataclasses.replace() starts with an empty memo.  flatten(),
-    render() and abelianize_presentation() read it first and fill it on a
-    miss.  The objects are shared per row of classify.CASES, so a test
-    that injects a fault into invariant_factors or a render helper must
-    use a fresh dataclasses.replace() copy: a shared object may already
-    hold the honest answer.
+    made with dataclasses.replace() starts with an empty memo.  render(),
+    abelianize_presentation() and goeritz_presentation() (on the amalgam)
+    read it first and fill it on a miss.  The objects are shared per row
+    of classify.CASES, so a test that faults invariant_factors or a render
+    helper must use a fresh dataclasses.replace() copy: a shared object
+    may already hold the honest answer.
     """
 
     @functools.cached_property
@@ -135,13 +136,9 @@ class GroupPresentation(_Memoized):
 
     def flatten(self) -> "GroupPresentation":
         """Single presentation: union of generators and relators plus
-        commutators between generators of different summands; built once
-        per object."""
+        commutators between generators of different summands."""
         if not self.summands:
             return self
-        return self._remembered("flatten", GroupPresentation._flattened)
-
-    def _flattened(self) -> "GroupPresentation":
         parts = [part.flatten() for part in self.summands]
         relators = [rel for part in parts for rel in part.relators]
         for i, left in enumerate(parts):
@@ -162,22 +159,12 @@ def presentation(
     gens: list[tuple[str, str]], relators: list[list[tuple[str, int]]]
 ) -> GroupPresentation:
     """Build a presentation from (name, gloss) pairs and name/exponent
-    relators, each expanded into letters and freely reduced."""
-    declared = {name for name, _ in gens}
-    rels = []
-    for rel in relators:
-        word: list[tuple[str, int]] = []
-        for name, exp in rel:
-            if name not in declared:  # checked here too, as its letters may cancel
-                raise ValueError(f"relator {rel} uses undeclared generators")
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                if word and word[-1] == (name, -sign):
-                    word.pop()
-                else:
-                    word.append((name, sign))
-        rels.append(tuple(word))
-    return GroupPresentation(tuple(Generator(name, desc) for name, desc in gens), tuple(rels))
+    relators, each expanded into its letters as given."""
+    rels = tuple(
+        tuple((name, 1 if exp > 0 else -1) for name, exp in rel for _ in range(abs(exp)))
+        for rel in relators
+    )
+    return GroupPresentation(tuple(Generator(name, desc) for name, desc in gens), rels)
 
 
 def direct_sum(*summands: GroupPresentation) -> GroupPresentation:
@@ -386,10 +373,10 @@ def goeritz_presentation(params: PqParams) -> GroupPresentation:
     docstring)."""
     if not params.connected:
         raise DisconnectedComplexError(_Refusal(params, _not_presentable))
-    return _whole_group(case_data(params))
+    return _amalgam(case_data(params))._remembered("group", _amalgamated_product)
 
 
-# Both are built once per row of CASES and shared: every part is frozen.
+# Built once per row of CASES and shared, the whole group in its memo.
 @functools.cache
 def _amalgam(row: CaseData) -> AmalgamDecomposition:
     factors = tuple(
@@ -417,11 +404,6 @@ def _edge(label: str, left: AmalgamFactor, right: AmalgamFactor) -> AmalgamEdge:
         right.label,
         (images,) + tuple((g.name,) * 3 for g in kept),
     )
-
-
-@functools.cache
-def _whole_group(row: CaseData) -> GroupPresentation:
-    return _amalgamated_product(_amalgam(row))
 
 
 def _amalgamated_product(am: AmalgamDecomposition) -> GroupPresentation:

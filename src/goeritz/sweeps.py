@@ -17,7 +17,7 @@ import math
 from typing import Iterator
 
 from ._records import record
-from .classify import DisconnectedComplexError, classify, quotient_graph
+from .classify import DisconnectedComplexError, classify
 from .euclid import check_certificate, primitivity_certificate
 from .farey import ConnectedComplexError, nonconnectivity_witness
 from .presentations import amalgam_decomposition, goeritz_presentation
@@ -212,12 +212,12 @@ def _symmetry(params: PqParams) -> Iterator[str]:
 
 
 def _dispatch_totality(params: PqParams) -> Iterator[str]:
-    """Structural cross-consistency.  Connectivity against the presentation
-    and the witness, the dimension against q = 2 or p = 2q + 1, and sigma
-    generators against exchangeable pair factors compare the case table
-    with something else.  The dimension against triple existence, factor
-    counts against the quotient graph and quotient_graph(params) against
-    classify hold by construction: classify derives them from the row."""
+    """Structural cross-consistency: four checks that compare the case
+    table with code that does not read it.  The presentation and the
+    witness are defined exactly as the pair is connected or not; the
+    dimension is 2 exactly when q = 2 or p = 2q + 1; the amalgam has one
+    edge fewer than it has factors; and its sigma generators match its
+    exchangeable pair factors."""
     structure = classify(params)
     try:
         pres = goeritz_presentation(params)
@@ -235,18 +235,12 @@ def _dispatch_totality(params: PqParams) -> Iterator[str]:
             f"{pres_defined}, witness defined={witness_defined}"
         )
         return
-    two_dim = structure.dimension == 2
-    if structure.connected and two_dim != (params.q == 2 or params.p == 2 * params.q + 1):
-        yield "dimension disagrees with the triple criterion"
-    if two_dim != (structure.triple_exists and structure.connected):
-        yield "dimension-2 and triple existence disagree"
     if not structure.connected:
         return
+    if (structure.dimension == 2) != (params.q == 2 or params.p == 2 * params.q + 1):
+        yield "dimension disagrees with the triple criterion"
     amalgam = amalgam_decomposition(params)
-    expected_factors = structure.quotient_graph.vertex_count
-    if len(amalgam.factors) != expected_factors:
-        yield f"{len(amalgam.factors)} factors but quotient graph {structure.quotient_graph.value}"
-    if len(amalgam.edges) != expected_factors - 1:
+    if len(amalgam.edges) != len(amalgam.factors) - 1:
         yield "edge count is not factor count - 1"
     sigma_gens = sum(1 for n in pres.generator_names() if n.startswith("sigma"))
     sigma_factors = sum(
@@ -254,8 +248,6 @@ def _dispatch_totality(params: PqParams) -> Iterator[str]:
     )
     if sigma_gens != sigma_factors:
         yield f"{sigma_gens} sigma generators but {sigma_factors} exchangeable pair factors"
-    if quotient_graph(params) is not structure.quotient_graph:
-        yield "quotient graph mismatch"
 
 
 # Each check with its per-subject test, its default bound, the least bound

@@ -4,7 +4,8 @@ source, and importing goeritz compiles one `__init__` per record.
 
 Each record class is compared with a twin built by the real
 `dataclasses.dataclass` from the class's fields, methods and docstring,
-on instances drawn from library calls.  The tests need no pytest:
+on instances drawn from library calls; a few shapes that no package
+record has (a subclass, one field, no field) are compared the same way.  The tests need no pytest:
 `PYTHONPATH=src python tests/test_frozen_records.py` runs them all.
 """
 
@@ -236,6 +237,63 @@ def test_instances_match_their_dataclass_twins():
                 ]
                 assert changes[0] == changes[1], (name, target)
                 assert all(kind is dataclasses.FrozenInstanceError for kind, _ in changes[0])
+
+
+SHAPES = '''
+@decorate
+class Pair:
+    """A record with two fields."""
+    first: int
+    second: str = "b"
+
+class Child(Pair):
+    """A subclass of a record, not itself a record."""
+
+@decorate
+class One:
+    """A record with one field."""
+    only: int
+
+@decorate
+class Empty:
+    """A record with no field."""
+'''
+
+
+def test_shapes_no_package_record_has_match_their_dataclass_twins():
+    """A subclass of a record with an attribute that is no field, and the
+    keys of records with one field and with none, against the classes
+    dataclass(frozen=True) makes from the same source."""
+    built = []
+    for decorate in (record, dataclasses.dataclass(frozen=True)):
+        namespace = {"__name__": __name__, "decorate": decorate}
+        exec(SHAPES, namespace)
+        built.append(namespace)
+    samples = {"Child": [(1,), (1, "c")], "One": [(1,), (2,)], "Empty": [(), ()]}
+    for name, argument_lists in samples.items():
+        instances = [[ns[name](*args) for args in argument_lists] for ns in built]
+        for mine, theirs in zip(*instances):
+            assert repr(mine) == repr(theirs), name
+            assert hash(mine) == hash(theirs), name
+            for target in ("first", "only", "extra"):
+                changes = [
+                    [
+                        outcome(lambda: setattr(x, target, 0)),
+                        outcome(lambda: getattr(x, target)),
+                        outcome(lambda: delattr(x, target)),
+                        outcome(lambda: delattr(x, target)),
+                    ]
+                    for x in (mine, theirs)
+                ]
+                assert changes[0] == changes[1], (name, target)
+            # the attribute set and deleted again leaves repr and hash as they were
+            assert repr(mine) == repr(theirs) and hash(mine) == hash(theirs), name
+        for x, y in ((0, 0), (0, 1), (1, 0)):
+            assert (instances[0][x] == instances[0][y]) == (instances[1][x] == instances[1][y])
+            assert (instances[0][x] != instances[0][y]) == (instances[1][x] != instances[1][y])
+    child = built[0]["Child"](1)
+    child.extra = 2
+    assert vars(child) == {"first": 1, "second": "b", "extra": 2}
 
 
 COUNT_COMPILES = """

@@ -1,8 +1,8 @@
 """The per-object memo of presentations and amalgams cannot be seen.
 
 The presentations and amalgams of all connected (p, q) are shared per row
-of classify.CASES, and each one remembers its renders, its flattening and
-its abelianization.  These tests check that a remembered answer equals
+of classify.CASES, and each one remembers its renders and its
+abelianization; each amalgam remembers its whole group too.  These tests check that a remembered answer equals
 the one a memo-free rebuild computes, that the memo leaves equality,
 hashing and copying alone, and that the work it saves is saved.
 """

@@ -609,14 +609,6 @@ def test_presentation_builder_validates():
         )
 
 
-def test_presentation_builder_cancels_the_letters_of_a_relator():
-    pres = presentation(
-        [("a", ""), ("b", "")],
-        [[("a", 2), ("a", -1), ("b", 1)], [("a", 1), ("b", 2), ("b", -2), ("a", -1)]],
-    )
-    assert pres.relators == ((("a", 1), ("b", 1)), ())
-
-
 def test_every_stabilizer_kind_is_a_factor_or_an_edge_group_of_a_case_amalgam():
     def shape(pres):
         return pres.generator_names(), pres.named_relators()

@@ -93,16 +93,9 @@ def test_a_dimension_off_the_triple_criterion_is_reported(monkeypatch):
     ]
 
 
-def test_a_dimension_off_triple_existence_is_reported(monkeypatch):
-    _structure_with(monkeypatch, triple_exists=True)
-    assert _failures("dispatch-totality", 2) == [
-        ("(2,1)", "dimension-2 and triple existence disagree")
-    ]
-
-
 def _amalgam_with(monkeypatch, factors=(), edges=()):
     """The dispatch sweep sees each amalgam with `factors` and `edges`
-    appended; both counts are checked against the quotient graph."""
+    appended; its edge count is checked against its factor count."""
     honest = sweeps.amalgam_decomposition
 
     def extended(params):
@@ -117,11 +110,9 @@ EXTRA_FACTOR = AmalgamFactor("G_extra", ALPHA)
 EXTRA_EDGE = AmalgamEdge("E_extra", ALPHA, "G_extra", "G_extra", (("alpha", "alpha", "alpha"),))
 
 
-def test_a_factor_count_off_the_quotient_graph_is_reported(monkeypatch):
+def test_a_factor_count_off_the_edge_count_is_reported(monkeypatch):
     _amalgam_with(monkeypatch, factors=(EXTRA_FACTOR,))
-    assert _failures("dispatch-totality", 2) == [
-        ("(2,1)", "3 factors but quotient graph single-edge")
-    ]
+    assert _failures("dispatch-totality", 2) == [("(2,1)", "edge count is not factor count - 1")]
 
 
 def test_an_edge_count_off_the_factor_count_is_reported(monkeypatch):

@@ -57,8 +57,8 @@ OWN_CHECK_BROKEN = {
         ("(2,1)", "reversal symmetry fails"),
     ),
     "dispatch-totality": (
-        30, 139, 100, "e0ef0c597d7fb01e2e4d38c5dd22e7a6204b185667608ed232e163c870d0e3ef",
-        ("(2,1)", "quotient graph mismatch"),
+        30, 139, 100, "72475f4673fe3b41ae07810792dc961e27b1ad9c2cadf8c8d36ed9ce30683c52",
+        ("(2,1)", "edge count is not factor count - 1"),
     ),
 }
 
@@ -85,7 +85,10 @@ def test_every_check_reports_its_recorded_failures_with_the_oracle_inverted(monk
 
 def test_the_checks_without_the_oracle_report_their_own_broken_invariant(monkeypatch):
     monkeypatch.setattr(sweeps, "verify_symmetry", lambda seq: False)
-    monkeypatch.setattr(sweeps, "quotient_graph", lambda params: None)
+    honest = sweeps.amalgam_decomposition
+    monkeypatch.setattr(
+        sweeps, "amalgam_decomposition", lambda params: dataclasses.replace(honest(params), edges=())
+    )
     _assert_pinned(OWN_CHECK_BROKEN)
 
 
