@@ -32,6 +32,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 from .classify import DisconnectedComplexError, classify
 from .euclid import cmz_trace, is_primitive_cmz
@@ -125,6 +126,8 @@ def cmd_primitive(args) -> int:
             data["trace"] = [{"move": str(a), "word": str(w)} for a, w in chain]
         if failure is not None:
             data["failed_condition"] = failure
+        if witness is not None:
+            data["filter_witness"] = asdict(witness)
         _print_json(data)
         return code
     print(f"word: {word}")

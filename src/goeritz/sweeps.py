@@ -132,11 +132,28 @@ def reduced_cores(max_len: int) -> Iterator[str]:
     _capped(max_len, REDUCED_WORD_CAP)
     # the necklaces over x < X < y < Y are the least rotations of the
     # cyclically reduced words
-    return (
-        word
-        for word in _necklaces("xXyY", max_len)
-        if all(word <= _least_rotation(other) for other in _symmetry_variants(word)[1:])
-    )
+    return _orbit_representatives(_necklaces("xXyY", max_len))
+
+
+def _orbit_representatives(necklaces: Iterator[str]) -> Iterator[str]:
+    """Each necklace that is the least, as str, of its orbit: the least
+    rotations of its four symmetry variants, which are necklaces of the
+    same walk.  At an orbit's first necklace the other members' rotations
+    are taken once, and the members are kept, each with whether it is the
+    representative, until the walk reaches them; a member reached is
+    popped, with no rotation work."""
+    ahead: dict[str, bool] = {}
+    for word in necklaces:
+        chosen = ahead.pop(word, None)
+        if chosen is None:
+            orbit = {word, *map(_least_rotation, _symmetry_variants(word)[1:])}
+            least = min(orbit)
+            orbit.discard(word)
+            for member in orbit:
+                ahead[member] = member == least
+            chosen = word == least
+        if chosen:
+            yield word
 
 
 def _pairs(max_p: int) -> Iterator[PqParams]:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import goeritz
-from goeritz import sweeps
+from goeritz import report, sweeps
 from goeritz.euclid import (
     MIXED_SIGNS,
     NOT_UNIMODULAR,
@@ -33,6 +33,7 @@ from goeritz.euclid import (
     primitivity_certificate,
 )
 from goeritz.primitivity import is_primitive_whitehead
+from goeritz.sequences import make_params
 from goeritz.words import _spell, cyclic_reduce, invert, parse_word
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -264,6 +265,65 @@ def test_the_cmz_sweep_counts_every_necklace_and_reports_a_wrong_decision(monkey
     result = sweeps.run_sweep("cmz-vs-whitehead", 4)
     assert len(result.failures) == result.subjects
     assert all("is wrong" in f.detail for f in result.failures)
+
+
+# --- the gap step of `sequence --verify`
+
+PAIRS_TO_60 = list(sweeps.coprime_pairs(60))
+
+
+def test_the_gap_step_gives_the_verdicts_of_the_decision():
+    """Every verdict of `sequence_rows` is the decision's on the same word,
+    and every word the gap step decides fails the decision's first step:
+    a repeated rarer letter or a run shorter than k, after no step."""
+    decided = words = 0
+    for p, q in [*sweeps.coprime_pairs(100), (3000, 7)]:
+        rows = report.sequence_rows(make_params(p, q), True)
+        for (j, word, _, verdict), fails in zip(rows, report._first_step_failures(p, q)):
+            certificate = primitivity_certificate(word)
+            assert verdict is certificate.primitive, (p, q, j)
+            words += 1
+            if fails:
+                decided += 1
+                assert certificate.steps == (), (p, q, j)
+                assert certificate.failure in (REPEATED_LETTER, SHORT_RUN), (p, q, j)
+    # most words are decided by their gaps alone
+    assert (decided, words) == (88309, 106066)
+
+
+def _mismatched_pairs() -> int:
+    """The pairs with p <= 60 whose `sequence --verify --json` reports mismatches."""
+    return sum(
+        report.write_sequence_json(make_params(p, q), True, lambda text: None) > 0
+        for p, q in PAIRS_TO_60
+    )
+
+
+def test_the_gap_step_is_checked_by_the_verdicts(monkeypatch):
+    """A wrong gap rule calls primitive words not primitive, and the
+    primitive positions report it: at k + 1 in place of k, with a gap of
+    one y counted as a repeated y, and at k + 1 in place of k for the
+    runs of z's."""
+    assert _mismatched_pairs() == 0
+
+    def k_plus_one(p, j, gaps, shortest):
+        if 2 * j <= p:
+            return min(gaps) < (p - j) // j + 1
+        return max(gaps) >= 2 or shortest[p - j] < j // (p - j)
+
+    def one_y_repeated(p, j, gaps, shortest):
+        if 2 * j <= p:
+            return min(gaps) < (p - j) // j
+        return max(gaps) >= 1 or shortest[p - j] < j // (p - j)
+
+    def z_run_k_plus_one(p, j, gaps, shortest):
+        if 2 * j <= p:
+            return min(gaps) < (p - j) // j
+        return max(gaps) >= 2 or shortest[p - j] < j // (p - j) + 1
+
+    for faulty in (k_plus_one, one_y_repeated, z_run_k_plus_one):
+        monkeypatch.setattr(report, "_fails_first_step", faulty)
+        assert _mismatched_pairs() >= len(PAIRS_TO_60) - 1, faulty.__name__
 
 
 # --- independence of the decision, its checker and the oracles, read off the source

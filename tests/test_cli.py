@@ -61,6 +61,20 @@ def test_primitive_filter_trace_prints_the_witness(capsys):
     assert out.splitlines()[-1] == "  filter witness (w): xy at 0, xy^-1 at 2"
 
 
+def test_primitive_filter_trace_json_carries_the_witness(capsys):
+    """The JSON of a traced filter verdict names the witness the text
+    prints, key by key; without --trace, or when the filter decides
+    nothing, there is no witness."""
+    code, out, err = run(capsys, "primitive", "--method", "filter", "--trace", "--json", "x^2y^2")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["filter_witness"] == {
+        "normalization": "w", "first": "x^2", "first_offset": 0, "second": "y^2", "second_offset": 2,
+    }
+    for argv in (("x^2y^2", "--json"), ("xy", "--trace", "--json")):
+        code, out, _ = run(capsys, "primitive", "--method", "filter", *argv)
+        assert "filter_witness" not in json.loads(out), argv
+
+
 def test_primitive_json(capsys):
     code, out, _ = run(capsys, "primitive", "x x y y", "--method", "filter", "--json")
     assert code == 1

@@ -81,16 +81,16 @@ RECORDED = {
         '0000 0000 2222 4444', 'c172d4092227dc0e3d0175a43fe8e022aaf3cedd760bf53f4dddc27667fb8d2e'
     ),
     'x^2y^2': (
-        '1111 1111 1111 1111', 'c92834f4e6c44d2d651a4c2c56fe71f0b754d9f49ec746fb7287caeaa7fa3873'
+        '1111 1111 1111 1111', '3357b69fc6b11ff284845c5219b6efe46cd15a1003b0b83280c42d2181ff0ee5'
     ),
     'XyXy^2Xy^3': (
-        '1111 1111 2222 1111', 'b44207ae31018fd289cffe8a8cd391bfe892418b6eae4a88e59bcdec00836d9f'
+        '1111 1111 2222 1111', 'a3b67bc987352cffc0fd91b696360223c81a7aff2991fc06106d5a3862167602'
     ),
     'zyyzyyzy': (
         '0000 0000 0000 4444', 'c885fcb361f587255adad5e6e3f2802972a267c8a8d30e0f03401f21044aa6dc'
     ),
     'xyxY': (
-        '1111 1111 2222 1111', 'b23d054c798882a444d40fc120161cf723c34b4928121f33efb66de0ecd119a4'
+        '1111 1111 2222 1111', 'f20ef96666a3fcf6f121bbd0c2720464ecdb81c1f3caa334ebfaf4384aa378e1'
     ),
     'xy': (
         '0000 0000 0000 4444', '89d15de6b5ae2b31549510e04e1223fe6263ca371cd90932698e18794846dbc5'

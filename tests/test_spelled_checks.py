@@ -13,6 +13,7 @@ candidate word and kept those equal to their least rotation.
 
 import dataclasses
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -334,6 +335,20 @@ def test_reduced_core_counts():
     assert sum(1 for _ in sweeps.reduced_cores(8)) == 385
     assert sum(1 for _ in sweeps.reduced_cores(11)) == 6574
     assert sum(1 for _ in sweeps.reduced_cores(12)) == 17805
+    assert sum(1 for _ in sweeps.reduced_cores(13)) == 48649
+
+
+def test_the_orbit_table_of_reduced_cores_stays_small():
+    """The orbit members the walk has yet to reach are kept in a table:
+    at the default bound, 12, the walk's traced peak stays under 4 MB."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in sweeps.reduced_cores(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 17805
+    assert peak < 4_000_000
 
 
 def test_enumerators_refuse_lengths_below_one_and_past_their_cap_at_the_call():
