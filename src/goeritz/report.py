@@ -9,7 +9,6 @@ sequence, for the writers, the CLI's text and the library objects alike.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from json import loads
 from json.encoder import encode_basestring as _quote  # the C encoder of ensure_ascii=False
 from typing import Callable, Iterable, Iterator, Optional
@@ -217,62 +216,28 @@ def sequence_rows(
         return ((j, word, classes[j], None) for j, word in words)
     # a word the gap step decides fails the decision's first step; the rest,
     # the ends and every primitive word among them, get the whole decision
-    return (
-        (j, word, classes[j], not fails and is_primitive_cmz(word))
-        for (j, word), fails in zip(words, _first_step_failures(p, params.q))
-    )
+    fails = _first_step_failures(p, params.q)
+    return ((j, word, classes[j], not fails[j] and is_primitive_cmz(word)) for j, word in words)
 
 
-def _first_step_failures(p: int, q: int) -> Iterator[bool]:
-    """For j = 0, ..., p: whether the gaps of w_j show it not primitive at
-    the Euclid decision's first step, as `_fails_first_step` reads them;
-    False at both ends, which the gaps do not decide.
+def _first_step_failures(p: int, q: int) -> list[bool]:
+    """For j = 0, ..., p: whether w_j fails the Euclid decision's first
+    step on a repeated rarer letter or a run shorter than k; False at
+    both ends, which this does not decide.
 
-    Walks the z positions j * q mod p as `spelled_sequence` sets them,
-    kept sorted, with a count of each gap length: the number of y's
-    between cyclically consecutive z's.  Each new z splits one gap in two.
-    The shortest gap of each w_j with j <= p / 2 is kept for the words
-    past the middle.
+    The m = min(j, p - j) rarer letters of w_j sit at i * q mod p for m
+    consecutive i (the z's at 0 <= i < j, the y's at j <= i < p), so the
+    closest two are min ||i * q mod p|| apart over 0 < i < m, where
+    ||d|| = min(d, p - d).  One less is fewest[m], the fewest commoner
+    letters between two rarer ones, and the word fails when that is below
+    k = (p - m) // m >= 1; a repeated rarer letter is fewest[m] = 0.
     """
-    yield False
-    positions: list[int] = []
-    gaps: dict[int, int] = {}
-    shortest = [p]  # w_0 has no gap; its entry is never read
-    for j in range(1, p):
-        z = (j - 1) * q % p
-        if positions:
-            i = bisect_left(positions, z)
-            before, after = positions[i - 1], positions[i % len(positions)]
-            gap = (after - before - 1) % p
-            gaps[gap] -= 1
-            if not gaps[gap]:
-                del gaps[gap]
-            for part in ((z - before - 1) % p, (after - z - 1) % p):
-                gaps[part] = gaps.get(part, 0) + 1
-            positions.insert(i, z)
-        else:
-            positions.append(z)
-            gaps[p - 1] = 1
-        if 2 * j <= p:
-            shortest.append(min(gaps))
-        yield _fails_first_step(p, j, gaps, shortest)
-    yield False
-
-
-def _fails_first_step(p: int, j: int, gaps: dict[int, int], shortest: list[int]) -> bool:
-    """Whether w_j, 1 <= j < p, with `gaps` counting its gap lengths, fails
-    the Euclid decision's first step; `shortest[i]` is the shortest gap of
-    w_i for i <= p / 2.
-
-    With z the rarer letter (j <= p - j) it fails when a gap holds fewer
-    than k = (p - j) // j y's: a repeated z or a run shorter than k.  With
-    y the rarer letter it fails on a repeated y, a gap of two or more, or
-    when two y's have fewer than k = j // (p - j) z's between them.  The
-    y's of w_j sit at i * q mod p for j <= i < p, the z's of w_(p-j)
-    moved on by j * q, so its runs of z's are the gaps of w_(p-j)."""
-    if 2 * j <= p:
-        return min(gaps) < (p - j) // j
-    return max(gaps) >= 2 or shortest[p - j] < j // (p - j)
+    fewest = [p - 1, p - 1]  # fewest[0] is never read
+    for i in range(1, p // 2):
+        d = i * q % p
+        fewest.append(min(fewest[-1], min(d, p - d) - 1))
+    middle = (fewest[m] < (p - m) // m for m in (min(j, p - j) for j in range(1, p)))
+    return [False, *middle, False]
 
 
 def oracle_disagrees(cls: int, verdict: bool) -> bool:

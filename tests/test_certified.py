@@ -270,6 +270,9 @@ def test_the_cmz_sweep_counts_every_necklace_and_reports_a_wrong_decision(monkey
 # --- the gap step of `sequence --verify`
 
 PAIRS_TO_60 = list(sweeps.coprime_pairs(60))
+# every pair up to ROADMAP item 4's bound, and three at or near the letter cap
+GAP_PAIRS = [*sweeps.coprime_pairs(120), (3000, 7), (3001, 707), (3161, 1000)]
+DECIDED, WORDS = 157920, 186947
 
 
 def test_the_gap_step_gives_the_verdicts_of_the_decision():
@@ -277,18 +280,40 @@ def test_the_gap_step_gives_the_verdicts_of_the_decision():
     and every word the gap step decides fails the decision's first step:
     a repeated rarer letter or a run shorter than k, after no step."""
     decided = words = 0
-    for p, q in [*sweeps.coprime_pairs(100), (3000, 7)]:
-        rows = report.sequence_rows(make_params(p, q), True)
-        for (j, word, _, verdict), fails in zip(rows, report._first_step_failures(p, q)):
+    for p, q in GAP_PAIRS:
+        fails = report._first_step_failures(p, q)
+        for j, word, _, verdict in report.sequence_rows(make_params(p, q), True):
             certificate = primitivity_certificate(word)
             assert verdict is certificate.primitive, (p, q, j)
             words += 1
-            if fails:
+            if fails[j]:
                 decided += 1
                 assert certificate.steps == (), (p, q, j)
                 assert certificate.failure in (REPEATED_LETTER, SHORT_RUN), (p, q, j)
-    # most words are decided by their gaps alone
-    assert (decided, words) == (88309, 106066)
+    # most words are decided by the gap step alone
+    assert (decided, words) == (DECIDED, WORDS)
+
+
+def _gap_step(gap=1, slack=(0, 0), rarer=min):
+    """A copy of `report._first_step_failures`, with places for a fault:
+    the distance of the closest rarer letters less `gap` is the gap
+    (honest: 1), k gains `slack[0]` on the z-rarer side and `slack[1]` on
+    the y-rarer side (honest: 0), and `rarer(j, p - j)` is the count of
+    the rarer letter (honest: min).  It fills `fewest` past the middle,
+    for a fault that reads there."""
+
+    def failures(p, q):
+        fewest = [p - 1, p - 1]
+        for i in range(1, p - 1):
+            d = i * q % p
+            fewest.append(min(fewest[-1], min(d, p - d) - gap))
+        middle = []
+        for j in range(1, p):
+            m = rarer(j, p - j)
+            middle.append(fewest[m] < (p - m) // m + slack[2 * j > p])
+        return [False, *middle, False]
+
+    return failures
 
 
 def _mismatched_pairs() -> int:
@@ -300,30 +325,29 @@ def _mismatched_pairs() -> int:
 
 
 def test_the_gap_step_is_checked_by_the_verdicts(monkeypatch):
-    """A wrong gap rule calls primitive words not primitive, and the
-    primitive positions report it: at k + 1 in place of k, with a gap of
-    one y counted as a repeated y, and at k + 1 in place of k for the
-    runs of z's."""
+    """A too strict gap step calls primitive words not primitive, and the
+    primitive positions report it: at k + 1 in place of k on either side."""
+    assert all(_gap_step()(p, q) == report._first_step_failures(p, q) for p, q in PAIRS_TO_60)
     assert _mismatched_pairs() == 0
+    for slack in ((1, 0), (0, 1)):
+        monkeypatch.setattr(report, "_first_step_failures", _gap_step(slack=slack))
+        assert _mismatched_pairs() >= len(PAIRS_TO_60) - 1, slack
 
-    def k_plus_one(p, j, gaps, shortest):
-        if 2 * j <= p:
-            return min(gaps) < (p - j) // j + 1
-        return max(gaps) >= 2 or shortest[p - j] < j // (p - j)
 
-    def one_y_repeated(p, j, gaps, shortest):
-        if 2 * j <= p:
-            return min(gaps) < (p - j) // j
-        return max(gaps) >= 1 or shortest[p - j] < j // (p - j)
+def test_a_too_lenient_gap_step_lowers_the_pinned_count(monkeypatch):
+    """A gap step that decides too few words only sends more of them to the
+    decision, so no verdict shows it; the count of decided words that
+    `test_the_gap_step_gives_the_verdicts_of_the_decision` pins does: with
+    the distance taken for the gap, and with the count of the rarer letter
+    read at j past the middle, where k is then 0."""
 
-    def z_run_k_plus_one(p, j, gaps, shortest):
-        if 2 * j <= p:
-            return min(gaps) < (p - j) // j
-        return max(gaps) >= 2 or shortest[p - j] < j // (p - j) + 1
+    def decided() -> int:
+        return sum(sum(report._first_step_failures(p, q)) for p, q in GAP_PAIRS)
 
-    for faulty in (k_plus_one, one_y_repeated, z_run_k_plus_one):
-        monkeypatch.setattr(report, "_fails_first_step", faulty)
-        assert _mismatched_pairs() >= len(PAIRS_TO_60) - 1, faulty.__name__
+    assert decided() == DECIDED
+    for fault in ({"gap": 0}, {"rarer": lambda j, _: j}):
+        monkeypatch.setattr(report, "_first_step_failures", _gap_step(**fault))
+        assert decided() < DECIDED, fault
 
 
 # --- independence of the decision, its checker and the oracles, read off the source
